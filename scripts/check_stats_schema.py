@@ -30,8 +30,7 @@ sidecar, and every framed record in the .journal/.wal files — frame
 magic, format version, FNV-1a payload checksum, and the JSON
 meta-header (label, fingerprint, threw class, error kind, retries) at
 the head of each record. A procoupd state directory is a journal
-directory plus *.plan spool files; those are validated as single
-kind-tagged plan-submit frames.
+directory.
 
 With --sweep-report FILE, validates a harness --sweep-report document
 ("procoup-sweep/1" or "/2"): required keys, the compile_cache block,
@@ -94,18 +93,6 @@ ERROR_KINDS = [
 FRAME_MAGIC = 0x52464350  # "PCFR"
 FORMAT_VERSION = 1
 FRAME_HEADER = 4 + 4 + 8 + 8
-
-# Kind-tagged daemon frames (src/procoup/exp/service.hh).
-FRAME_KINDS = {
-    1: "plan-submit",
-    2: "point-lease",
-    3: "point-result",
-    4: "heartbeat",
-    5: "stream-ack",
-    6: "shutdown",
-    7: "plan-done",
-    8: "service-error",
-}
 
 BENCHMARKS = ["Matrix", "FFT", "LUD", "Model"]
 MACHINES = {
@@ -553,24 +540,6 @@ def validate_journal_dir(path):
             validate_journal_record(f"{rec_path}[{k}]", payload)
             n += 1
     check(n > 0, path, "journal contains no records")
-
-    # procoupd state dirs also hold *.plan worker spools: exactly one
-    # kind-tagged plan-submit frame each.
-    for spool in sorted(glob.glob(os.path.join(path, "*.plan"))):
-        blob = open(spool, "rb").read()
-        payloads = list(iter_frames(spool, blob))
-        check(len(payloads) == 1, spool,
-              f"spool holds {len(payloads)} frames, expected 1")
-        for payload in payloads:
-            check(len(payload) >= 1, spool, "empty spool frame")
-            if payload:
-                kind = payload[0]
-                check(kind in FRAME_KINDS, spool,
-                      f"unknown frame kind {kind}")
-                check(FRAME_KINDS.get(kind) == "plan-submit", spool,
-                      f"spool frame is '{FRAME_KINDS.get(kind)}', "
-                      "expected 'plan-submit'")
-            n += 1
     return n
 
 

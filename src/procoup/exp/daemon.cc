@@ -5,19 +5,16 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <mutex>
 #include <thread>
 
 #include "procoup/exp/journal.hh"
 #include "procoup/exp/worker.hh"
-#include "procoup/support/error.hh"
 #include "procoup/support/strings.hh"
 
 namespace procoup {
@@ -39,34 +36,6 @@ msSince(std::chrono::steady_clock::time_point start)
     return std::chrono::duration<double, std::milli>(
                std::chrono::steady_clock::now() - start)
         .count();
-}
-
-/** Execute @p point locally and classify any exception, exactly as a
- *  worker child would (worker.cc runWorkerLoop) — the in-process
- *  degradation path must stay byte-identical to worker execution. */
-OutcomeRecord
-executePointToRecord(const SweepPoint& point, const std::string& fp,
-                     CompileCache& cache, const RunnerOptions& ropts)
-{
-    OutcomeRecord rec;
-    rec.label = point.label;
-    rec.pointFingerprint = fp;
-    try {
-        const RunOutcome out = executeSweepPoint(point, cache, ropts);
-        rec = makeOutcomeRecord(out, fp);
-    } catch (const SimError& e) {
-        rec.threw = 1;
-        rec.errorKind = static_cast<std::uint8_t>(e.kind());
-        rec.errorCycle = e.cycle();
-        rec.error = e.what();
-    } catch (const CompileError& e) {
-        rec.threw = 2;
-        rec.error = e.what();
-    } catch (const std::exception& e) {
-        rec.threw = 3;
-        rec.error = e.what();
-    }
-    return rec;
 }
 
 /** The streaming side of one client connection: serialized frame
@@ -135,36 +104,17 @@ struct ClientConn
 /** Mutable state of one submitted plan's execution. */
 struct SweepDaemon::PlanSession
 {
-    const DaemonOptions& opts;
-    const ExperimentPlan& plan;
-    const RunnerOptions& ropts;
     ClientConn& conn;
     ResultsJournal& journal;
     bool journalOn;
 
-    std::vector<std::string> fps;
-    std::vector<std::size_t> pending;
-
-    std::atomic<std::size_t> cursor{0};
     std::atomic<std::uint64_t> doneCount{0};
-    std::atomic<std::uint64_t> leaseCounter{0};
     std::atomic<bool> anyThrew{false};
     std::atomic<bool> anyVerifyFailed{false};
-
-    // Each counter is an atomic bumped on the supervise path and
-    // merged into DaemonStats once at the end.
-    std::atomic<std::uint64_t> leasesIssued{0};
-    std::atomic<std::uint64_t> leasesExpired{0};
-    std::atomic<std::uint64_t> leasesReassigned{0};
-    std::atomic<std::uint64_t> heartbeats{0};
-    std::atomic<std::uint64_t> workerLost{0};
-    std::atomic<std::uint64_t> resultsStreamed{0};
     std::atomic<std::uint64_t> replayed{0};
     std::atomic<std::uint64_t> executed{0};
     std::atomic<std::uint64_t> cacheHits{0};
     std::atomic<std::uint64_t> cacheMisses{0};
-
-    CompileCache cache;  ///< in-process fallback + replay-mode serving
 
     /** Journal (write-ahead!) then stream one completed record. */
     void commitRecord(std::size_t index, const OutcomeRecord& rec,
@@ -195,147 +145,8 @@ struct SweepDaemon::PlanSession
         conn.send(kindFrame(
             FrameKind::PointResult,
             encodePointResult(index, encodeOutcomeRecord(rec))));
-        ++resultsStreamed;
         ++doneCount;
     }
-
-    /** Drive one pending point through the lease state machine. */
-    void supervisePoint(WorkerProcess& child, std::size_t index)
-    {
-        const SweepPoint& point = plan.points()[index];
-        const std::uint64_t jitter_seed = fnv1a64(point.label);
-        const int budget = opts.retryPolicy.maxRetries();
-
-        std::string last_desc = "never started";
-        for (int attempt = 0; attempt <= budget; ++attempt) {
-            if (attempt > 0) {
-                ++leasesReassigned;
-                std::this_thread::sleep_for(
-                    std::chrono::duration<double, std::milli>(
-                        opts.retryPolicy.delayMs(jitter_seed,
-                                                 attempt)));
-            }
-            if (opts.inProcess ||
-                (!child.alive() &&
-                 !spawnWorkerProcess(workerArgv(), &child))) {
-                // Graceful degradation: execute in-process against
-                // the daemon's cache. The lease is trivially held.
-                ++leasesIssued;
-                commitRecord(index,
-                             executePointToRecord(point, fps[index],
-                                                  cache, ropts),
-                             /*freshly_executed=*/true);
-                return;
-            }
-
-            const std::uint64_t lease_id = ++leaseCounter;
-            ++leasesIssued;
-            LeaseInfo lease;
-            lease.planIndex = index;
-            lease.fingerprint = fps[index];
-            lease.leaseId = lease_id;
-            lease.leaseMs = opts.leaseMs;
-            conn.send(kindFrame(FrameKind::PointLease,
-                                encodeLeaseInfo(lease)));
-
-            const std::string cmd = strCat("R ", index, "\n");
-            if (!writeAllFd(child.cmdFd, cmd.data(), cmd.size())) {
-                last_desc = child.reap();
-                continue;
-            }
-
-            auto deadline =
-                std::chrono::steady_clock::now() +
-                std::chrono::duration<double, std::milli>(
-                    opts.leaseMs);
-            bool settled = false;
-            while (!settled) {
-                const double remaining =
-                    std::chrono::duration<double, std::milli>(
-                        deadline - std::chrono::steady_clock::now())
-                        .count();
-                if (remaining <= 0.0) {
-                    // Lease expired: missed heartbeats — a hung or
-                    // wedged worker. Kill it and reassign.
-                    ++leasesExpired;
-                    last_desc =
-                        strCat("lease ", lease_id, " expired after ",
-                               opts.leaseMs, " ms without a heartbeat");
-                    child.destroy();
-                    break;
-                }
-                std::string payload;
-                const FrameRead fr = readFrameFromFd(
-                    child.resFd, remaining, &payload);
-                if (fr == FrameRead::Timeout)
-                    continue;  // re-check the (renewable) deadline
-                if (fr == FrameRead::Closed) {
-                    last_desc = child.reap();
-                    break;
-                }
-                FrameKind kind;
-                std::string body;
-                if (!splitKindPayload(payload, &kind, &body)) {
-                    last_desc = "sent an untagged or unknown frame";
-                    child.destroy();
-                    break;
-                }
-                if (kind == FrameKind::Heartbeat) {
-                    ++heartbeats;
-                    deadline =
-                        std::chrono::steady_clock::now() +
-                        std::chrono::duration<double, std::milli>(
-                            opts.leaseMs);
-                    continue;
-                }
-                if (kind == FrameKind::PointResult) {
-                    OutcomeRecord rec;
-                    if (decodeOutcomeRecord(body, &rec) &&
-                        rec.pointFingerprint == fps[index]) {
-                        commitRecord(index, rec,
-                                     /*freshly_executed=*/true);
-                        return;
-                    }
-                    last_desc = "returned an undecodable record";
-                    child.destroy();
-                    break;
-                }
-                last_desc = strCat("sent an unexpected ",
-                                   frameKindName(kind), " frame");
-                child.destroy();
-                break;
-            }
-        }
-
-        // Reassignment budget exhausted: structured worker-lost
-        // record — the plan completes, the point is data.
-        ++workerLost;
-        OutcomeRecord rec;
-        rec.label = point.label;
-        rec.pointFingerprint = fps[index];
-        rec.failed = true;
-        rec.errorKind =
-            static_cast<std::uint8_t>(SimErrorKind::WorkerLost);
-        rec.errorCycle = 0;
-        rec.retries = static_cast<std::uint32_t>(budget);
-        rec.error = strCat("lease on '", point.label, "' ", last_desc,
-                           "; reassignment budget exhausted (",
-                           budget + 1, " attempts)");
-        commitRecord(index, rec, /*freshly_executed=*/true);
-    }
-
-    std::vector<std::string> workerArgv() const
-    {
-        std::vector<std::string> argv = {opts.binaryPath,
-                                         "--worker-plan", spoolPath};
-        if (!opts.diskCacheDir.empty()) {
-            argv.push_back("--disk-cache");
-            argv.push_back(opts.diskCacheDir);
-        }
-        return argv;
-    }
-
-    std::string spoolPath;
 };
 
 SweepDaemon::SweepDaemon(DaemonOptions options)
@@ -343,8 +154,7 @@ SweepDaemon::SweepDaemon(DaemonOptions options)
 {
     if (_options.stateDir.empty())
         _options.stateDir = _options.socketPath + ".state";
-    if (_options.retryPolicy.maxAttempts != _options.retries + 1)
-        _options.retryPolicy.maxAttempts = _options.retries + 1;
+    _options.retryPolicy.maxAttempts = _options.retries + 1;
 }
 
 void
@@ -352,14 +162,8 @@ SweepDaemon::servePlan(int fd, PlanEnvelope&& env)
 {
     const auto start = std::chrono::steady_clock::now();
     const ExperimentPlan& plan = env.plan;
-
-    RunnerOptions ropts;
-    ropts.cacheEnabled = env.cacheEnabled;
-    ropts.failSafe = env.failSafe;
-    ropts.retryFaulted = env.retryFaulted;
-    ropts.retryPolicy.maxAttempts = env.retries + 1;
+    RunnerOptions& ropts = env.options;
     ropts.diskCacheDir = _options.diskCacheDir;
-    ropts.exitOnVerifyFailure = false;
 
     ResultsJournal journal;
     const bool journal_on = journal.open(_options.stateDir, plan);
@@ -370,41 +174,25 @@ SweepDaemon::servePlan(int fd, PlanEnvelope&& env)
                      _options.stateDir.c_str());
 
     ClientConn conn(fd);
-    PlanSession s{_options, plan,    ropts, conn,
-                  journal,  journal_on};
-    s.cache.setEnabled(env.cacheEnabled);
-    if (!_options.diskCacheDir.empty() && env.cacheEnabled)
-        s.cache.setDiskDir(_options.diskCacheDir);
-
-    s.fps.resize(plan.size());
-    for (std::size_t i = 0; i < plan.size(); ++i)
-        s.fps[i] = pointFingerprint(plan.points()[i]);
+    PlanSession s{conn, journal, journal_on};
 
     // Replay journaled points first: streamed immediately, never
     // re-executed, never recompiled.
+    std::vector<std::size_t> pending;
     for (std::size_t i = 0; i < plan.size(); ++i) {
         if (journal_on) {
-            if (const OutcomeRecord* rec = journal.find(s.fps[i])) {
+            if (const OutcomeRecord* rec =
+                    journal.find(pointFingerprint(plan.points()[i]))) {
                 ++s.replayed;
                 s.commitRecord(i, *rec, /*freshly_executed=*/false);
                 continue;
             }
         }
-        s.pending.push_back(i);
+        pending.push_back(i);
     }
 
-    if (!s.pending.empty()) {
-        // Spool the serialized plan so worker children can rebuild it
-        // (they are procoupd re-exec'd with --worker-plan SPOOL).
-        s.spoolPath = strCat(_options.stateDir, "/",
-                             fnv1a64Hex(planFingerprint(plan)),
-                             ".plan");
-        if (!_options.inProcess &&
-            !atomicWriteFile(s.spoolPath,
-                             kindFrame(FrameKind::PlanSubmit,
-                                       encodePlanSubmit(plan, ropts))))
-            _options.inProcess = true;  // no spool -> no workers
-
+    DaemonStats stats;
+    if (!pending.empty()) {
         // Progress heartbeats keep a slow plan's client connection
         // alive and observable.
         std::atomic<bool> ticking{true};
@@ -423,29 +211,25 @@ SweepDaemon::servePlan(int fd, PlanEnvelope&& env)
             }
         });
 
-        const int hw = SweepRunner::resolveJobs(_options.jobs);
-        const int workers = static_cast<int>(std::min<std::size_t>(
-            static_cast<std::size_t>(hw), s.pending.size()));
-        auto drive = [&] {
-            WorkerProcess child;
-            for (std::size_t n = s.cursor.fetch_add(1);
-                 n < s.pending.size(); n = s.cursor.fetch_add(1))
-                s.supervisePoint(child, s.pending[n]);
-            if (child.alive()) {
-                writeAllFd(child.cmdFd, "Q\n", 2);
-                child.destroy();
-            }
-        };
-        if (workers <= 1) {
-            drive();
-        } else {
-            std::vector<std::thread> pool;
-            pool.reserve(workers);
-            for (int w = 0; w < workers; ++w)
-                pool.emplace_back(drive);
-            for (auto& t : pool)
-                t.join();
-        }
+        // Serves points in-process when workers are off or cannot be
+        // spawned.
+        CompileCache cache;
+        cache.setEnabled(ropts.cacheEnabled);
+        if (!ropts.diskCacheDir.empty() && ropts.cacheEnabled)
+            cache.setDiskDir(ropts.diskCacheDir);
+
+        SupervisorOptions sopts;
+        sopts.workers = SweepRunner::resolveJobs(_options.jobs);
+        sopts.retryPolicy = _options.retryPolicy;
+        sopts.leaseMs = _options.leaseMs;
+        sopts.heartbeatMs = _options.heartbeatMs;
+        sopts.inProcess = _options.inProcess;
+        sopts.reportLost = true;
+        stats = superviseWorkers(
+            plan, pending, ropts, cache, sopts,
+            [&](std::size_t i, OutcomeRecord&& rec) {
+                s.commitRecord(i, rec, /*freshly_executed=*/true);
+            });
         ticking.store(false);
         ticker.join();
     }
@@ -455,16 +239,10 @@ SweepDaemon::servePlan(int fd, PlanEnvelope&& env)
     if (journal_on && !s.anyThrew.load() && !s.anyVerifyFailed.load())
         journal.finalize();
 
-    DaemonStats stats;
     stats.active = true;
     stats.jobs = static_cast<std::uint32_t>(
         SweepRunner::resolveJobs(_options.jobs));
-    stats.leasesIssued = s.leasesIssued.load();
-    stats.leasesExpired = s.leasesExpired.load();
-    stats.leasesReassigned = s.leasesReassigned.load();
-    stats.heartbeats = s.heartbeats.load();
-    stats.workerLost = s.workerLost.load();
-    stats.resultsStreamed = s.resultsStreamed.load();
+    stats.resultsStreamed = s.doneCount.load();
     stats.acksReceived = conn.acks.load();
     stats.replayed = s.replayed.load();
     stats.executed = s.executed.load();
@@ -496,7 +274,7 @@ SweepDaemon::servePlan(int fd, PlanEnvelope&& env)
 int
 SweepDaemon::serve()
 {
-    if (_options.socketPath.empty() || _options.binaryPath.empty()) {
+    if (_options.socketPath.empty()) {
         std::fprintf(stderr, "procoupd: --socket is required\n");
         return 1;
     }
@@ -508,10 +286,6 @@ SweepDaemon::serve()
     sa.sa_handler = daemonSignalHandler;
     ::sigaction(SIGTERM, &sa, nullptr);
     ::sigaction(SIGINT, &sa, nullptr);
-
-    // Workers inherit the daemon environment: arm their heartbeats.
-    ::setenv(kWorkerHeartbeatEnv,
-             strCat(_options.heartbeatMs).c_str(), 1);
 
     const int listen_fd = listenUnixSocket(_options.socketPath, 16);
     if (listen_fd < 0) {

@@ -11,26 +11,13 @@
  * path, same plan order semantics — while streaming per-point
  * OutcomeRecord frames back to the client incrementally.
  *
- * Execution is sharded across a pool of supervised worker processes
- * (exp/worker.hh) via *lease-based assignment*:
- *
- *     Pending ── issue ──> Leased ── point-result ──> Done
- *                  ^          │
- *                  │          ├─ heartbeat: deadline renewed
- *                  │          ├─ missed heartbeat / expired lease
- *                  │          │      -> lease expired, worker killed
- *                  │          └─ worker EOF/crash -> lease broken
- *                  └── reassign (RetryPolicy backoff, bounded) ──┘
- *                             │
- *                             └─ budget exhausted -> worker-lost
- *                                structured error record
- *
- * Each lease carries the point's journal fingerprint and a deadline;
- * a worker executing a point emits heartbeat frames (fd 4, kind-
- * tagged; see kWorkerHeartbeatEnv) that renew the lease. A lease that
- * expires — hung worker, missed heartbeats — or breaks — dead worker
- * — is reassigned under the exp/backoff.hh RetryPolicy; after the
- * bounded reassignment budget the point becomes a structured
+ * Execution runs on the lease-based worker supervisor of exp/worker.hh
+ * (the same one --isolate-workers uses): each pending point is leased
+ * to a worker process with a deadline (--lease-ms) that the worker's
+ * heartbeats (--heartbeat-ms) renew. A lease that expires — hung
+ * worker, missed heartbeats — or breaks — dead worker — is reassigned
+ * under the exp/backoff.hh RetryPolicy (--retries); after the bounded
+ * reassignment budget the point becomes a structured
  * SimErrorKind::WorkerLost record instead of wedging the plan.
  *
  * Durability: completed points are journaled write-ahead (exp/
@@ -43,9 +30,8 @@
  * client replays to the same bytes.
  *
  * Degradation: if a worker process cannot be spawned at all (fork or
- * pipe exhaustion, missing binary), the affected supervisor threads
- * execute their points in-process against the daemon's compile cache
- * — exactly the classic WorkerSupervisor fallback.
+ * pipe exhaustion), the affected supervisor threads execute their
+ * points in-process against the daemon's compile cache.
  */
 
 #include <string>
@@ -62,8 +48,8 @@ struct DaemonOptions
     /** Unix-domain socket to listen on (required). */
     std::string socketPath;
 
-    /** Journal + plan-spool directory (default: "<socket>.state").
-     *  This is what makes daemon restarts resume instead of rerun. */
+    /** Journal directory (default: "<socket>.state"). This is what
+     *  makes daemon restarts resume instead of rerun. */
     std::string stateDir;
 
     /** Persistent compile cache shared with worker children. */
@@ -92,9 +78,6 @@ struct DaemonOptions
 
     /** Serve exactly one plan, then exit (tests). */
     bool once = false;
-
-    /** argv[0] of this binary, for re-exec'ing worker children. */
-    std::string binaryPath;
 };
 
 class SweepDaemon

@@ -51,7 +51,6 @@ HarnessOptions
 HarnessOptions::parse(int argc, char** argv)
 {
     HarnessOptions o;
-    o.rawArgv.assign(argv, argv + argc);
     if (const char* env = std::getenv("PROCOUP_DISK_CACHE"))
         o.diskCacheDir = env;
     bool no_disk_cache = false;
@@ -131,8 +130,6 @@ HarnessOptions::parse(int argc, char** argv)
             o.connectSocket = next();
         } else if (a.rfind("--connect=", 0) == 0) {
             o.connectSocket = a.substr(10);
-        } else if (a == "--worker") {
-            o.workerMode = true;
         } else {
             usage(argv[0]);
         }
@@ -289,11 +286,7 @@ runHarness(const ExperimentPlan& plan, const HarnessOptions& options,
     ropts.journalDir = options.journalDir;
     ropts.diskCacheDir = options.diskCacheDir;
     ropts.isolateWorkers = options.isolateWorkers;
-    ropts.workerSpawnArgv = options.rawArgv;
     ropts.workerTimeoutMs = options.workerTimeoutMs;
-
-    if (options.workerMode)
-        runWorkerLoop(to_run, ropts);  // serves points; never returns
 
     SweepResult result;
     if (!options.connectSocket.empty()) {
@@ -359,6 +352,7 @@ int
 harnessMain(const ExperimentPlan& plan, int argc, char** argv,
             const std::function<void(const SweepResult&)>& render)
 {
+    runWorkerIfRequested(argc, argv);
     return runHarness(plan, HarnessOptions::parse(argc, argv), render);
 }
 

@@ -63,8 +63,8 @@
  *                       --journal: the daemon owns isolation and
  *                       durability on its side of the socket.
  *
- * (A hidden --worker flag turns the process into a point server for
- * --isolate-workers; it is appended by the supervisor, never typed.)
+ * (A hidden --worker flag turns the process into a worker for
+ * --isolate-workers; see exp/worker.hh. It is never typed.)
  *
  * Output determinism: the rendering callback runs after the sweep
  * completes, over outcomes in plan order, so harness output is
@@ -75,7 +75,6 @@
 
 #include <functional>
 #include <string>
-#include <vector>
 
 #include "procoup/exp/plan.hh"
 #include "procoup/exp/runner.hh"
@@ -119,13 +118,6 @@ struct HarnessOptions
     /** --connect SOCK: run the sweep on a procoupd daemon ("" =
      *  local execution). */
     std::string connectSocket;
-
-    /** Hidden --worker: serve points for a supervisor and exit. */
-    bool workerMode = false;
-
-    /** The argv this process was started with (verbatim): what the
-     *  worker supervisor re-executes, plus "--worker". */
-    std::vector<std::string> rawArgv;
 
     /**
      * Parse the common flags from argv (exits with usage on a

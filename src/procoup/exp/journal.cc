@@ -1,6 +1,7 @@
 #include "procoup/exp/journal.hh"
 
 #include <sys/stat.h>
+#include <unistd.h>
 
 #include "procoup/support/strings.hh"
 
@@ -42,7 +43,7 @@ ResultsJournal::~ResultsJournal()
 }
 
 void
-ResultsJournal::loadFrom(const std::string& path)
+ResultsJournal::loadFrom(const std::string& path, bool cut_torn_tail)
 {
     std::string bytes;
     if (!readWholeFile(path, &bytes))
@@ -57,6 +58,10 @@ ResultsJournal::loadFrom(const std::string& path)
         if (decodeOutcomeRecord(payload, &rec))
             _records[rec.pointFingerprint] = std::move(rec);
     }
+    // A file about to be appended to loses its torn tail first: records
+    // appended after it would be unreachable on the next load.
+    if (cut_torn_tail && offset < bytes.size())
+        ::truncate(path.c_str(), static_cast<off_t>(offset));
 }
 
 bool
@@ -69,10 +74,10 @@ ResultsJournal::open(const std::string& dir, const ExperimentPlan& plan)
     _journalPath = strCat(dir, "/", fp, ".journal");
 
     const std::size_t before = _records.size();
-    loadFrom(_journalPath);
+    loadFrom(_journalPath, /*cut_torn_tail=*/false);
     _loadedFromFinalized = _records.size() > before;
     const std::size_t afterJournal = _records.size();
-    loadFrom(_walPath);
+    loadFrom(_walPath, /*cut_torn_tail=*/true);
     _loadedFromWal = _records.size() > afterJournal;
 
     _wal = std::fopen(_walPath.c_str(), "ab");

@@ -12,8 +12,9 @@
  *
  * flushing after every append. Killing the process at any instant
  * loses at most the record being appended: the torn tail fails its
- * length/checksum check on the next open and is discarded, exactly
- * the crash-consistency discipline of a write-ahead log. When every
+ * length/checksum check on the next open and is cut off before new
+ * records are appended, exactly the crash-consistency discipline of a
+ * write-ahead log. When every
  * journalable point of the plan has a record, finalize() publishes
  * the file as <plan-fingerprint>.journal via atomic rename (merging
  * an existing finalized journal when a resumed plan appended more).
@@ -95,7 +96,7 @@ class ResultsJournal
     const std::string& journalPath() const { return _journalPath; }
 
   private:
-    void loadFrom(const std::string& path);
+    void loadFrom(const std::string& path, bool cut_torn_tail);
 
     std::map<std::string, OutcomeRecord> _records;
     std::string _walPath;

@@ -212,6 +212,48 @@ makeOutcomeRecord(const RunOutcome& o, const std::string& fingerprint)
     return rec;
 }
 
+OutcomeRecord
+executePointToRecord(const SweepPoint& point, const std::string& fp,
+                     CompileCache& cache, const RunnerOptions& options)
+{
+    OutcomeRecord rec;
+    rec.label = point.label;
+    rec.pointFingerprint = fp;
+    try {
+        rec = makeOutcomeRecord(executeSweepPoint(point, cache, options),
+                                fp);
+    } catch (const SimError& e) {
+        rec.threw = 1;
+        rec.errorKind = static_cast<std::uint8_t>(e.kind());
+        rec.errorCycle = e.cycle();
+        rec.error = e.what();
+    } catch (const CompileError& e) {
+        rec.threw = 2;
+        rec.error = e.what();
+    } catch (const std::exception& e) {
+        rec.threw = 3;
+        rec.error = e.what();
+    }
+    return rec;
+}
+
+std::exception_ptr
+recordException(const OutcomeRecord& rec)
+{
+    switch (rec.threw) {
+      case 0:
+        return nullptr;
+      case 1:
+        return std::make_exception_ptr(
+            SimError(static_cast<SimErrorKind>(rec.errorKind),
+                     rec.errorCycle, rec.error));
+      case 2:
+        return std::make_exception_ptr(CompileError(rec.error));
+      default:
+        return std::make_exception_ptr(std::runtime_error(rec.error));
+    }
+}
+
 RunOutcome
 makeRunOutcome(const OutcomeRecord& rec, const SweepPoint* point)
 {
@@ -302,68 +344,52 @@ SweepRunner::run(const ExperimentPlan& plan)
         }
     };
 
-    // ---- Worker isolation: shard pending points across supervised
-    // child processes. Tracer-carrying points stay in this process
-    // (their sink lives here); if not a single child can be spawned,
-    // fall through to the in-process pool.
-    bool ran_isolated = false;
-    if (_options.isolateWorkers && !_options.workerSpawnArgv.empty() &&
-        !pending.empty()) {
-        std::vector<std::size_t> isolatable;
-        std::vector<std::size_t> local;
+    // ---- Worker isolation: the supervised worker path, with the
+    // per-point timeout as a lease no heartbeat renews. Tracer-carrying
+    // points stay in this process (their sink lives here).
+    if (_options.isolateWorkers) {
+        std::vector<std::size_t> isolated, local;
         for (std::size_t i : pending)
-            (plan.points()[i].tracer ? local : isolatable).push_back(i);
-
-        WorkerSupervisor sup(plan, _options, *_cache);
-        const int workers = static_cast<int>(std::min<std::size_t>(
-            res.jobs, isolatable.empty() ? 1 : isolatable.size()));
-        if (isolatable.empty() ||
-            sup.run(
-                isolatable, workers,
-                [&](std::size_t i, RunOutcome&& o) {
-                    res.outcomes[i] = std::move(o);
-                    record(i);
-                },
-                failures)) {
-            ran_isolated = true;
-            for (std::size_t i : local) {
-                if (sweepStopRequested())
-                    break;
-                work(i);
-            }
-        } else {
-            std::fprintf(stderr,
-                         "warning: --isolate-workers could not spawn "
-                         "any worker process; running in-process\n");
-        }
+            (plan.points()[i].tracer ? local : isolated).push_back(i);
+        pending.swap(local);
+        SupervisorOptions sopts;
+        sopts.workers = res.jobs;
+        sopts.retryPolicy = _options.retryPolicy;
+        sopts.leaseMs = _options.workerTimeoutMs;
+        superviseWorkers(plan, isolated, _options, *_cache, sopts,
+                         [&](std::size_t i, OutcomeRecord&& rec) {
+                             if ((failures[i] = recordException(rec)))
+                                 return;
+                             res.outcomes[i] =
+                                 makeRunOutcome(rec, &plan.points()[i]);
+                             record(i);
+                         });
     }
 
-    if (!ran_isolated) {
-        if (res.jobs <= 1 || pending.size() <= 1) {
-            // Inline: exactly the legacy serial loop, same thread.
-            for (std::size_t i : pending) {
-                if (sweepStopRequested())
-                    break;
-                work(i);
-            }
-        } else {
-            std::atomic<std::size_t> next{0};
-            const int workers =
-                std::min<std::size_t>(res.jobs, pending.size());
-            std::vector<std::thread> pool;
-            pool.reserve(workers);
-            for (int w = 0; w < workers; ++w)
-                pool.emplace_back([&] {
-                    for (std::size_t n = next.fetch_add(1);
-                         n < pending.size(); n = next.fetch_add(1)) {
-                        if (sweepStopRequested())
-                            break;
-                        work(pending[n]);
-                    }
-                });
-            for (auto& t : pool)
-                t.join();
+    if (res.jobs <= 1 || pending.size() <= 1) {
+        // Inline: exactly the legacy serial loop, same thread.
+        for (std::size_t i : pending) {
+            if (sweepStopRequested())
+                break;
+            work(i);
         }
+    } else {
+        std::atomic<std::size_t> next{0};
+        const int workers =
+            std::min<std::size_t>(res.jobs, pending.size());
+        std::vector<std::thread> pool;
+        pool.reserve(workers);
+        for (int w = 0; w < workers; ++w)
+            pool.emplace_back([&] {
+                for (std::size_t n = next.fetch_add(1);
+                     n < pending.size(); n = next.fetch_add(1)) {
+                    if (sweepStopRequested())
+                        break;
+                    work(pending[n]);
+                }
+            });
+        for (auto& t : pool)
+            t.join();
     }
 
     // ---- Interrupted drain: every in-flight point has finished and

@@ -32,12 +32,14 @@
  * only the remainder. Verify-failed points are deliberately not
  * journaled: they re-execute on resume so the failure reproduces.
  *
- * Isolation (isolateWorkers): pending points are sharded across
- * supervised child processes (exp/worker.hh); a crashed or hung child
- * becomes a structured error record (worker-crash / worker-timeout)
- * after bounded, jittered respawn retries instead of taking the sweep
- * down with it.
+ * Isolation (isolateWorkers): pending points run under the worker
+ * supervisor of exp/worker.hh — the sweep daemon's lease state machine,
+ * called in-process — where a crashed or hung child becomes a
+ * structured error record (worker-crash / worker-timeout) after
+ * bounded, jittered retries instead of taking the sweep down with it.
  */
+
+#include <exception>
 
 #include <cstdint>
 #include <memory>
@@ -96,11 +98,10 @@ struct RunnerOptions
     /** Persistent compile cache directory ("" = in-memory only). */
     std::string diskCacheDir;
 
-    /** Shard points across supervised child processes. Requires
-     *  workerSpawnArgv (the argv re-executing this binary; the hidden
-     *  --worker flag is appended by the supervisor). */
+    /** Run points in supervised worker processes: this binary
+     *  re-executed as a worker (see runWorkerIfRequested in
+     *  exp/worker.hh, which its main() must call). */
     bool isolateWorkers = false;
-    std::vector<std::string> workerSpawnArgv;
 
     /** Per-point wall-clock budget under isolateWorkers; a child
      *  exceeding it is killed and the point retried per retryPolicy. */
@@ -209,6 +210,18 @@ bool sweepStopRequested();
 /** Persistable snapshot of @p outcome (journal & worker protocol). */
 OutcomeRecord makeOutcomeRecord(const RunOutcome& outcome,
                                 const std::string& fingerprint);
+
+/** executeSweepPoint as a record: an exception it raises is captured
+ *  in the record's threw class instead of propagating (what a worker
+ *  ships back, and what supervised in-process execution produces). */
+OutcomeRecord executePointToRecord(const SweepPoint& point,
+                                   const std::string& fingerprint,
+                                   CompileCache& cache,
+                                   const RunnerOptions& options);
+
+/** The exception @p rec's threw class captured, recreated so plan-order
+ *  rethrow semantics survive a process boundary; nullptr if none. */
+std::exception_ptr recordException(const OutcomeRecord& rec);
 
 /** Rehydrate an outcome for @p point from @p rec. Restores stats,
  *  memory, symbols, and schedule metadata — everything the render,

@@ -8,6 +8,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <exception>
 #include <thread>
 
 #include "procoup/exp/journal.hh"
@@ -252,13 +253,17 @@ decodePlanSubmit(const std::string& body, PlanEnvelope* env)
     ByteReader r(body);
     const std::string name = r.str();
     env->plan = ExperimentPlan(name);
-    env->cacheEnabled = r.b();
-    env->failSafe = r.b();
-    env->retryFaulted = r.b();
-    env->retries = static_cast<int>(r.i64());
+    env->options = RunnerOptions{};
+    env->options.exitOnVerifyFailure = false;
+    env->options.cacheEnabled = r.b();
+    env->options.failSafe = r.b();
+    env->options.retryFaulted = r.b();
+    const std::int64_t retries = r.i64();
     const std::uint64_t n = r.u64();
-    if (r.failed() || env->retries < 0 || n > (1ull << 20))
+    if (r.failed() || retries < 0 || retries > (1 << 20) ||
+        n > (1ull << 20))
         return false;
+    env->options.retryPolicy.maxAttempts = static_cast<int>(retries) + 1;
     try {
         for (std::uint64_t i = 0; i < n; ++i) {
             SweepPoint p;
@@ -273,28 +278,6 @@ decodePlanSubmit(const std::string& body, PlanEnvelope* env)
 }
 
 // ---- Frame bodies ------------------------------------------------------
-
-std::string
-encodeLeaseInfo(const LeaseInfo& l)
-{
-    ByteWriter w;
-    w.u64(l.planIndex);
-    w.str(l.fingerprint);
-    w.u64(l.leaseId);
-    w.f64(l.leaseMs);
-    return w.take();
-}
-
-bool
-decodeLeaseInfo(const std::string& body, LeaseInfo* l)
-{
-    ByteReader r(body);
-    l->planIndex = r.u64();
-    l->fingerprint = r.str();
-    l->leaseId = r.u64();
-    l->leaseMs = r.f64();
-    return !r.failed() && r.atEnd();
-}
 
 std::string
 encodePointResult(std::uint64_t planIndex,
@@ -453,7 +436,6 @@ runClientSession(int fd, const std::string& submitFrame,
 
         switch (kind) {
           case FrameKind::Heartbeat:
-          case FrameKind::PointLease:
             break;  // liveness / progress only
           case FrameKind::PointResult: {
             std::uint64_t index = 0;
@@ -567,17 +549,9 @@ runPlanOverSocket(const ExperimentPlan& plan, const RunnerOptions& ropts,
 
     // Worker exceptions keep their local semantics: rethrow the first
     // one in plan order, exactly as SweepRunner's reduction does.
-    for (std::size_t i = 0; i < plan.size(); ++i) {
-        const OutcomeRecord& rec = records[i];
-        if (rec.threw == 0)
-            continue;
-        if (rec.threw == 1)
-            throw SimError(static_cast<SimErrorKind>(rec.errorKind),
-                           rec.errorCycle, rec.error);
-        if (rec.threw == 2)
-            throw CompileError(rec.error);
-        throw std::runtime_error(rec.error);
-    }
+    for (const OutcomeRecord& rec : records)
+        if (std::exception_ptr e = recordException(rec))
+            std::rethrow_exception(e);
 
     SweepResult res;
     res.outcomes.resize(plan.size());

@@ -8,14 +8,13 @@
  * The daemon speaks the PCFR framed-record format of exp/serialize.hh
  * over a Unix-domain stream socket. Every daemon-protocol frame's
  * payload starts with a one-byte FrameKind tag followed by the kind's
- * body; the untagged frames of the journal, the compile cache, and
- * the classic --isolate-workers pipe protocol are unchanged.
+ * body; the journal and the compile cache keep untagged frames.
  *
- *     client -> daemon:  plan-submit, stream-ack, shutdown
- *     daemon -> client:  point-lease, point-result, heartbeat,
- *                        plan-done, service-error
- *     worker -> daemon:  heartbeat, point-result (over the fd 4 pipe,
- *                        enabled by PROCOUP_WORKER_HEARTBEAT_MS)
+ *     client -> daemon:      plan-submit, stream-ack, shutdown
+ *     daemon -> client:      point-result, heartbeat, plan-done,
+ *                            service-error
+ *     supervisor -> worker:  point-lease (fd 3 pipe, exp/worker.hh)
+ *     worker -> supervisor:  heartbeat, point-result (fd 4 pipe)
  *
  * A plan-submit body carries the complete serialized ExperimentPlan
  * (machine configurations, sources, fault plans, budgets) plus the
@@ -43,7 +42,7 @@ namespace exp {
 enum class FrameKind : std::uint8_t
 {
     PlanSubmit = 1,    ///< client submits a serialized plan
-    PointLease = 2,    ///< daemon assigned a point (fingerprint+deadline)
+    PointLease = 2,    ///< supervisor hands a worker one point
     PointResult = 3,   ///< one OutcomeRecord, streamed incrementally
     Heartbeat = 4,     ///< worker/daemon liveness (renews leases)
     StreamAck = 5,     ///< client progress acknowledgement
@@ -68,16 +67,16 @@ bool splitKindPayload(const std::string& payload, FrameKind* kind,
 
 // ---- Plan serialization ------------------------------------------------
 
-/** Execution knobs shipped with a plan: everything a local
- *  SweepRunner reads from RunnerOptions that changes *results* (not
- *  scheduling), so daemon execution is byte-identical to local. */
+/** A decoded plan-submit: the plan plus the execution knobs shipped
+ *  with it — everything a local SweepRunner reads from RunnerOptions
+ *  that changes *results* (cacheEnabled, failSafe, retryFaulted,
+ *  retryPolicy.maxAttempts), so remote execution is byte-identical to
+ *  local. Every other option keeps its default, except that
+ *  verification failures are left to the submitting side. */
 struct PlanEnvelope
 {
     ExperimentPlan plan{""};
-    bool cacheEnabled = true;
-    bool failSafe = false;
-    bool retryFaulted = false;
-    int retries = 2;  ///< retryPolicy.maxAttempts - 1
+    RunnerOptions options;
 };
 
 /** Encode @p plan + knobs from @p options as a plan-submit body.
@@ -100,18 +99,6 @@ void writeSweepPoint(ByteWriter& w, const SweepPoint& p);
 bool readSweepPoint(ByteReader& r, SweepPoint* p);
 
 // ---- Frame bodies ------------------------------------------------------
-
-/** point-lease body: which point was assigned to whom, for how long. */
-struct LeaseInfo
-{
-    std::uint64_t planIndex = 0;
-    std::string fingerprint;
-    std::uint64_t leaseId = 0;
-    double leaseMs = 0.0;
-};
-
-std::string encodeLeaseInfo(const LeaseInfo& l);
-bool decodeLeaseInfo(const std::string& body, LeaseInfo* l);
 
 /** point-result body: plan index + the embedded OutcomeRecord. */
 std::string encodePointResult(std::uint64_t planIndex,

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
@@ -18,7 +19,6 @@
 
 #include "procoup/exp/journal.hh"
 #include "procoup/exp/service.hh"
-#include "procoup/support/error.hh"
 #include "procoup/support/strings.hh"
 
 namespace procoup {
@@ -71,15 +71,21 @@ readFrameFromFd(int fd, double timeout_ms, std::string* payload)
             continue;
         }
 
-        const auto remaining = std::chrono::duration_cast<
-            std::chrono::milliseconds>(
-            deadline - std::chrono::steady_clock::now());
-        if (remaining.count() <= 0)
-            return FrameRead::Timeout;
-
+        // Past the deadline, bytes the kernel already holds are still
+        // read: a Timeout mid-frame would drop the bytes consumed so
+        // far and desynchronize the stream.
+        int wait_ms = -1;
+        if (timeout_ms >= 0) {
+            const auto remaining = std::chrono::duration_cast<
+                std::chrono::milliseconds>(
+                deadline - std::chrono::steady_clock::now());
+            wait_ms = remaining.count() > 0
+                          ? static_cast<int>(std::min<std::int64_t>(
+                                remaining.count(), 1 << 30)) + 1
+                          : 0;
+        }
         struct pollfd pfd = {fd, POLLIN, 0};
-        const int pr = ::poll(
-            &pfd, 1, static_cast<int>(remaining.count()) + 1);
+        const int pr = ::poll(&pfd, 1, wait_ms);
         if (pr < 0) {
             if (errno == EINTR)
                 continue;
@@ -109,6 +115,66 @@ readFrameFromFd(int fd, double timeout_ms, std::string* payload)
 
 namespace {
 
+/** Protocol fds inherited by a worker child. */
+constexpr int kWorkerCmdFd = 3;
+constexpr int kWorkerResFd = 4;
+
+/** A point-lease body: the worker's heartbeat cadence, the disk cache
+ *  it compiles through, and a one-point plan-submit body. */
+std::string
+encodeLease(const ExperimentPlan& plan, std::size_t index,
+            const RunnerOptions& ropts, double heartbeat_ms)
+{
+    ExperimentPlan one(plan.name());
+    one.add(plan.points()[index]);
+    ByteWriter w;
+    w.f64(heartbeat_ms);
+    w.str(ropts.diskCacheDir);
+    w.str(encodePlanSubmit(one, ropts));
+    return kindFrame(FrameKind::PointLease, w.take());
+}
+
+bool
+decodeLease(const std::string& body, double* heartbeat_ms,
+            PlanEnvelope* env)
+{
+    ByteReader r(body);
+    *heartbeat_ms = r.f64();
+    const std::string disk_dir = r.str();
+    const std::string submit = r.str();
+    if (r.failed() || !r.atEnd() || !decodePlanSubmit(submit, env) ||
+        env->plan.size() != 1)
+        return false;
+    env->options.diskCacheDir = disk_dir;
+    return true;
+}
+
+/** While alive, emits a heartbeat frame on fd 4 every @p cadence_ms. */
+std::jthread
+heartbeatPump(double cadence_ms)
+{
+    if (cadence_ms <= 0.0)
+        return {};
+    return std::jthread([cadence_ms](std::stop_token stop) {
+        std::mutex mu;
+        std::condition_variable_any cv;
+        std::unique_lock<std::mutex> lock(mu);
+        for (std::uint64_t seq = 1;; ++seq) {
+            cv.wait_for(lock, stop,
+                        std::chrono::duration<double, std::milli>(
+                            cadence_ms),
+                        [] { return false; });
+            if (stop.stop_requested())
+                return;
+            ByteWriter w;
+            w.u64(seq);
+            const std::string f =
+                kindFrame(FrameKind::Heartbeat, w.take());
+            writeAllFd(kWorkerResFd, f.data(), f.size());
+        }
+    });
+}
+
 std::string
 describeExit(int status)
 {
@@ -136,356 +202,248 @@ installFd(int fd, int target)
     ::dup2(fd, target);
 }
 
-} // namespace
-
-void
-WorkerProcess::closeFds()
+/** One spawned worker child and the parent's ends of its pipes; the
+ *  child is killed and reaped at the latest on destruction. */
+struct WorkerProcess
 {
-    if (cmdFd >= 0)
-        ::close(cmdFd);
-    if (resFd >= 0)
-        ::close(resFd);
-    cmdFd = resFd = -1;
-}
+    pid_t pid = -1;
+    int cmdFd = -1;  ///< parent's write end (leases)
+    int resFd = -1;  ///< parent's read end (heartbeats, results)
 
-void
-WorkerProcess::destroy()
-{
-    if (!alive()) {
-        closeFds();
-        return;
-    }
-    ::kill(pid, SIGKILL);
-    int status = 0;
-    while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {
-    }
-    pid = -1;
-    closeFds();
-}
+    WorkerProcess() = default;
+    WorkerProcess(const WorkerProcess&) = delete;
+    WorkerProcess& operator=(const WorkerProcess&) = delete;
+    ~WorkerProcess() { destroy(); }
 
-std::string
-WorkerProcess::reap()
-{
-    if (!alive()) {
-        closeFds();
-        return "already dead";
+    bool alive() const { return pid > 0; }
+
+    void closeFds()
+    {
+        if (cmdFd >= 0)
+            ::close(cmdFd);
+        if (resFd >= 0)
+            ::close(resFd);
+        cmdFd = resFd = -1;
     }
-    int status = 0;
-    for (int spin = 0; spin < 100; ++spin) {
-        const pid_t r = ::waitpid(pid, &status, WNOHANG);
-        if (r == pid) {
+
+    /** SIGKILL (harmless if already dead) and reap. */
+    void destroy()
+    {
+        if (alive()) {
+            ::kill(pid, SIGKILL);
+            int status = 0;
+            while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {
+            }
             pid = -1;
-            closeFds();
-            return describeExit(status);
         }
-        if (r < 0 && errno != EINTR)
-            break;
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-    ::kill(pid, SIGKILL);
-    while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {
-    }
-    pid = -1;
-    closeFds();
-    return "hung after closing its pipe";
-}
-
-bool
-spawnWorkerProcess(const std::vector<std::string>& spawn_argv,
-                   WorkerProcess* child)
-{
-    int cmd[2] = {-1, -1};
-    int res[2] = {-1, -1};
-    if (::pipe(cmd) != 0)
-        return false;
-    if (::pipe(res) != 0) {
-        ::close(cmd[0]);
-        ::close(cmd[1]);
-        return false;
+        closeFds();
     }
 
-    std::vector<std::string> argv = spawn_argv;
-    argv.push_back("--worker");
-    std::vector<char*> cargv;
-    cargv.reserve(argv.size() + 1);
-    for (auto& a : argv)
-        cargv.push_back(const_cast<char*>(a.c_str()));
-    cargv.push_back(nullptr);
-
-    const pid_t pid = ::fork();
-    if (pid < 0) {
-        ::close(cmd[0]);
-        ::close(cmd[1]);
-        ::close(res[0]);
-        ::close(res[1]);
-        return false;
+    /** Reap a child that closed its pipe; returns the exit status
+     *  description. Escalates to SIGKILL if it lingers. */
+    std::string reap()
+    {
+        int status = 0;
+        for (int spin = 0; spin < 100; ++spin) {
+            const pid_t r = ::waitpid(pid, &status, WNOHANG);
+            if (r == pid) {
+                pid = -1;
+                closeFds();
+                return describeExit(status);
+            }
+            if (r < 0 && errno != EINTR)
+                break;
+            std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        }
+        destroy();
+        return "hung after closing its pipe";
     }
-    if (pid == 0) {
-        // Child. Install the protocol fds, drop the parent's ends,
-        // and become a worker via exec of the original argv. The fd
-        // dance guards against a pipe end already occupying 3 or 4.
-        ::close(cmd[1]);
-        ::close(res[0]);
-        if (res[1] == kWorkerCmdFd)
-            res[1] = ::dup(res[1]);
-        installFd(cmd[0], kWorkerCmdFd);
-        if (cmd[0] != kWorkerCmdFd && cmd[0] != kWorkerResFd)
+
+    /** fork + exec this binary as "--worker" with the protocol pipes
+     *  on fds 3/4; false if the child cannot be spawned. */
+    bool spawn()
+    {
+        int cmd[2] = {-1, -1};
+        int res[2] = {-1, -1};
+        if (::pipe(cmd) != 0)
+            return false;
+        if (::pipe(res) != 0) {
             ::close(cmd[0]);
-        installFd(res[1], kWorkerResFd);
-        if (res[1] != kWorkerCmdFd && res[1] != kWorkerResFd)
-            ::close(res[1]);
-        // Re-exec this very image: /proc/self/exe survives relative
-        // argv[0] and cwd changes; fall back to argv[0] off procfs.
-        ::execv("/proc/self/exe", cargv.data());
-        ::execv(cargv[0], cargv.data());
-        _exit(127);  // exec failed; the supervisor sees EOF + status
+            ::close(cmd[1]);
+            return false;
+        }
+        char worker_flag[] = "--worker";
+        char* argv[] = {program_invocation_name, worker_flag, nullptr};
+
+        const pid_t child = ::fork();
+        if (child < 0) {
+            for (const int fd : {cmd[0], cmd[1], res[0], res[1]})
+                ::close(fd);
+            return false;
+        }
+        if (child == 0) {
+            // Install the protocol fds and drop the parent's ends. The
+            // fd dance guards against a pipe end already on 3 or 4.
+            ::close(cmd[1]);
+            ::close(res[0]);
+            if (res[1] == kWorkerCmdFd)
+                res[1] = ::dup(res[1]);
+            installFd(cmd[0], kWorkerCmdFd);
+            if (cmd[0] != kWorkerCmdFd && cmd[0] != kWorkerResFd)
+                ::close(cmd[0]);
+            installFd(res[1], kWorkerResFd);
+            if (res[1] != kWorkerCmdFd && res[1] != kWorkerResFd)
+                ::close(res[1]);
+            // Re-exec this very image: /proc/self/exe survives relative
+            // argv[0] and cwd changes; fall back to argv[0] off procfs.
+            ::execv("/proc/self/exe", argv);
+            ::execv(argv[0], argv);
+            _exit(127);  // exec failed; the supervisor sees EOF + status
+        }
+
+        ::close(cmd[0]);
+        ::close(res[1]);
+        ::fcntl(cmd[1], F_SETFD, FD_CLOEXEC);
+        ::fcntl(res[0], F_SETFD, FD_CLOEXEC);
+        pid = child;
+        cmdFd = cmd[1];
+        resFd = res[0];
+        return true;
     }
+};
 
-    ::close(cmd[0]);
-    ::close(res[1]);
-    ::fcntl(cmd[1], F_SETFD, FD_CLOEXEC);
-    ::fcntl(res[0], F_SETFD, FD_CLOEXEC);
-    child->pid = pid;
-    child->cmdFd = cmd[1];
-    child->resFd = res[0];
-    return true;
-}
-
-WorkerSupervisor::WorkerSupervisor(const ExperimentPlan& plan,
-                                   const RunnerOptions& options,
-                                   CompileCache& cache)
-    : _plan(plan), _options(options), _cache(cache)
+/** Shared state of one superviseWorkers() call. */
+struct Supervisor
 {
-}
+    const ExperimentPlan& plan;
+    const RunnerOptions& ropts;
+    CompileCache& cache;
+    const SupervisorOptions& opts;
 
-RunOutcome
-WorkerSupervisor::supervisePoint(WorkerProcess& child, std::size_t index,
-                                 std::exception_ptr* rethrow) const
-{
-    const SweepPoint& point = _plan.points()[index];
-    const std::uint64_t jitter_seed = fnv1a64(point.label);
-    const int budget = _options.retryPolicy.maxRetries();
+    std::atomic<std::uint64_t> leasesIssued{0};
+    std::atomic<std::uint64_t> leasesExpired{0};
+    std::atomic<std::uint64_t> leasesReassigned{0};
+    std::atomic<std::uint64_t> heartbeats{0};
+    std::atomic<std::uint64_t> workerLost{0};
+    std::atomic<bool> warnedSpawn{false};
 
-    SimErrorKind last_kind = SimErrorKind::WorkerCrash;
-    std::string last_desc = "never started";
+    /** Drive point @p index through the lease state machine. */
+    OutcomeRecord supervisePoint(WorkerProcess& child, std::size_t index)
+    {
+        const SweepPoint& point = plan.points()[index];
+        const std::string fp = pointFingerprint(point);
+        const std::uint64_t jitter_seed = fnv1a64(point.label);
+        const int budget = opts.retryPolicy.maxRetries();
+        std::string lease;
 
-    for (int attempt = 0; attempt <= budget; ++attempt) {
-        if (attempt > 0)
-            std::this_thread::sleep_for(
-                std::chrono::duration<double, std::milli>(
-                    _options.retryPolicy.delayMs(jitter_seed,
-                                                 attempt)));
-        if (!child.alive() &&
-            !spawnWorkerProcess(_options.workerSpawnArgv, &child)) {
-            // Cannot respawn at all (fork/pipe exhaustion): degrade
-            // gracefully to in-process execution of this point.
-            try {
-                RunOutcome out =
-                    executeSweepPoint(point, _cache, _options);
-                out.retries += attempt;
-                return out;
-            } catch (...) {
-                *rethrow = std::current_exception();
-                return RunOutcome{};
+        SimErrorKind last_kind = SimErrorKind::WorkerCrash;
+        std::string last_desc = "never started";
+        for (int attempt = 0; attempt <= budget; ++attempt) {
+            if (attempt > 0) {
+                ++leasesReassigned;
+                std::this_thread::sleep_for(
+                    std::chrono::duration<double, std::milli>(
+                        opts.retryPolicy.delayMs(jitter_seed, attempt)));
             }
-        }
+            ++leasesIssued;
+            if (!opts.inProcess && !child.alive() && !child.spawn() &&
+                !warnedSpawn.exchange(true))
+                std::fprintf(stderr,
+                             "warning: cannot spawn a worker process; "
+                             "executing points in-process\n");
+            if (!child.alive()) {
+                OutcomeRecord rec =
+                    executePointToRecord(point, fp, cache, ropts);
+                rec.retries += static_cast<std::uint32_t>(attempt);
+                return rec;
+            }
 
-        const std::string cmd = strCat("R ", index, "\n");
-        if (!writeAllFd(child.cmdFd, cmd.data(), cmd.size())) {
-            last_kind = SimErrorKind::WorkerCrash;
-            last_desc = child.reap();
-            continue;
-        }
+            if (lease.empty())
+                lease = encodeLease(plan, index, ropts, opts.heartbeatMs);
+            if (!writeAllFd(child.cmdFd, lease.data(), lease.size())) {
+                last_kind = SimErrorKind::WorkerCrash;
+                last_desc = child.reap();
+                continue;
+            }
 
-        std::string payload;
-        const FrameRead fr = readFrameFromFd(
-            child.resFd, _options.workerTimeoutMs, &payload);
-        if (fr == FrameRead::Ok) {
-            OutcomeRecord rec;
-            if (decodeOutcomeRecord(payload, &rec)) {
-                if (rec.threw != 0) {
-                    // The worker hit an exception it would have
-                    // propagated in-process; recreate it so plan-order
-                    // rethrow semantics survive the process boundary.
-                    if (rec.threw == 1)
-                        *rethrow = std::make_exception_ptr(SimError(
-                            static_cast<SimErrorKind>(rec.errorKind),
-                            rec.errorCycle, rec.error));
-                    else if (rec.threw == 2)
-                        *rethrow = std::make_exception_ptr(
-                            CompileError(rec.error));
-                    else
-                        *rethrow = std::make_exception_ptr(
-                            std::runtime_error(rec.error));
-                    return RunOutcome{};
+            auto deadline = std::chrono::steady_clock::now() +
+                            std::chrono::duration<double, std::milli>(
+                                opts.leaseMs);
+            for (;;) {
+                const double remaining =
+                    std::chrono::duration<double, std::milli>(
+                        deadline - std::chrono::steady_clock::now())
+                        .count();
+                std::string payload;
+                const FrameRead fr = readFrameFromFd(
+                    child.resFd, std::max(remaining, 0.0), &payload);
+                if (fr == FrameRead::Timeout) {
+                    if (std::chrono::steady_clock::now() < deadline)
+                        continue;
+                    ++leasesExpired;
+                    last_kind = SimErrorKind::WorkerTimeout;
+                    last_desc = strCat("let its ", opts.leaseMs,
+                                       " ms lease expire and was killed");
+                    child.destroy();
+                    break;
                 }
-                RunOutcome out = makeRunOutcome(rec, &point);
-                out.retries += attempt;
-                return out;
+                last_kind = SimErrorKind::WorkerCrash;
+                if (fr == FrameRead::Closed) {
+                    last_desc = child.reap();
+                    break;
+                }
+                FrameKind kind{};
+                std::string body;
+                const bool tagged =
+                    splitKindPayload(payload, &kind, &body);
+                if (tagged && kind == FrameKind::Heartbeat) {
+                    ++heartbeats;
+                    deadline = std::chrono::steady_clock::now() +
+                               std::chrono::duration<double, std::milli>(
+                                   opts.leaseMs);
+                    continue;
+                }
+                OutcomeRecord rec;
+                if (tagged && kind == FrameKind::PointResult &&
+                    decodeOutcomeRecord(body, &rec) &&
+                    rec.pointFingerprint == fp) {
+                    rec.retries += static_cast<std::uint32_t>(attempt);
+                    return rec;
+                }
+                last_desc = "sent a garbled or unexpected frame";
+                child.destroy();
+                break;
             }
-            last_kind = SimErrorKind::WorkerCrash;
-            last_desc = "returned an undecodable record";
-            child.destroy();
-            continue;
         }
-        if (fr == FrameRead::Timeout) {
-            last_kind = SimErrorKind::WorkerTimeout;
-            last_desc = strCat("exceeded the ",
-                               _options.workerTimeoutMs,
-                               " ms point budget and was killed");
-            child.destroy();
-            continue;
-        }
-        last_kind = SimErrorKind::WorkerCrash;
-        last_desc = child.reap();
+
+        // Attempts exhausted: the point becomes a structured error
+        // record (even without fail-safe — turning a dead process into
+        // data is what supervision is for).
+        ++workerLost;
+        OutcomeRecord rec;
+        rec.label = point.label;
+        rec.pointFingerprint = fp;
+        rec.failed = true;
+        rec.errorKind = static_cast<std::uint8_t>(
+            opts.reportLost ? SimErrorKind::WorkerLost : last_kind);
+        rec.retries = static_cast<std::uint32_t>(budget);
+        rec.error = strCat("worker executing '", point.label, "' ",
+                           last_desc, " (", budget + 1, " attempts)");
+        return rec;
     }
-
-    // Retries exhausted: the point becomes a structured error record
-    // (always — isolation converts dead processes into data even when
-    // fail-safe is off; that is its entire purpose).
-    RunOutcome out;
-    out.point = &point;
-    out.failed = true;
-    out.errorKind = last_kind;
-    out.errorCycle = 0;
-    out.error = strCat("worker executing '", point.label, "' ",
-                       last_desc, " (", budget + 1, " attempts)");
-    out.retries = budget;
-    return out;
-}
-
-bool
-WorkerSupervisor::run(
-    const std::vector<std::size_t>& indices, int workers,
-    const std::function<void(std::size_t, RunOutcome&&)>& done,
-    std::vector<std::exception_ptr>& failures)
-{
-    if (indices.empty())
-        return true;
-
-    // A worker death must surface as an error record, not kill the
-    // supervisor with SIGPIPE on the next command write.
-    ::signal(SIGPIPE, SIG_IGN);
-
-    // Probe spawn: if not even one child comes up (binary missing,
-    // fork refused), report failure so the runner falls back wholesale
-    // to in-process execution.
-    WorkerProcess probe;
-    if (!spawnWorkerProcess(_options.workerSpawnArgv, &probe))
-        return false;
-
-    if (workers < 1)
-        workers = 1;
-    workers = static_cast<int>(
-        std::min<std::size_t>(workers, indices.size()));
-
-    std::atomic<std::size_t> next{0};
-    auto drive = [&](WorkerProcess child) {
-        for (std::size_t n = next.fetch_add(1); n < indices.size();
-             n = next.fetch_add(1)) {
-            if (sweepStopRequested())
-                break;  // graceful SIGTERM/SIGINT drain
-            const std::size_t index = indices[n];
-            std::exception_ptr rethrow;
-            RunOutcome out = supervisePoint(child, index, &rethrow);
-            if (rethrow)
-                failures[index] = rethrow;
-            else
-                done(index, std::move(out));
-        }
-        if (child.alive()) {
-            writeAllFd(child.cmdFd, "Q\n", 2);
-            child.destroy();  // reaps; Q makes exit prompt
-        }
-    };
-
-    if (workers <= 1) {
-        drive(probe);
-        return true;
-    }
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    pool.emplace_back([&, probe] { drive(probe); });
-    for (int w = 1; w < workers; ++w)
-        pool.emplace_back([&] { drive(WorkerProcess{}); });  // lazy
-    for (auto& t : pool)
-        t.join();
-    return true;
-}
-
-namespace {
-
-/** Emits kind-tagged heartbeat frames on fd 4 while a point executes
- *  (daemon mode only; see kWorkerHeartbeatEnv). Frame writes share
- *  @p mu with the result writer so frames never interleave. */
-class HeartbeatPump
-{
-  public:
-    HeartbeatPump(double cadence_ms, std::mutex& mu)
-        : _cadenceMs(cadence_ms), _mu(mu)
-    {
-        _thread = std::thread([this] { pump(); });
-    }
-
-    ~HeartbeatPump()
-    {
-        {
-            std::lock_guard<std::mutex> lock(_stateMu);
-            _stop = true;
-        }
-        _cv.notify_all();
-        _thread.join();
-    }
-
-  private:
-    void pump()
-    {
-        std::unique_lock<std::mutex> lock(_stateMu);
-        std::uint64_t seq = 0;
-        while (!_cv.wait_for(
-            lock,
-            std::chrono::duration<double, std::milli>(_cadenceMs),
-            [this] { return _stop; })) {
-            lock.unlock();
-            ByteWriter w;
-            w.u64(++seq);
-            const std::string f =
-                kindFrame(FrameKind::Heartbeat, w.take());
-            {
-                std::lock_guard<std::mutex> io(_mu);
-                writeAllFd(kWorkerResFd, f.data(), f.size());
-            }
-            lock.lock();
-        }
-    }
-
-    const double _cadenceMs;
-    std::mutex& _mu;
-    std::mutex _stateMu;
-    std::condition_variable _cv;
-    bool _stop = false;
-    std::thread _thread;
 };
 
 } // namespace
 
 void
-runWorkerLoop(const ExperimentPlan& plan, const RunnerOptions& options)
+runWorkerIfRequested(int argc, char** argv)
 {
-    CompileCache cache;
-    cache.setEnabled(options.cacheEnabled);
-    if (!options.diskCacheDir.empty() && options.cacheEnabled)
-        cache.setDiskDir(options.diskCacheDir);
-
-    // Worker-side options: no journal, no nested isolation — the
-    // supervisor owns both.
-    RunnerOptions wopts = options;
-    wopts.journalDir.clear();
-    wopts.isolateWorkers = false;
+    if (argc < 2 || std::strcmp(argv[1], "--worker") != 0)
+        return;
 
     // Test hooks (chaos coverage): make the worker crash or hang on a
     // chosen point label, from outside, without touching the sweep;
-    // log every worker spawn so tests can assert replays spawn none.
+    // log every worker start so tests can assert replays spawn none.
     const char* crash_label =
         std::getenv("PROCOUP_TEST_WORKER_CRASH_LABEL");
     const char* hang_label =
@@ -498,72 +456,91 @@ runWorkerLoop(const ExperimentPlan& plan, const RunnerOptions& options)
         }
     }
 
-    // Daemon mode: heartbeat cadence set by the spawning daemon; all
-    // fd 4 frames become kind-tagged (see kWorkerHeartbeatEnv).
-    double heartbeat_ms = 0.0;
-    if (const char* hb = std::getenv(kWorkerHeartbeatEnv))
-        heartbeat_ms = std::strtod(hb, nullptr);
-    std::mutex res_mu;
-
-    std::FILE* in = ::fdopen(kWorkerCmdFd, "r");
-    if (!in)
-        _exit(125);
-
-    char line[64];
-    while (std::fgets(line, sizeof line, in)) {
-        if (line[0] == 'Q')
-            break;
-        if (line[0] != 'R')
+    CompileCache cache;
+    for (;;) {
+        std::string payload;
+        if (readFrameFromFd(kWorkerCmdFd, -1.0, &payload) !=
+            FrameRead::Ok)
+            _exit(0);  // the supervisor hung up
+        FrameKind kind{};
+        std::string body;
+        double heartbeat_ms = 0.0;
+        PlanEnvelope env;
+        if (!splitKindPayload(payload, &kind, &body) ||
+            kind != FrameKind::PointLease ||
+            !decodeLease(body, &heartbeat_ms, &env))
             _exit(125);  // protocol violation
-        const std::size_t index = static_cast<std::size_t>(
-            std::strtoull(line + 1, nullptr, 10));
-        if (index >= plan.size())
-            _exit(125);
-        const SweepPoint& point = plan.points()[index];
+        const SweepPoint& point = env.plan.points().front();
+        const RunnerOptions& ropts = env.options;
 
         if (crash_label && point.label == crash_label)
             _exit(42);
         if (hang_label && point.label == hang_label)
             for (;;)
-                std::this_thread::sleep_for(
-                    std::chrono::seconds(3600));
+                std::this_thread::sleep_for(std::chrono::hours(1));
+
+        cache.setEnabled(ropts.cacheEnabled);
+        const std::string disk_dir =
+            ropts.cacheEnabled ? ropts.diskCacheDir : "";
+        if (cache.diskDir() != disk_dir)
+            cache.setDiskDir(disk_dir);
 
         OutcomeRecord rec;
-        rec.label = point.label;
-        rec.pointFingerprint = pointFingerprint(point);
         {
-            std::unique_ptr<HeartbeatPump> pump;
-            if (heartbeat_ms > 0.0)
-                pump = std::make_unique<HeartbeatPump>(heartbeat_ms,
-                                                       res_mu);
-            try {
-                const RunOutcome out =
-                    executeSweepPoint(point, cache, wopts);
-                rec = makeOutcomeRecord(out, rec.pointFingerprint);
-            } catch (const SimError& e) {
-                rec.threw = 1;
-                rec.errorKind = static_cast<std::uint8_t>(e.kind());
-                rec.errorCycle = e.cycle();
-                rec.error = e.what();
-            } catch (const CompileError& e) {
-                rec.threw = 2;
-                rec.error = e.what();
-            } catch (const std::exception& e) {
-                rec.threw = 3;
-                rec.error = e.what();
-            }
+            std::jthread pump = heartbeatPump(heartbeat_ms);
+            rec = executePointToRecord(point, pointFingerprint(point),
+                                       cache, ropts);
         }
-
         const std::string framed =
-            heartbeat_ms > 0.0
-                ? kindFrame(FrameKind::PointResult,
-                            encodeOutcomeRecord(rec))
-                : frame(encodeOutcomeRecord(rec));
-        std::lock_guard<std::mutex> io(res_mu);
+            kindFrame(FrameKind::PointResult, encodeOutcomeRecord(rec));
         if (!writeAllFd(kWorkerResFd, framed.data(), framed.size()))
-            _exit(125);  // supervisor is gone
+            _exit(125);  // the supervisor is gone
     }
-    _exit(0);
+}
+
+DaemonStats
+superviseWorkers(const ExperimentPlan& plan,
+                 const std::vector<std::size_t>& indices,
+                 const RunnerOptions& ropts, CompileCache& cache,
+                 const SupervisorOptions& opts,
+                 const std::function<void(std::size_t, OutcomeRecord&&)>&
+                     commit)
+{
+    // A worker death must surface as a lost lease, not kill the
+    // supervisor with SIGPIPE on the next lease write.
+    ::signal(SIGPIPE, SIG_IGN);
+
+    Supervisor sup{plan, ropts, cache, opts};
+    std::atomic<std::size_t> next{0};
+    auto drive = [&] {
+        WorkerProcess child;
+        for (std::size_t n = next.fetch_add(1); n < indices.size();
+             n = next.fetch_add(1)) {
+            if (sweepStopRequested())
+                break;  // graceful SIGTERM/SIGINT drain
+            commit(indices[n], sup.supervisePoint(child, indices[n]));
+        }
+    };
+    const int workers = static_cast<int>(std::min<std::size_t>(
+        std::max(opts.workers, 1), indices.size()));
+    if (workers <= 1) {
+        drive();
+    } else {
+        std::vector<std::thread> pool;
+        pool.reserve(workers);
+        for (int w = 0; w < workers; ++w)
+            pool.emplace_back(drive);
+        for (auto& t : pool)
+            t.join();
+    }
+
+    DaemonStats stats;
+    stats.leasesIssued = sup.leasesIssued.load();
+    stats.leasesExpired = sup.leasesExpired.load();
+    stats.leasesReassigned = sup.leasesReassigned.load();
+    stats.heartbeats = sup.heartbeats.load();
+    stats.workerLost = sup.workerLost.load();
+    return stats;
 }
 
 } // namespace exp

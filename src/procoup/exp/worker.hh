@@ -3,61 +3,58 @@
 
 /**
  * @file
- * Out-of-process sweep workers: fault isolation for --isolate-workers.
+ * Supervised worker processes: the one execution path behind both
+ * --isolate-workers (exp/runner.hh) and the procoupd sweep daemon
+ * (exp/daemon.hh).
  *
- * A harness run with --isolate-workers shards its pending points
- * across supervised child processes instead of in-process threads. A
- * child is the *same* binary re-executed with the original argv plus
- * the hidden --worker flag: it rebuilds the identical (filtered,
- * fault/sanitize-tuned) plan from its command line, then serves
- * points over two inherited pipes —
+ * A worker is the running binary re-executed as `<binary> --worker`.
+ * It is stateless: it holds no plan, only a compile cache, and serves
+ * leases over two inherited pipes with kind-tagged frames
+ * (exp/service.hh) —
  *
- *     fd 3 (supervisor -> worker): "R <index>\n" run one point,
- *                                  "Q\n" exit
- *     fd 4 (worker -> supervisor): one checksummed frame per point
- *                                  carrying an OutcomeRecord
+ *     fd 3 (supervisor -> worker): point-lease — one serialized point
+ *                                  plus the knobs that change its result
+ *     fd 4 (worker -> supervisor): heartbeat frames while the point
+ *                                  executes, then one point-result
+ *                                  carrying its OutcomeRecord
  *
- * The supervisor applies a per-point wall-clock timeout and converts
- * every worker mishap — crash, signal (an OOM kill is a SIGKILL),
- * nonzero exit, torn frame, timeout — into the PR 4 structured error
- * taxonomy (SimErrorKind::WorkerCrash / WorkerTimeout) after bounded
- * respawn retries with exponential backoff and deterministic jitter
- * (exp/backoff.hh). Healthy points execute byte-identically to
- * in-process mode: the child runs the same executeSweepPoint() path
- * and ships bit-exact RunStats/memory back.
+ * — until the supervisor hangs up. The worker runs the same
+ * executeSweepPoint() path as in-process execution and ships bit-exact
+ * RunStats/memory back, so healthy points are byte-identical.
  *
- * Graceful degradation: if no worker can be spawned at all, the
- * runner falls back to in-process thread execution with a warning; if
- * only some spawns fail, the affected supervisor threads execute
- * their share in-process.
+ * The supervisor drives every point through one lease state machine:
  *
- * Exceptions keep their in-process semantics across the process
- * boundary: a worker that catches SimError without fail-safe, a
- * CompileError, or any other exception ships it classified in the
- * record, and the supervisor rethrows the same type in plan order.
+ *     issue lease ── point-result ──> commit
+ *          ^     │
+ *          │     ├─ heartbeat: deadline renewed
+ *          │     ├─ deadline passes: worker killed (lease expired)
+ *          │     └─ worker EOF / crash / garbage: worker reaped
+ *          └── reissue (RetryPolicy backoff, bounded) ──┘
+ *                    │
+ *                    └─ budget exhausted -> structured error record
+ *
+ * A lease whose worker runs without heartbeats (heartbeatMs = 0) is a
+ * hard per-point budget — that is --worker-timeout-ms. An exhausted
+ * point becomes worker-timeout (last attempt expired) or worker-crash
+ * (anything else); the daemon reports every exhausted lease as
+ * worker-lost instead. If a worker cannot be spawned, the point runs
+ * in-process against the supervisor's compile cache, with identical
+ * results.
+ *
+ * Every binary that supervises workers must call runWorkerIfRequested
+ * first thing in main() (harnessMain, pcsim and procoupd do).
  */
 
 #include <functional>
+#include <string>
 #include <vector>
 
+#include "procoup/exp/backoff.hh"
 #include "procoup/exp/plan.hh"
 #include "procoup/exp/runner.hh"
 
 namespace procoup {
 namespace exp {
-
-/** Protocol fds inherited by a worker child. */
-constexpr int kWorkerCmdFd = 3;
-constexpr int kWorkerResFd = 4;
-
-/** Heartbeat cadence environment hook: when the spawning parent sets
- *  PROCOUP_WORKER_HEARTBEAT_MS, a worker child tags every fd 4 frame
- *  with a FrameKind (exp/service.hh) and emits heartbeat frames at
- *  that cadence while a point executes — the sweep daemon's lease
- *  renewal signal. Unset (the classic --isolate-workers supervisor),
- *  frames stay untagged and no heartbeats are sent. */
-constexpr const char* kWorkerHeartbeatEnv =
-    "PROCOUP_WORKER_HEARTBEAT_MS";
 
 /** Write all of @p len bytes to @p fd; false on any error (EPIPE on a
  *  dead peer included — callers ignore SIGPIPE). */
@@ -70,74 +67,55 @@ enum class FrameRead
     Closed  ///< EOF, read error, or a corrupt frame — a dead peer
 };
 
-/** Read exactly one PCFR frame from @p fd within @p timeoutMs. */
+/** Read exactly one PCFR frame from @p fd within @p timeoutMs
+ *  (negative: no deadline). */
 FrameRead readFrameFromFd(int fd, double timeoutMs,
                           std::string* payload);
 
-/**
- * One spawned worker child and its protocol pipe ends (the parent's
- * side). Used by both the classic WorkerSupervisor and the sweep
- * daemon's lease supervisor (exp/daemon.hh).
- */
-struct WorkerProcess
+/** The hidden worker entry: if argv[1] is "--worker", serve leases on
+ *  fds 3/4 until the supervisor hangs up and exit; otherwise return. */
+void runWorkerIfRequested(int argc, char** argv);
+
+struct SupervisorOptions
 {
-    pid_t pid = -1;
-    int cmdFd = -1;  ///< parent's write end (commands)
-    int resFd = -1;  ///< parent's read end (framed records)
+    /** Worker processes (and supervising threads). */
+    int workers = 1;
 
-    bool alive() const { return pid > 0; }
-    void closeFds();
+    /** Attempts per point and the backoff between them. */
+    RetryPolicy retryPolicy;
 
-    /** SIGKILL (harmless if already dead) and reap. */
-    void destroy();
+    /** Silence after which a lease expires and its worker is killed. */
+    double leaseMs = 120000.0;
 
-    /** Reap a child that closed its pipe; returns the exit status
-     *  description. Escalates to SIGKILL if it lingers. */
-    std::string reap();
+    /** Heartbeat cadence workers run with; each heartbeat renews the
+     *  lease. 0 = no heartbeats: leaseMs is a hard per-point budget. */
+    double heartbeatMs = 0.0;
+
+    /** Never spawn: execute every point in-process. */
+    bool inProcess = false;
+
+    /** Exhausted points become worker-lost rather than the last
+     *  attempt's worker-crash / worker-timeout. */
+    bool reportLost = false;
 };
 
-/** fork + exec @p argv plus the hidden "--worker" flag, with the
- *  protocol pipes installed on fds 3/4; false if the child cannot be
- *  spawned (fork or pipe exhaustion). */
-bool spawnWorkerProcess(const std::vector<std::string>& argv,
-                        WorkerProcess* child);
-
 /**
- * Child side: serve points of @p plan until the supervisor closes the
- * command pipe or sends "Q". Never returns. @p options carries the
- * cache/fail-safe/retry knobs parsed from the (identical) argv.
+ * Execute the points @p indices of @p plan under @p opts.workers
+ * supervised workers. @p commit runs once per index (from supervising
+ * threads, distinct indices) with the finished record; records whose
+ * threw class is set carry an exception for the caller to rethrow.
+ * Points not yet claimed when sweepStopRequested() turns true are
+ * skipped. @p ropts carries the knobs shipped with every lease;
+ * @p cache serves in-process execution. @return the lease accounting
+ * (the lease, heartbeat and workerLost counters of DaemonStats).
  */
-[[noreturn]] void runWorkerLoop(const ExperimentPlan& plan,
-                                const RunnerOptions& options);
-
-/** Supervisor side, driven by SweepRunner. */
-class WorkerSupervisor
-{
-  public:
-    /** @p cache backs graceful in-process fallback execution. */
-    WorkerSupervisor(const ExperimentPlan& plan,
-                     const RunnerOptions& options, CompileCache& cache);
-
-    /**
-     * Execute every plan index in @p indices on @p workers supervised
-     * children. @p done is called once per index (from supervisor
-     * threads, distinct indices) with the finished outcome;
-     * @p failures (indexed by plan index) receives rethrowable
-     * exceptions a worker shipped back. Returns false — having run
-     * nothing — only if not even one worker could be spawned.
-     */
-    bool run(const std::vector<std::size_t>& indices, int workers,
-             const std::function<void(std::size_t, RunOutcome&&)>& done,
-             std::vector<std::exception_ptr>& failures);
-
-  private:
-    RunOutcome supervisePoint(WorkerProcess& child, std::size_t index,
-                              std::exception_ptr* rethrow) const;
-
-    const ExperimentPlan& _plan;
-    const RunnerOptions& _options;
-    CompileCache& _cache;
-};
+DaemonStats
+superviseWorkers(const ExperimentPlan& plan,
+                 const std::vector<std::size_t>& indices,
+                 const RunnerOptions& ropts, CompileCache& cache,
+                 const SupervisorOptions& opts,
+                 const std::function<void(std::size_t, OutcomeRecord&&)>&
+                     commit);
 
 } // namespace exp
 } // namespace procoup

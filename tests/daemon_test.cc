@@ -1,7 +1,7 @@
 /** @file Sweep-daemon wire protocol (exp/service.hh): kind-tagged
  *  frame round-trips and garbage rejection, plan-submit envelopes
  *  that preserve every point fingerprint (the keystone of daemon
- *  vs. local byte-identity), lease/result/stats bodies, and the
+ *  vs. local byte-identity), result/stats bodies, and the
  *  worker-lost error-kind name the report schema depends on. */
 
 #include <gtest/gtest.h>
@@ -108,10 +108,11 @@ TEST(Service, PlanSubmitPreservesFingerprintsAndKnobs)
     exp::PlanEnvelope env;
     ASSERT_TRUE(exp::decodePlanSubmit(body, &env));
 
-    EXPECT_FALSE(env.cacheEnabled);
-    EXPECT_TRUE(env.failSafe);
-    EXPECT_TRUE(env.retryFaulted);
-    EXPECT_EQ(env.retries, 4);
+    EXPECT_FALSE(env.options.cacheEnabled);
+    EXPECT_TRUE(env.options.failSafe);
+    EXPECT_TRUE(env.options.retryFaulted);
+    EXPECT_EQ(env.options.retryPolicy.maxAttempts, 5);
+    EXPECT_FALSE(env.options.exitOnVerifyFailure);
 
     // The keystone of daemon/local byte-identity: every decoded
     // point hashes to the same fingerprint as the original, so the
@@ -136,25 +137,6 @@ TEST(Service, PlanSubmitRejectsTraceSinks)
     plan.mutablePoints()[0].tracer = [](const sim::TraceEvent&) {};
     exp::RunnerOptions ropts;
     EXPECT_THROW(exp::encodePlanSubmit(plan, ropts), CompileError);
-}
-
-TEST(Service, LeaseInfoRoundTrip)
-{
-    exp::LeaseInfo lease;
-    lease.planIndex = 17;
-    lease.fingerprint = "deadbeefdeadbeef";
-    lease.leaseId = 42;
-    lease.leaseMs = 1500.5;
-
-    exp::LeaseInfo back;
-    ASSERT_TRUE(exp::decodeLeaseInfo(exp::encodeLeaseInfo(lease),
-                                     &back));
-    EXPECT_EQ(back.planIndex, 17u);
-    EXPECT_EQ(back.fingerprint, "deadbeefdeadbeef");
-    EXPECT_EQ(back.leaseId, 42u);
-    EXPECT_EQ(back.leaseMs, 1500.5);
-
-    EXPECT_FALSE(exp::decodeLeaseInfo("garbage", &back));
 }
 
 TEST(Service, PointResultRoundTrip)

@@ -217,6 +217,41 @@ TEST(Journal, TornTailDiscardsOnlyTheTornRecord)
     EXPECT_EQ(res.failedCount(), 0u);
 }
 
+TEST(Journal, AppendsAfterATornWalTailStayReachable)
+{
+    const std::string dir = tempDir();
+    const auto plan = smallPlan();
+
+    // An interrupted sweep: two points in the WAL, the second torn by
+    // a crash mid-append.
+    std::string wal;
+    {
+        exp::ResultsJournal j;
+        ASSERT_TRUE(j.open(dir, plan));
+        exp::CompileCache cache;
+        exp::RunnerOptions popts;
+        for (std::size_t i = 0; i < 2; ++i)
+            j.append(exp::makeOutcomeRecord(
+                exp::executeSweepPoint(plan.points()[i], cache, popts),
+                exp::pointFingerprint(plan.points()[i])));
+        wal = j.walPath();
+    }
+    std::string bytes;
+    ASSERT_TRUE(exp::readWholeFile(wal, &bytes));
+    ASSERT_TRUE(
+        exp::atomicWriteFile(wal, bytes.substr(0, bytes.size() - 17)));
+
+    // The resume re-executes the torn point and appends the rest; all
+    // of it must load again.
+    exp::RunnerOptions ropts;
+    ropts.jobs = 1;
+    ropts.journalDir = dir;
+    EXPECT_EQ(exp::SweepRunner(ropts).run(plan).replayedPoints, 1u);
+    exp::ResultsJournal peek;
+    ASSERT_TRUE(peek.open(dir, plan));
+    EXPECT_EQ(peek.loadedCount(), plan.size());
+}
+
 TEST(Journal, FingerprintChangeInvalidatesOnlyThatPoint)
 {
     const std::string dir = tempDir();

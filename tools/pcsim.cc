@@ -171,16 +171,13 @@ struct Options
     bool isolate_workers = false;
     int retries = 2;
     double worker_timeout_ms = 120000.0;
-    bool worker_mode = false;
     std::string connect_socket;
-    std::vector<std::string> raw_argv;
 };
 
 Options
 parseArgs(int argc, char** argv)
 {
     Options o;
-    o.raw_argv.assign(argv, argv + argc);
     if (const char* env = std::getenv("PROCOUP_DISK_CACHE"))
         o.disk_cache_dir = env;
     bool no_disk_cache = false;
@@ -285,8 +282,6 @@ parseArgs(int argc, char** argv)
                 usage(argv[0]);
         } else if (a == "--connect") {
             o.connect_socket = next();
-        } else if (a == "--worker") {
-            o.worker_mode = true;
         } else if (!a.empty() && a[0] == '-') {
             usage(argv[0]);
         } else {
@@ -315,6 +310,7 @@ parseArgs(int argc, char** argv)
 int
 main(int argc, char** argv)
 try {
+    exp::runWorkerIfRequested(argc, argv);
     const Options o = parseArgs(argc, argv);
 
     const std::string source =
@@ -322,7 +318,7 @@ try {
             ? benchmarks::byName(o.benchmark).forMode(o.mode)
             : readFile(o.source_file);
 
-    if (o.dump_ir && !o.worker_mode) {
+    if (o.dump_ir) {
         ir::FrontendOptions fopts;
         fopts.forkClones =
             static_cast<int>(o.machine.arithClusters().size());
@@ -334,26 +330,18 @@ try {
     exp::CompileCache cache;
     if (!o.disk_cache_dir.empty())
         cache.setDiskDir(o.disk_cache_dir);
-    if (!o.worker_mode) {
-        // Compile once for the dump output; the runner's own compile
-        // of the same point is then a cache hit, never a second
-        // compilation. A worker child skips this: its stdout is the
-        // supervisor's, and it compiles lazily per served point.
-        const auto compiled =
-            cache.compile(source, o.machine, core::optionsFor(o.mode));
-
-        if (o.dump_asm)
+    // Compile once for the dump output; the runner's own compile of the
+    // same point is then a cache hit, never a second compilation.
+    const auto compiled =
+        cache.compile(source, o.machine, core::optionsFor(o.mode));
+    if (o.dump_asm)
+        std::printf("%s\n", isa::printAssembly(compiled->program).c_str());
+    if (o.dump_schedule)
+        for (const auto& t : compiled->program.threads)
             std::printf("%s\n",
-                        isa::printAssembly(compiled->program).c_str());
-        if (o.dump_schedule)
-            for (const auto& t : compiled->program.threads)
-                std::printf(
-                    "%s\n",
-                    sched::formatSchedule(t, o.machine).c_str());
-        if (o.diag)
-            std::printf("%s\n",
-                        sched::formatDiagnostics(*compiled).c_str());
-    }
+                        sched::formatSchedule(t, o.machine).c_str());
+    if (o.diag)
+        std::printf("%s\n", sched::formatDiagnostics(*compiled).c_str());
 
     exp::ExperimentPlan plan("pcsim");
     exp::SweepPoint& point = plan.addSource(
@@ -380,11 +368,7 @@ try {
     ropts.journalDir = o.journal_dir;
     ropts.diskCacheDir = o.disk_cache_dir;
     ropts.isolateWorkers = o.isolate_workers;
-    ropts.workerSpawnArgv = o.raw_argv;
     ropts.workerTimeoutMs = o.worker_timeout_ms;
-
-    if (o.worker_mode)
-        exp::runWorkerLoop(plan, ropts);  // never returns
 
     long traced = 0;
     std::vector<sim::TraceEvent> collected;

@@ -14,22 +14,17 @@
  * and restarting it resumes resubmitted plans without recompiling or
  * re-running completed points.
  *
- * (Hidden: --worker-plan FILE [--disk-cache DIR] --worker turns the
- * process into a lease worker serving the spooled plan; the daemon
- * appends these when spawning children, they are never typed.)
+ * (Hidden: `procoupd --worker` is how the daemon spawns its worker
+ * processes; see exp/worker.hh. It is never typed.)
  */
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
-#include <vector>
 
 #include "procoup/exp/daemon.hh"
-#include "procoup/exp/serialize.hh"
 #include "procoup/exp/service.hh"
 #include "procoup/exp/worker.hh"
-#include "procoup/support/error.hh"
 
 namespace {
 
@@ -44,53 +39,6 @@ usage(const char* argv0)
         "       %s --socket PATH --stop\n",
         argv0, argv0);
     std::exit(2);
-}
-
-std::string
-slurpFile(const std::string& path)
-{
-    std::FILE* f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        return "";
-    std::string bytes;
-    char buf[1 << 16];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof buf, f)) > 0)
-        bytes.append(buf, n);
-    std::fclose(f);
-    return bytes;
-}
-
-/** Hidden worker mode: rebuild the spooled plan and serve points. */
-[[noreturn]] void
-runSpooledWorker(const std::string& spoolPath,
-                 const std::string& diskCacheDir)
-{
-    using namespace procoup::exp;
-
-    const std::string bytes = slurpFile(spoolPath);
-    std::size_t offset = 0;
-    std::string payload;
-    FrameKind kind;
-    std::string body;
-    PlanEnvelope env;
-    if (bytes.empty() || !readFrame(bytes, offset, &payload) ||
-        !splitKindPayload(payload, &kind, &body) ||
-        kind != FrameKind::PlanSubmit || !decodePlanSubmit(body, &env)) {
-        std::fprintf(stderr,
-                     "procoupd worker: cannot load plan spool %s\n",
-                     spoolPath.c_str());
-        std::exit(127);
-    }
-
-    RunnerOptions ropts;
-    ropts.cacheEnabled = env.cacheEnabled;
-    ropts.failSafe = env.failSafe;
-    ropts.retryFaulted = env.retryFaulted;
-    ropts.retryPolicy.maxAttempts = env.retries + 1;
-    ropts.diskCacheDir = diskCacheDir;
-    ropts.exitOnVerifyFailure = false;
-    runWorkerLoop(env.plan, ropts);
 }
 
 double
@@ -114,10 +62,10 @@ main(int argc, char** argv)
 {
     using namespace procoup::exp;
 
+    runWorkerIfRequested(argc, argv);
+
     DaemonOptions opts;
-    opts.binaryPath = argv[0];
     bool stop = false;
-    std::string workerPlan;
 
     auto value = [&](int& i, const std::string& flag) -> std::string {
         if (i + 1 >= argc) {
@@ -152,10 +100,6 @@ main(int argc, char** argv)
             opts.once = true;
         } else if (a == "--stop") {
             stop = true;
-        } else if (a == "--worker-plan") {
-            workerPlan = value(i, a);
-        } else if (a == "--worker") {
-            // Appended by spawnWorkerProcess; acted on below.
         } else if (a == "--help" || a == "-h") {
             usage(argv[0]);
         } else {
@@ -164,9 +108,6 @@ main(int argc, char** argv)
             usage(argv[0]);
         }
     }
-
-    if (!workerPlan.empty())
-        runSpooledWorker(workerPlan, opts.diskCacheDir);
 
     if (opts.socketPath.empty())
         usage(argv[0]);
