@@ -38,21 +38,12 @@ msSince(std::chrono::steady_clock::time_point start)
         .count();
 }
 
-/** The streaming side of one client connection: serialized frame
- *  sends, plus a reader thread draining stream-acks and noticing
- *  shutdown requests and disconnects. */
+/** The streaming side of one client connection: frame sends from the
+ *  plan's supervising threads, serialized. A client that hung up shows
+ *  as EPIPE on the next send; later sends are dropped. */
 struct ClientConn
 {
-    explicit ClientConn(int fd) : fd(fd)
-    {
-        reader = std::thread([this] { readLoop(); });
-    }
-
-    ~ClientConn()
-    {
-        stop.store(true);
-        reader.join();
-    }
+    explicit ClientConn(int fd) : fd(fd) {}
 
     void send(const std::string& framed)
     {
@@ -63,40 +54,9 @@ struct ClientConn
             dead.store(true);
     }
 
-    void readLoop()
-    {
-        while (!stop.load() && !dead.load()) {
-            std::string payload;
-            const FrameRead fr =
-                readFrameFromFd(fd, 250.0, &payload);
-            if (fr == FrameRead::Timeout)
-                continue;
-            if (fr == FrameRead::Closed) {
-                dead.store(true);
-                return;
-            }
-            FrameKind kind;
-            std::string body;
-            if (!splitKindPayload(payload, &kind, &body))
-                continue;
-            if (kind == FrameKind::StreamAck) {
-                ByteReader r(body);
-                const std::uint64_t n = r.u64();
-                if (!r.failed())
-                    acks.store(n);
-            } else if (kind == FrameKind::Shutdown) {
-                shutdownRequested.store(true);
-            }
-        }
-    }
-
     const int fd;
     std::mutex mu;
     std::atomic<bool> dead{false};
-    std::atomic<bool> stop{false};
-    std::atomic<std::uint64_t> acks{0};
-    std::atomic<bool> shutdownRequested{false};
-    std::thread reader;
 };
 
 } // namespace
@@ -243,7 +203,6 @@ SweepDaemon::servePlan(int fd, PlanEnvelope&& env)
     stats.jobs = static_cast<std::uint32_t>(
         SweepRunner::resolveJobs(_options.jobs));
     stats.resultsStreamed = s.doneCount.load();
-    stats.acksReceived = conn.acks.load();
     stats.replayed = s.replayed.load();
     stats.executed = s.executed.load();
     // compileCached=false on a freshly executed record means "this
@@ -266,9 +225,6 @@ SweepDaemon::servePlan(int fd, PlanEnvelope&& env)
         static_cast<unsigned long long>(stats.leasesIssued),
         static_cast<unsigned long long>(stats.leasesReassigned),
         msSince(start));
-
-    if (conn.shutdownRequested.load())
-        _shutdown = true;
 }
 
 int
@@ -297,7 +253,7 @@ SweepDaemon::serve()
                  _options.socketPath.c_str(),
                  _options.stateDir.c_str());
 
-    while (!_shutdown && g_daemonSignal.load() == 0) {
+    while (g_daemonSignal.load() == 0) {
         struct pollfd pfd = {listen_fd, POLLIN, 0};
         const int pr = ::poll(&pfd, 1, 250);
         if (pr < 0 && errno != EINTR)
@@ -321,7 +277,6 @@ SweepDaemon::serve()
         }
         if (kind == FrameKind::Shutdown) {
             ::close(fd);
-            _shutdown = true;
             break;
         }
         if (kind != FrameKind::PlanSubmit) {
@@ -344,8 +299,6 @@ SweepDaemon::serve()
         }
         servePlan(fd, std::move(env));
         ::close(fd);
-        if (_options.once)
-            _shutdown = true;
     }
 
     ::close(listen_fd);

@@ -75,9 +75,6 @@ struct DaemonOptions
     /** Execute in-process instead of spawning workers (also the
      *  automatic degradation path when spawning fails). */
     bool inProcess = false;
-
-    /** Serve exactly one plan, then exit (tests). */
-    bool once = false;
 };
 
 class SweepDaemon
@@ -85,8 +82,8 @@ class SweepDaemon
   public:
     explicit SweepDaemon(DaemonOptions options);
 
-    /** Accept-and-serve until a shutdown frame, SIGTERM/SIGINT, or
-     *  (with once) the first completed plan. @return exit code. */
+    /** Accept-and-serve until a shutdown frame or SIGTERM/SIGINT.
+     *  @return exit code. */
     int serve();
 
   private:
@@ -95,7 +92,6 @@ class SweepDaemon
     void servePlan(int fd, PlanEnvelope&& env);
 
     DaemonOptions _options;
-    bool _shutdown = false;
 };
 
 } // namespace exp

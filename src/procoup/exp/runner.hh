@@ -159,7 +159,6 @@ struct DaemonStats
     std::uint64_t heartbeats = 0;      ///< worker heartbeats received
     std::uint64_t workerLost = 0;      ///< points that became worker-lost
     std::uint64_t resultsStreamed = 0; ///< point-result frames sent
-    std::uint64_t acksReceived = 0;    ///< stream-ack frames received
     std::uint64_t replayed = 0;        ///< points served from the journal
     std::uint64_t executed = 0;        ///< points freshly executed
     std::uint64_t reconnects = 0;      ///< client-side reconnect count

@@ -1,10 +1,14 @@
 #include "procoup/exp/serialize.hh"
 
+#include <concepts>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <set>
+#include <string_view>
 #include <unistd.h>
 
+#include "procoup/exp/service.hh"
 #include "procoup/support/error.hh"
 #include "procoup/support/strings.hh"
 
@@ -36,98 +40,6 @@ fnv1a64Hex(const std::string& s)
     std::snprintf(buf, sizeof buf, "%016llx",
                   static_cast<unsigned long long>(fnv1a64(s)));
     return buf;
-}
-
-void
-ByteWriter::u16(std::uint16_t v)
-{
-    char b[2];
-    std::memcpy(b, &v, 2);
-    _bytes.append(b, 2);
-}
-
-void
-ByteWriter::u32(std::uint32_t v)
-{
-    char b[4];
-    std::memcpy(b, &v, 4);
-    _bytes.append(b, 4);
-}
-
-void
-ByteWriter::u64(std::uint64_t v)
-{
-    char b[8];
-    std::memcpy(b, &v, 8);
-    _bytes.append(b, 8);
-}
-
-void
-ByteWriter::f64(double v)
-{
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, 8);
-    u64(bits);
-}
-
-void
-ByteWriter::str(const std::string& s)
-{
-    u64(s.size());
-    _bytes.append(s);
-}
-
-bool
-ByteReader::take(void* out, std::size_t n)
-{
-    if (_failed || _bytes.size() - _pos < n) {
-        _failed = true;
-        return false;
-    }
-    std::memcpy(out, _bytes.data() + _pos, n);
-    _pos += n;
-    return true;
-}
-
-std::uint8_t
-ByteReader::u8()
-{
-    std::uint8_t v = 0;
-    take(&v, 1);
-    return v;
-}
-
-std::uint16_t
-ByteReader::u16()
-{
-    std::uint16_t v = 0;
-    take(&v, 2);
-    return v;
-}
-
-std::uint32_t
-ByteReader::u32()
-{
-    std::uint32_t v = 0;
-    take(&v, 4);
-    return v;
-}
-
-std::uint64_t
-ByteReader::u64()
-{
-    std::uint64_t v = 0;
-    take(&v, 8);
-    return v;
-}
-
-double
-ByteReader::f64()
-{
-    std::uint64_t bits = u64();
-    double v;
-    std::memcpy(&v, &bits, 8);
-    return v;
 }
 
 std::string
@@ -181,8 +93,26 @@ readFrame(const std::string& bytes, std::size_t& offset,
     return true;
 }
 
+// ---- Field lists --------------------------------------------------------
+//
+// One field list per wire type, instantiated with ByteWriter (T const)
+// to encode and ByteReader to decode; see ByteWriter in serialize.hh.
+// Each list names every field once, in wire order. Only Value and
+// Operand keep a write/read pair, because a tag selects their payload.
+// An enum's bound is its last declared value: an enumerator appended
+// to one of these enums must move its bound here.
+
+namespace {
+
+/** T is X or const X. */
+template <class T, class X>
+concept Field = std::same_as<std::remove_const_t<T>, X>;
+
+using SymbolTable = std::map<std::string, isa::Symbol>;
+using FuncInfo = std::vector<sched::FuncScheduleInfo>;
+
 void
-writeValue(ByteWriter& w, const isa::Value& v)
+fields(ByteWriter& w, const isa::Value& v)
 {
     w.b(v.isFloat());
     if (v.isFloat())
@@ -191,464 +121,219 @@ writeValue(ByteWriter& w, const isa::Value& v)
         w.i64(v.rawInt());
 }
 
-bool
-readValue(ByteReader& r, isa::Value* v)
-{
-    if (r.b())
-        *v = isa::Value::makeFloat(r.f64());
-    else
-        *v = isa::Value::makeInt(r.i64());
-    return !r.failed();
-}
-
-namespace {
-
 void
-writeStallCounts(ByteWriter& w, const sim::StallCounts& c)
+fields(ByteReader& r, isa::Value& v)
 {
-    for (const auto& v : c)
-        w.u64(v);
+    v = r.b() ? isa::Value::makeFloat(r.f64())
+              : isa::Value::makeInt(r.i64());
 }
 
-bool
-readStallCounts(ByteReader& r, sim::StallCounts* c)
-{
-    for (auto& v : *c)
-        v = r.u64();
-    return !r.failed();
-}
-
-// Vector length guard: a corrupt length field must not turn into a
-// multi-gigabyte allocation before the payload checksum would have
-// caught it (worker-protocol frames are checksummed too, but decode
-// defensively everywhere).
-constexpr std::uint64_t kMaxVec = 1ull << 28;
-
-bool
-checkedSize(ByteReader& r, std::uint64_t n)
-{
-    return !r.failed() && n <= kMaxVec;
-}
-
-} // namespace
-
+template <class Io, Field<isa::RegRef> T>
 void
-writeRunStats(ByteWriter& w, const sim::RunStats& s)
+fields(Io& io, T& ref)
 {
-    w.u64(s.cycles);
-    for (const auto& v : s.opsByUnit)
-        w.u64(v);
-    w.u64(s.opsByFu.size());
-    for (const auto& v : s.opsByFu)
-        w.u64(v);
-    w.u64(s.totalOps);
-    w.u64(s.memAccesses);
-    w.u64(s.memHits);
-    w.u64(s.memMisses);
-    w.u64(s.memParked);
-    w.u64(s.memParkedCycles);
-    w.u64(s.memBankDelayCycles);
-    w.u64(s.opCacheHits);
-    w.u64(s.opCacheMisses);
-    w.u64(s.opCacheLineWaitCycles);
-    w.u64(s.writebacks);
-    w.u64(s.writebackStallCycles);
-    w.u64(s.remoteWrites);
-    w.u64(s.wbGrantsByCluster.size());
-    for (const auto& v : s.wbGrantsByCluster)
-        w.u64(v);
-    w.u64(s.wbDenialsByCluster.size());
-    for (const auto& v : s.wbDenialsByCluster)
-        w.u64(v);
-    w.u64(s.stallsByFu.size());
-    for (const auto& c : s.stallsByFu)
-        writeStallCounts(w, c);
-    w.u64(s.stallsByCluster.size());
-    for (const auto& c : s.stallsByCluster)
-        writeStallCounts(w, c);
-    writeStallCounts(w, s.stallsTotal);
-    w.u64(s.threadsSpawned);
-    w.u32(static_cast<std::uint32_t>(s.peakActiveThreads));
-    w.u64(s.threads.size());
-    for (const auto& t : s.threads) {
-        w.str(t.name);
-        w.u64(t.spawnCycle);
-        w.u64(t.endCycle);
-        w.u64(t.opsIssued);
-        writeStallCounts(w, t.stalls);
-    }
-    w.u64(s.marks.size());
-    for (const auto& m : s.marks) {
-        w.u32(static_cast<std::uint32_t>(m.thread));
-        w.i64(m.id);
-        w.u64(m.cycle);
-    }
-    w.b(s.faultsEnabled);
-    w.u64(s.faults.memJitterEvents);
-    w.u64(s.faults.memJitterCycles);
-    w.u64(s.faults.memBurstEvents);
-    w.u64(s.faults.memBurstAccesses);
-    w.u64(s.faults.memBurstCycles);
-    w.u64(s.faults.bankStormEvents);
-    w.u64(s.faults.bankStormDelayCycles);
-    w.u64(s.faults.fuBubbleEvents);
-    w.u64(s.faults.fuBubbleCycles);
-    w.u64(s.faults.opcacheFlushes);
-    w.u64(s.faults.spawnDelayEvents);
-    w.u64(s.faults.spawnDelayCycles);
-}
-
-bool
-readRunStats(ByteReader& r, sim::RunStats* s)
-{
-    s->cycles = r.u64();
-    for (auto& v : s->opsByUnit)
-        v = r.u64();
-    std::uint64_t n = r.u64();
-    if (!checkedSize(r, n))
-        return false;
-    s->opsByFu.resize(n);
-    for (auto& v : s->opsByFu)
-        v = r.u64();
-    s->totalOps = r.u64();
-    s->memAccesses = r.u64();
-    s->memHits = r.u64();
-    s->memMisses = r.u64();
-    s->memParked = r.u64();
-    s->memParkedCycles = r.u64();
-    s->memBankDelayCycles = r.u64();
-    s->opCacheHits = r.u64();
-    s->opCacheMisses = r.u64();
-    s->opCacheLineWaitCycles = r.u64();
-    s->writebacks = r.u64();
-    s->writebackStallCycles = r.u64();
-    s->remoteWrites = r.u64();
-    n = r.u64();
-    if (!checkedSize(r, n))
-        return false;
-    s->wbGrantsByCluster.resize(n);
-    for (auto& v : s->wbGrantsByCluster)
-        v = r.u64();
-    n = r.u64();
-    if (!checkedSize(r, n))
-        return false;
-    s->wbDenialsByCluster.resize(n);
-    for (auto& v : s->wbDenialsByCluster)
-        v = r.u64();
-    n = r.u64();
-    if (!checkedSize(r, n))
-        return false;
-    s->stallsByFu.resize(n);
-    for (auto& c : s->stallsByFu)
-        readStallCounts(r, &c);
-    n = r.u64();
-    if (!checkedSize(r, n))
-        return false;
-    s->stallsByCluster.resize(n);
-    for (auto& c : s->stallsByCluster)
-        readStallCounts(r, &c);
-    readStallCounts(r, &s->stallsTotal);
-    s->threadsSpawned = r.u64();
-    s->peakActiveThreads = static_cast<int>(r.u32());
-    n = r.u64();
-    if (!checkedSize(r, n))
-        return false;
-    s->threads.resize(n);
-    for (auto& t : s->threads) {
-        t.name = r.str();
-        t.spawnCycle = r.u64();
-        t.endCycle = r.u64();
-        t.opsIssued = r.u64();
-        readStallCounts(r, &t.stalls);
-    }
-    n = r.u64();
-    if (!checkedSize(r, n))
-        return false;
-    s->marks.resize(n);
-    for (auto& m : s->marks) {
-        m.thread = static_cast<int>(r.u32());
-        m.id = r.i64();
-        m.cycle = r.u64();
-    }
-    s->faultsEnabled = r.b();
-    s->faults.memJitterEvents = r.u64();
-    s->faults.memJitterCycles = r.u64();
-    s->faults.memBurstEvents = r.u64();
-    s->faults.memBurstAccesses = r.u64();
-    s->faults.memBurstCycles = r.u64();
-    s->faults.bankStormEvents = r.u64();
-    s->faults.bankStormDelayCycles = r.u64();
-    s->faults.fuBubbleEvents = r.u64();
-    s->faults.fuBubbleCycles = r.u64();
-    s->faults.opcacheFlushes = r.u64();
-    s->faults.spawnDelayEvents = r.u64();
-    s->faults.spawnDelayCycles = r.u64();
-    return !r.failed();
-}
-
-namespace {
-
-void
-writeRegRef(ByteWriter& w, const isa::RegRef& r)
-{
-    w.u16(r.cluster);
-    w.u16(r.index);
-}
-
-isa::RegRef
-readRegRef(ByteReader& r)
-{
-    isa::RegRef ref;
-    ref.cluster = r.u16();
-    ref.index = r.u16();
-    return ref;
+    io.u16(ref.cluster);
+    io.u16(ref.index);
 }
 
 void
-writeOperand(ByteWriter& w, const isa::Operand& o)
+fields(ByteWriter& w, const isa::Operand& o)
 {
-    w.u8(static_cast<std::uint8_t>(o.kind()));
+    w.u8(o.kind(), isa::Operand::Kind::Imm);
     if (o.isReg())
-        writeRegRef(w, o.reg());
+        fields(w, o.reg());
     else if (o.isImm())
-        writeValue(w, o.imm());
+        fields(w, o.imm());
 }
 
-bool
-readOperand(ByteReader& r, isa::Operand* o)
+void
+fields(ByteReader& r, isa::Operand& o)
 {
-    const auto kind = static_cast<isa::Operand::Kind>(r.u8());
-    switch (kind) {
-      case isa::Operand::Kind::None:
-        *o = isa::Operand();
-        break;
-      case isa::Operand::Kind::Reg:
-        *o = isa::Operand::makeReg(readRegRef(r));
-        break;
-      case isa::Operand::Kind::Imm: {
+    auto kind = isa::Operand::Kind::None;
+    r.u8(kind, isa::Operand::Kind::Imm);
+    o = isa::Operand();
+    if (kind == isa::Operand::Kind::Reg) {
+        isa::RegRef ref;
+        fields(r, ref);
+        o = isa::Operand::makeReg(ref);
+    } else if (kind == isa::Operand::Kind::Imm) {
         isa::Value v;
-        if (!readValue(r, &v))
-            return false;
-        *o = isa::Operand::makeImm(v);
-        break;
-      }
-      default:
-        return false;
+        fields(r, v);
+        o = isa::Operand::makeImm(v);
     }
-    return !r.failed();
 }
 
+template <class Io, Field<sim::StallCounts> T>
 void
-writeOperation(ByteWriter& w, const isa::Operation& op)
+fields(Io& io, T& counts)
 {
-    w.u16(static_cast<std::uint16_t>(op.opcode));
-    w.u8(static_cast<std::uint8_t>(op.srcs.size()));
-    for (const auto& s : op.srcs)
-        writeOperand(w, s);
-    w.u8(static_cast<std::uint8_t>(op.dsts.size()));
-    for (const auto& d : op.dsts)
-        writeRegRef(w, d);
-    w.u8(static_cast<std::uint8_t>(op.flavor.pre));
-    w.u8(static_cast<std::uint8_t>(op.flavor.post));
-    w.u32(op.branchTarget);
-    w.u32(op.forkTarget);
-    w.i64(op.markId);
+    for (auto& v : counts)
+        io.u64(v);
 }
 
-bool
-readOperation(ByteReader& r, isa::Operation* op)
-{
-    op->opcode = static_cast<isa::Opcode>(r.u16());
-    op->srcs.resize(r.u8());
-    for (auto& s : op->srcs)
-        if (!readOperand(r, &s))
-            return false;
-    op->dsts.resize(r.u8());
-    for (auto& d : op->dsts)
-        d = readRegRef(r);
-    op->flavor.pre = static_cast<isa::MemPre>(r.u8());
-    op->flavor.post = static_cast<isa::MemPost>(r.u8());
-    op->branchTarget = r.u32();
-    op->forkTarget = r.u32();
-    op->markId = r.i64();
-    return !r.failed();
-}
-
+template <class Io, Field<sim::RunStats> T>
 void
-writeSymbols(ByteWriter& w,
-             const std::map<std::string, isa::Symbol>& symbols)
+fields(Io& io, T& s)
 {
-    w.u64(symbols.size());
-    for (const auto& [name, sym] : symbols) {
-        w.str(name);
-        w.u32(sym.base);
-        w.u32(sym.size);
+    io.u64(s.cycles);
+    for (auto& v : s.opsByUnit)
+        io.u64(v);
+    io.size64(s.opsByFu);
+    for (auto& v : s.opsByFu)
+        io.u64(v);
+    io.u64(s.totalOps);
+    io.u64(s.memAccesses);
+    io.u64(s.memHits);
+    io.u64(s.memMisses);
+    io.u64(s.memParked);
+    io.u64(s.memParkedCycles);
+    io.u64(s.memBankDelayCycles);
+    io.u64(s.opCacheHits);
+    io.u64(s.opCacheMisses);
+    io.u64(s.opCacheLineWaitCycles);
+    io.u64(s.writebacks);
+    io.u64(s.writebackStallCycles);
+    io.u64(s.remoteWrites);
+    io.size64(s.wbGrantsByCluster);
+    for (auto& v : s.wbGrantsByCluster)
+        io.u64(v);
+    io.size64(s.wbDenialsByCluster);
+    for (auto& v : s.wbDenialsByCluster)
+        io.u64(v);
+    io.size64(s.stallsByFu);
+    for (auto& c : s.stallsByFu)
+        fields(io, c);
+    io.size64(s.stallsByCluster);
+    for (auto& c : s.stallsByCluster)
+        fields(io, c);
+    fields(io, s.stallsTotal);
+    io.u64(s.threadsSpawned);
+    io.u32(s.peakActiveThreads);
+    io.size64(s.threads);
+    for (auto& t : s.threads) {
+        io.str(t.name);
+        io.u64(t.spawnCycle);
+        io.u64(t.endCycle);
+        io.u64(t.opsIssued);
+        fields(io, t.stalls);
     }
+    io.size64(s.marks);
+    for (auto& m : s.marks) {
+        io.u32(m.thread);
+        io.i64(m.id);
+        io.u64(m.cycle);
+    }
+    io.b(s.faultsEnabled);
+    io.u64(s.faults.memJitterEvents);
+    io.u64(s.faults.memJitterCycles);
+    io.u64(s.faults.memBurstEvents);
+    io.u64(s.faults.memBurstAccesses);
+    io.u64(s.faults.memBurstCycles);
+    io.u64(s.faults.bankStormEvents);
+    io.u64(s.faults.bankStormDelayCycles);
+    io.u64(s.faults.fuBubbleEvents);
+    io.u64(s.faults.fuBubbleCycles);
+    io.u64(s.faults.opcacheFlushes);
+    io.u64(s.faults.spawnDelayEvents);
+    io.u64(s.faults.spawnDelayCycles);
 }
 
-bool
-readSymbols(ByteReader& r, std::map<std::string, isa::Symbol>* symbols)
-{
-    const std::uint64_t n = r.u64();
-    if (!checkedSize(r, n))
-        return false;
-    symbols->clear();
-    for (std::uint64_t i = 0; i < n; ++i) {
-        std::string name = r.str();
-        isa::Symbol sym;
-        sym.base = r.u32();
-        sym.size = r.u32();
-        if (r.failed())
-            return false;
-        symbols->emplace(std::move(name), sym);
-    }
-    return true;
-}
-
+template <class Io, Field<isa::Operation> T>
 void
-writeFuncInfo(ByteWriter& w,
-              const std::vector<sched::FuncScheduleInfo>& info)
+fields(Io& io, T& op)
 {
-    w.u64(info.size());
-    for (const auto& f : info) {
-        w.str(f.name);
-        w.u64(f.blockRows.size());
-        for (int v : f.blockRows)
-            w.u32(static_cast<std::uint32_t>(v));
-        w.u32(static_cast<std::uint32_t>(f.totalRows));
-        w.u32(static_cast<std::uint32_t>(f.totalOps));
-        w.u32(static_cast<std::uint32_t>(f.copiesInserted));
-        w.u64(f.regCount.size());
-        for (const auto& v : f.regCount)
-            w.u32(v);
-    }
+    io.u16(op.opcode, isa::Opcode::NOP);
+    io.size8(op.srcs);
+    for (auto& src : op.srcs)
+        fields(io, src);
+    io.size8(op.dsts);
+    for (auto& dst : op.dsts)
+        fields(io, dst);
+    io.u8(op.flavor.pre, isa::MemPre::Empty);
+    io.u8(op.flavor.post, isa::MemPost::SetEmpty);
+    io.u32(op.branchTarget);
+    io.u32(op.forkTarget);
+    io.i64(op.markId);
 }
 
-bool
-readFuncInfo(ByteReader& r, std::vector<sched::FuncScheduleInfo>* info)
+template <class Io, Field<SymbolTable> T>
+void
+fields(Io& io, T& symbols)
 {
-    std::uint64_t n = r.u64();
-    if (!checkedSize(r, n))
-        return false;
-    info->resize(n);
-    for (auto& f : *info) {
-        f.name = r.str();
-        std::uint64_t k = r.u64();
-        if (!checkedSize(r, k))
-            return false;
-        f.blockRows.resize(k);
+    io.map64(symbols, [&io](auto& name, auto& sym) {
+        io.str(name);
+        io.u32(sym.base);
+        io.u32(sym.size);
+    });
+}
+
+template <class Io, Field<FuncInfo> T>
+void
+fields(Io& io, T& info)
+{
+    io.size64(info);
+    for (auto& f : info) {
+        io.str(f.name);
+        io.size64(f.blockRows);
         for (auto& v : f.blockRows)
-            v = static_cast<int>(r.u32());
-        f.totalRows = static_cast<int>(r.u32());
-        f.totalOps = static_cast<int>(r.u32());
-        f.copiesInserted = static_cast<int>(r.u32());
-        k = r.u64();
-        if (!checkedSize(r, k))
-            return false;
-        f.regCount.resize(k);
+            io.u32(v);
+        io.u32(f.totalRows);
+        io.u32(f.totalOps);
+        io.u32(f.copiesInserted);
+        io.size64(f.regCount);
         for (auto& v : f.regCount)
-            v = r.u32();
+            io.u32(v);
     }
-    return !r.failed();
 }
 
-} // namespace
-
+template <class Io, Field<isa::Program> T>
 void
-writeProgram(ByteWriter& w, const isa::Program& p)
+fields(Io& io, T& p)
 {
-    w.u64(p.threads.size());
-    for (const auto& t : p.threads) {
-        w.str(t.name);
-        w.u64(t.instructions.size());
-        for (const auto& inst : t.instructions) {
-            w.u16(static_cast<std::uint16_t>(inst.slots.size()));
-            for (const auto& slot : inst.slots) {
-                w.u16(slot.fu);
-                writeOperation(w, slot.op);
-            }
-        }
-        w.u16(static_cast<std::uint16_t>(t.paramHomes.size()));
-        for (const auto& h : t.paramHomes)
-            writeRegRef(w, h);
-        w.u16(static_cast<std::uint16_t>(t.regCount.size()));
-        for (const auto& v : t.regCount)
-            w.u32(v);
-    }
-    w.u32(p.entry);
-    w.u32(p.memorySize);
-    w.u64(p.memInits.size());
-    for (const auto& m : p.memInits) {
-        w.u32(m.addr);
-        writeValue(w, m.value);
-        w.b(m.full);
-    }
-    writeSymbols(w, p.symbols);
-}
-
-bool
-readProgram(ByteReader& r, isa::Program* p)
-{
-    std::uint64_t n = r.u64();
-    if (!checkedSize(r, n))
-        return false;
-    p->threads.resize(n);
-    for (auto& t : p->threads) {
-        t.name = r.str();
-        std::uint64_t rows = r.u64();
-        if (!checkedSize(r, rows))
-            return false;
-        t.instructions.resize(rows);
+    io.size64(p.threads);
+    for (auto& t : p.threads) {
+        io.str(t.name);
+        io.size64(t.instructions);
         for (auto& inst : t.instructions) {
-            inst.slots.resize(r.u16());
+            io.size16(inst.slots);
             for (auto& slot : inst.slots) {
-                slot.fu = r.u16();
-                if (!readOperation(r, &slot.op))
-                    return false;
+                io.u16(slot.fu);
+                fields(io, slot.op);
             }
         }
-        t.paramHomes.resize(r.u16());
+        io.size16(t.paramHomes);
         for (auto& h : t.paramHomes)
-            h = readRegRef(r);
-        t.regCount.resize(r.u16());
+            fields(io, h);
+        io.size16(t.regCount);
         for (auto& v : t.regCount)
-            v = r.u32();
+            io.u32(v);
     }
-    p->entry = r.u32();
-    p->memorySize = r.u32();
-    n = r.u64();
-    if (!checkedSize(r, n))
-        return false;
-    p->memInits.resize(n);
-    for (auto& m : p->memInits) {
-        m.addr = r.u32();
-        if (!readValue(r, &m.value))
-            return false;
-        m.full = r.b();
+    io.u32(p.entry);
+    io.u32(p.memorySize);
+    io.size64(p.memInits);
+    for (auto& m : p.memInits) {
+        io.u32(m.addr);
+        fields(io, m.value);
+        io.b(m.full);
     }
-    return readSymbols(r, &p->symbols) && !r.failed();
+    fields(io, p.symbols);
 }
 
+template <class Io, Field<sched::CompileResult> T>
 void
-writeCompileResult(ByteWriter& w, const sched::CompileResult& c)
+fields(Io& io, T& c)
 {
-    writeProgram(w, c.program);
-    writeFuncInfo(w, c.funcInfo);
+    fields(io, c.program);
+    fields(io, c.funcInfo);
 }
 
-bool
-readCompileResult(ByteReader& r, sched::CompileResult* c)
-{
-    return readProgram(r, &c->program) && readFuncInfo(r, &c->funcInfo);
-}
-
+/** The JSON meta-header that leads a record, so external tooling
+ *  (scripts/check_stats_schema.py --journal) can validate journal
+ *  records without a C++ decoder. */
 std::string
-encodeOutcomeRecord(const OutcomeRecord& rec)
+metaHeader(const OutcomeRecord& rec)
 {
-    // A small JSON meta-header leads the binary body so external
-    // tooling (scripts/check_stats_schema.py --journal) can validate
-    // journal records without a C++ decoder.
-    const std::string header = strCat(
+    return strCat(
         "{\"label\": ", jsonQuote(rec.label), ", \"fingerprint\": ",
         jsonQuote(rec.pointFingerprint), ", \"threw\": ",
         static_cast<int>(rec.threw), ", \"failed\": ",
@@ -657,26 +342,199 @@ encodeOutcomeRecord(const OutcomeRecord& rec)
             static_cast<SimErrorKind>(rec.errorKind))),
         ", \"retries\": ", rec.retries, ", \"compile_cached\": ",
         rec.compileCached ? "true" : "false", "}");
+}
 
+template <class Io, Field<OutcomeRecord> T>
+void
+fields(Io& io, T& rec)
+{
+    std::string header;  // read back and dropped
+    if constexpr (!Io::reading)
+        header = metaHeader(rec);
+    io.str(header);
+    io.str(rec.label);
+    io.str(rec.pointFingerprint);
+    io.u8(rec.threw, 3);
+    io.b(rec.failed);
+    io.u8(rec.errorKind, SimErrorKind::WorkerLost);
+    io.u64(rec.errorCycle);
+    io.str(rec.error);
+    io.u32(rec.retries);
+    io.b(rec.compileCached);
+    io.f64(rec.wallMs);
+    fields(io, rec.stats);
+    io.size64(rec.memory);
+    for (auto& v : rec.memory)
+        fields(io, v);
+    fields(io, rec.symbols);
+    io.u32(rec.memorySize);
+    fields(io, rec.funcInfo);
+}
+
+template <class Io, Field<config::MachineConfig> T>
+void
+fields(Io& io, T& m)
+{
+    io.str(m.name);
+    io.size32(m.clusters, 1u << 16);
+    for (auto& c : m.clusters) {
+        io.size32(c.units, 1u << 16);
+        for (auto& u : c.units) {
+            io.u8(u.type, isa::UnitType::Branch);
+            io.i64(u.latency);
+        }
+    }
+    io.u8(m.interconnect, config::InterconnectScheme::SharedBus);
+    io.u8(m.arbitration, config::ArbitrationPolicy::RoundRobin);
+    io.i64(m.memory.hitLatency);
+    io.f64(m.memory.missRate);
+    io.i64(m.memory.missPenaltyMin);
+    io.i64(m.memory.missPenaltyMax);
+    io.i64(m.memory.numBanks);
+    io.b(m.memory.modelBankConflicts);
+    io.u64(m.memory.seed);
+    io.b(m.opCache.enabled);
+    io.i64(m.opCache.linesPerUnit);
+    io.i64(m.opCache.rowsPerLine);
+    io.i64(m.opCache.missPenalty);
+    io.i64(m.maxActiveThreads);
+    io.i64(m.swapOutIdleCycles);
+    io.i64(m.deadlockCycleLimit);
+}
+
+template <class Io, Field<fault::FaultPlan> T>
+void
+fields(Io& io, T& f)
+{
+    io.b(f.enabled);
+    io.u64(f.seed);
+    io.f64(f.memJitterProb);
+    io.i64(f.memJitterMax);
+    io.f64(f.memBurstProb);
+    io.i64(f.memBurstLength);
+    io.i64(f.memBurstPenalty);
+    io.f64(f.bankStormProb);
+    io.i64(f.bankStormCycles);
+    io.f64(f.fuBubbleProb);
+    io.i64(f.fuBubbleMax);
+    io.u64(f.opcacheFlushPeriod);
+    io.f64(f.spawnDelayProb);
+    io.i64(f.spawnDelayMax);
+}
+
+template <class Io, Field<SweepPoint> T>
+void
+fields(Io& io, T& p)
+{
+    io.str(p.label);
+    fields(io, p.machine);
+    io.str(p.source);
+    io.u8(p.mode, core::SimMode::Coupled);
+    io.u8(p.options.mode, sched::ScheduleMode::Unrestricted);
+    io.i64(p.options.forkClones);
+    io.b(p.options.runOptimizer);
+    io.str(p.verifyBenchmark);
+    io.i64(p.benchmarkId);
+    io.b(p.traceStalls);
+    fields(io, p.simOptions.faults);
+    io.u64(p.simOptions.limits.maxCycles);
+    io.f64(p.simOptions.limits.wallClockDeadlineMs);
+    io.u64(p.simOptions.sanitizeEveryCycles);
+}
+
+/** plan-submit body: the plan's name, the knobs that change results,
+ *  then its points. */
+template <class Io, class Name, class Options, class Points>
+void
+submitFields(Io& io, Name& name, Options& options, Points& points)
+{
+    io.str(name);
+    io.b(options.cacheEnabled);
+    io.b(options.failSafe);
+    io.b(options.retryFaulted);
+    int retries = options.retryPolicy.maxAttempts - 1;
+    io.i64(retries, 1 << 20);
+    if constexpr (Io::reading)
+        options.retryPolicy.maxAttempts = retries + 1;
+    io.size64(points, 1u << 20);
+    for (auto& p : points)
+        fields(io, p);
+}
+
+/** point-lease body: the worker's heartbeat cadence, the disk cache it
+ *  compiles through, and a one-point plan-submit body. */
+template <class Io, class Ms, class Dir, class Submit>
+void
+leaseFields(Io& io, Ms& heartbeatMs, Dir& diskCacheDir, Submit& submit)
+{
+    io.f64(heartbeatMs);
+    io.str(diskCacheDir);
+    io.str(submit);
+}
+
+/** point-result body: the plan index, then the record payload. */
+template <class Io, class Index, class Payload>
+void
+resultFields(Io& io, Index& planIndex, Payload& recordPayload)
+{
+    io.u64(planIndex);
+    io.str(recordPayload);
+}
+
+template <class Io, Field<DaemonStats> T>
+void
+fields(Io& io, T& s)
+{
+    io.b(s.active);
+    io.u32(s.jobs);
+    io.u64(s.leasesIssued);
+    io.u64(s.leasesExpired);
+    io.u64(s.leasesReassigned);
+    io.u64(s.heartbeats);
+    io.u64(s.workerLost);
+    io.u64(s.resultsStreamed);
+    io.u64(s.replayed);
+    io.u64(s.executed);
+    io.u64(s.reconnects);
+    io.u64(s.cacheHits);
+    io.u64(s.cacheMisses);
+    io.u64(s.compiles);
+}
+
+} // namespace
+
+// ---- Entry points -------------------------------------------------------
+
+void
+writeValue(ByteWriter& w, const isa::Value& v)
+{
+    fields(w, v);
+}
+
+void
+writeRunStats(ByteWriter& w, const sim::RunStats& s)
+{
+    fields(w, s);
+}
+
+void
+writeCompileResult(ByteWriter& w, const sched::CompileResult& c)
+{
+    fields(w, c);
+}
+
+bool
+readCompileResult(ByteReader& r, sched::CompileResult* c)
+{
+    fields(r, *c);
+    return !r.failed();
+}
+
+std::string
+encodeOutcomeRecord(const OutcomeRecord& rec)
+{
     ByteWriter w;
-    w.str(header);
-    w.str(rec.label);
-    w.str(rec.pointFingerprint);
-    w.u8(rec.threw);
-    w.b(rec.failed);
-    w.u8(rec.errorKind);
-    w.u64(rec.errorCycle);
-    w.str(rec.error);
-    w.u32(rec.retries);
-    w.b(rec.compileCached);
-    w.f64(rec.wallMs);
-    writeRunStats(w, rec.stats);
-    w.u64(rec.memory.size());
-    for (const auto& v : rec.memory)
-        writeValue(w, v);
-    writeSymbols(w, rec.symbols);
-    w.u32(rec.memorySize);
-    writeFuncInfo(w, rec.funcInfo);
+    fields(w, rec);
     return w.take();
 }
 
@@ -684,30 +542,105 @@ bool
 decodeOutcomeRecord(const std::string& payload, OutcomeRecord* rec)
 {
     ByteReader r(payload);
-    r.str();  // JSON meta-header: external tooling only
-    rec->label = r.str();
-    rec->pointFingerprint = r.str();
-    rec->threw = r.u8();
-    rec->failed = r.b();
-    rec->errorKind = r.u8();
-    rec->errorCycle = r.u64();
-    rec->error = r.str();
-    rec->retries = r.u32();
-    rec->compileCached = r.b();
-    rec->wallMs = r.f64();
-    if (!readRunStats(r, &rec->stats))
+    fields(r, *rec);
+    return !r.failed() && r.atEnd();
+}
+
+std::string
+encodePlanSubmit(const ExperimentPlan& plan, const RunnerOptions& options)
+{
+    for (const auto& p : plan.points())
+        if (p.tracer)
+            throw CompileError(strCat(
+                "point '", p.label,
+                "' carries a trace sink; tracing is observational and "
+                "cannot be executed remotely (--connect)"));
+    ByteWriter w;
+    submitFields(w, plan.name(), options, plan.points());
+    return w.take();
+}
+
+bool
+decodePlanSubmit(const std::string& body, PlanEnvelope* env)
+{
+    std::string name;
+    std::vector<SweepPoint> points;
+    env->options = RunnerOptions{};
+    env->options.exitOnVerifyFailure = false;
+    ByteReader r(body);
+    submitFields(r, name, env->options, points);
+    if (r.failed() || !r.atEnd())
         return false;
-    const std::uint64_t n = r.u64();
-    if (!checkedSize(r, n))
-        return false;
-    rec->memory.resize(n);
-    for (auto& v : rec->memory)
-        if (!readValue(r, &v))
+    // ExperimentPlan::add aborts on an empty or repeated label, so
+    // such a plan is malformed bytes here.
+    std::set<std::string_view> labels;
+    for (const SweepPoint& p : points)
+        if (p.label.empty() || !labels.insert(p.label).second)
             return false;
-    if (!readSymbols(r, &rec->symbols))
+    env->plan = ExperimentPlan(name);
+    for (SweepPoint& p : points)
+        env->plan.add(std::move(p));
+    return true;
+}
+
+std::string
+encodePointLease(const ExperimentPlan& plan, std::size_t index,
+                 const RunnerOptions& options, double heartbeatMs)
+{
+    ExperimentPlan one(plan.name());
+    one.add(plan.points()[index]);
+    const std::string submit = encodePlanSubmit(one, options);
+    ByteWriter w;
+    leaseFields(w, heartbeatMs, options.diskCacheDir, submit);
+    return w.take();
+}
+
+bool
+decodePointLease(const std::string& body, double* heartbeatMs,
+                 PlanEnvelope* env)
+{
+    std::string disk_dir, submit;
+    ByteReader r(body);
+    leaseFields(r, *heartbeatMs, disk_dir, submit);
+    if (r.failed() || !r.atEnd() || !decodePlanSubmit(submit, env) ||
+        env->plan.size() != 1)
         return false;
-    rec->memorySize = r.u32();
-    return readFuncInfo(r, &rec->funcInfo) && !r.failed() && r.atEnd();
+    env->options.diskCacheDir = disk_dir;
+    return true;
+}
+
+std::string
+encodePointResult(std::uint64_t planIndex,
+                  const std::string& recordPayload)
+{
+    ByteWriter w;
+    resultFields(w, planIndex, recordPayload);
+    return w.take();
+}
+
+bool
+decodePointResult(const std::string& body, std::uint64_t* planIndex,
+                  std::string* recordPayload)
+{
+    ByteReader r(body);
+    resultFields(r, *planIndex, *recordPayload);
+    return !r.failed() && r.atEnd();
+}
+
+std::string
+encodeDaemonStats(const DaemonStats& s)
+{
+    ByteWriter w;
+    fields(w, s);
+    return w.take();
+}
+
+bool
+decodeDaemonStats(const std::string& body, DaemonStats* s)
+{
+    ByteReader r(body);
+    fields(r, *s);
+    return !r.failed() && r.atEnd();
 }
 
 bool

@@ -8,9 +8,11 @@
  * The daemon speaks the PCFR framed-record format of exp/serialize.hh
  * over a Unix-domain stream socket. Every daemon-protocol frame's
  * payload starts with a one-byte FrameKind tag followed by the kind's
- * body; the journal and the compile cache keep untagged frames.
+ * body; the journal and the compile cache keep untagged frames. The
+ * body codecs declared here are defined in exp/serialize.cc, which
+ * holds every byte layout.
  *
- *     client -> daemon:      plan-submit, stream-ack, shutdown
+ *     client -> daemon:      plan-submit, shutdown
  *     daemon -> client:      point-result, heartbeat, plan-done,
  *                            service-error
  *     supervisor -> worker:  point-lease (fd 3 pipe, exp/worker.hh)
@@ -45,7 +47,7 @@ enum class FrameKind : std::uint8_t
     PointLease = 2,    ///< supervisor hands a worker one point
     PointResult = 3,   ///< one OutcomeRecord, streamed incrementally
     Heartbeat = 4,     ///< worker/daemon liveness (renews leases)
-    StreamAck = 5,     ///< client progress acknowledgement
+                       // 5 stays unassigned: older clients ack with it
     Shutdown = 6,      ///< client asks the daemon to exit
     PlanDone = 7,      ///< daemon finished a plan (DaemonStats body)
     ServiceError = 8,  ///< daemon rejected the submission
@@ -85,20 +87,22 @@ std::string encodePlanSubmit(const ExperimentPlan& plan,
                              const RunnerOptions& options);
 
 /** Decode a plan-submit body; false on malformed bytes or a plan
- *  that violates its own invariants (e.g. duplicate labels). */
+ *  that violates its own invariants (an empty or repeated label). */
 bool decodePlanSubmit(const std::string& body, PlanEnvelope* env);
 
-// Component encoders shared by the plan codec and tests.
-void writeMachineConfig(ByteWriter& w, const config::MachineConfig& m);
-bool readMachineConfig(ByteReader& r, config::MachineConfig* m);
-void writeFaultPlan(ByteWriter& w, const fault::FaultPlan& f);
-bool readFaultPlan(ByteReader& r, fault::FaultPlan* f);
-void writeSimOptions(ByteWriter& w, const sim::SimOptions& o);
-bool readSimOptions(ByteReader& r, sim::SimOptions* o);
-void writeSweepPoint(ByteWriter& w, const SweepPoint& p);
-bool readSweepPoint(ByteReader& r, SweepPoint* p);
-
 // ---- Frame bodies ------------------------------------------------------
+
+/** point-lease body for point @p index of @p plan: the worker's
+ *  heartbeat cadence, @p options.diskCacheDir, and the point as a
+ *  one-point plan-submit body. */
+std::string encodePointLease(const ExperimentPlan& plan, std::size_t index,
+                             const RunnerOptions& options,
+                             double heartbeatMs);
+
+/** Decode a point-lease; false on malformed bytes or a plan that does
+ *  not hold exactly one point. */
+bool decodePointLease(const std::string& body, double* heartbeatMs,
+                      PlanEnvelope* env);
 
 /** point-result body: plan index + the embedded OutcomeRecord. */
 std::string encodePointResult(std::uint64_t planIndex,

@@ -119,36 +119,6 @@ namespace {
 constexpr int kWorkerCmdFd = 3;
 constexpr int kWorkerResFd = 4;
 
-/** A point-lease body: the worker's heartbeat cadence, the disk cache
- *  it compiles through, and a one-point plan-submit body. */
-std::string
-encodeLease(const ExperimentPlan& plan, std::size_t index,
-            const RunnerOptions& ropts, double heartbeat_ms)
-{
-    ExperimentPlan one(plan.name());
-    one.add(plan.points()[index]);
-    ByteWriter w;
-    w.f64(heartbeat_ms);
-    w.str(ropts.diskCacheDir);
-    w.str(encodePlanSubmit(one, ropts));
-    return kindFrame(FrameKind::PointLease, w.take());
-}
-
-bool
-decodeLease(const std::string& body, double* heartbeat_ms,
-            PlanEnvelope* env)
-{
-    ByteReader r(body);
-    *heartbeat_ms = r.f64();
-    const std::string disk_dir = r.str();
-    const std::string submit = r.str();
-    if (r.failed() || !r.atEnd() || !decodePlanSubmit(submit, env) ||
-        env->plan.size() != 1)
-        return false;
-    env->options.diskCacheDir = disk_dir;
-    return true;
-}
-
 /** While alive, emits a heartbeat frame on fd 4 every @p cadence_ms. */
 std::jthread
 heartbeatPump(double cadence_ms)
@@ -359,7 +329,9 @@ struct Supervisor
             }
 
             if (lease.empty())
-                lease = encodeLease(plan, index, ropts, opts.heartbeatMs);
+                lease = kindFrame(FrameKind::PointLease,
+                                  encodePointLease(plan, index, ropts,
+                                                   opts.heartbeatMs));
             if (!writeAllFd(child.cmdFd, lease.data(), lease.size())) {
                 last_kind = SimErrorKind::WorkerCrash;
                 last_desc = child.reap();
@@ -468,7 +440,7 @@ runWorkerIfRequested(int argc, char** argv)
         PlanEnvelope env;
         if (!splitKindPayload(payload, &kind, &body) ||
             kind != FrameKind::PointLease ||
-            !decodeLease(body, &heartbeat_ms, &env))
+            !decodePointLease(body, &heartbeat_ms, &env))
             _exit(125);  // protocol violation
         const SweepPoint& point = env.plan.points().front();
         const RunnerOptions& ropts = env.options;

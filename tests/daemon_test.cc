@@ -1,12 +1,15 @@
 /** @file Sweep-daemon wire protocol (exp/service.hh): kind-tagged
  *  frame round-trips and garbage rejection, plan-submit envelopes
  *  that preserve every point fingerprint (the keystone of daemon
- *  vs. local byte-identity), result/stats bodies, and the
- *  worker-lost error-kind name the report schema depends on. */
+ *  vs. local byte-identity) and whose bytes are pinned, rejection of
+ *  bad labels, out-of-range ints and mutated bytes, result/stats
+ *  bodies, and the worker-lost error-kind name the report schema
+ *  depends on. */
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "procoup/benchmarks/benchmarks.hh"
 #include "procoup/config/presets.hh"
@@ -17,6 +20,7 @@
 #include "procoup/exp/service.hh"
 #include "procoup/fault/fault.hh"
 #include "procoup/support/error.hh"
+#include "procoup/support/strings.hh"
 
 namespace procoup {
 namespace {
@@ -45,8 +49,6 @@ TEST(Service, FrameKindNamesAndValidity)
               "point-result");
     EXPECT_EQ(exp::frameKindName(exp::FrameKind::Heartbeat),
               "heartbeat");
-    EXPECT_EQ(exp::frameKindName(exp::FrameKind::StreamAck),
-              "stream-ack");
     EXPECT_EQ(exp::frameKindName(exp::FrameKind::Shutdown),
               "shutdown");
     EXPECT_EQ(exp::frameKindName(exp::FrameKind::PlanDone),
@@ -54,9 +56,10 @@ TEST(Service, FrameKindNamesAndValidity)
     EXPECT_EQ(exp::frameKindName(exp::FrameKind::ServiceError),
               "service-error");
 
+    // Tag 5 stays unassigned: older clients ack with it.
     for (int tag = 1; tag <= 8; ++tag)
-        EXPECT_TRUE(exp::frameKindValid(
-            static_cast<std::uint8_t>(tag))) << tag;
+        EXPECT_EQ(exp::frameKindValid(static_cast<std::uint8_t>(tag)),
+                  tag != 5) << tag;
     EXPECT_FALSE(exp::frameKindValid(0));
     for (int tag = 9; tag <= 255; ++tag)
         EXPECT_FALSE(exp::frameKindValid(
@@ -131,6 +134,201 @@ TEST(Service, PlanSubmitPreservesFingerprintsAndKnobs)
     EXPECT_FALSE(exp::decodePlanSubmit("", &env));
 }
 
+/** A hand-made one-point plan whose point carries a fault plan, a
+ *  cycle and wall-clock budget and a sanitizer cadence on a machine
+ *  that sets every MachineConfig field. */
+exp::ExperimentPlan
+pinnedPlan()
+{
+    config::MachineConfig m;
+    m.name = "pinned";
+    m.clusters.resize(2);
+    m.clusters[0].units = {{isa::UnitType::Integer, 1},
+                           {isa::UnitType::Memory, 2}};
+    m.clusters[1].units = {{isa::UnitType::Float, 3},
+                           {isa::UnitType::Branch, 1}};
+    m.interconnect = config::InterconnectScheme::TriPort;
+    m.arbitration = config::ArbitrationPolicy::RoundRobin;
+    m.memory.hitLatency = 2;
+    m.memory.missRate = 0.125;
+    m.memory.missPenaltyMin = 10;
+    m.memory.missPenaltyMax = 40;
+    m.memory.numBanks = 8;
+    m.memory.modelBankConflicts = true;
+    m.memory.seed = 77;
+    m.opCache.enabled = true;
+    m.opCache.linesPerUnit = 16;
+    m.opCache.rowsPerLine = 2;
+    m.opCache.missPenalty = 5;
+    m.maxActiveThreads = 8;
+    m.swapOutIdleCycles = 50;
+    m.deadlockCycleLimit = 9000;
+
+    exp::ExperimentPlan plan("pinned-plan");
+    exp::SweepPoint& p = plan.addSource(
+        "pinned-point", m, "(defvar out 0)(defun main () (set out 42))",
+        core::SimMode::Tpe);
+    p.options.mode = sched::ScheduleMode::Single;
+    p.options.forkClones = 2;
+    p.options.runOptimizer = false;
+    p.verifyBenchmark = "Pinned";
+    p.benchmarkId = 3;
+    p.traceStalls = true;
+    fault::FaultPlan& f = p.simOptions.faults;
+    f.enabled = true;
+    f.seed = 20260808;
+    f.memJitterProb = 0.25;
+    f.memJitterMax = 6;
+    f.memBurstProb = 0.125;
+    f.memBurstLength = 4;
+    f.memBurstPenalty = 32;
+    f.bankStormProb = 0.0625;
+    f.bankStormCycles = 16;
+    f.fuBubbleProb = 0.5;
+    f.fuBubbleMax = 3;
+    f.opcacheFlushPeriod = 1000;
+    f.spawnDelayProb = 0.75;
+    f.spawnDelayMax = 12;
+    p.simOptions.limits.maxCycles = 123456;
+    p.simOptions.limits.wallClockDeadlineMs = 2500.0;
+    p.simOptions.sanitizeEveryCycles = 64;
+    return plan;
+}
+
+exp::RunnerOptions
+pinnedKnobs()
+{
+    exp::RunnerOptions ropts;
+    ropts.cacheEnabled = false;
+    ropts.failSafe = true;
+    ropts.retryFaulted = true;
+    ropts.retryPolicy.maxAttempts = 5;
+    return ropts;
+}
+
+TEST(Service, PlanSubmitBytesArePinned)
+{
+    // The plan-submit layout is what a client and a daemon (and a
+    // supervisor and its workers) must agree on byte for byte.
+    EXPECT_EQ(exp::fnv1a64Hex(
+                  exp::encodePlanSubmit(pinnedPlan(), pinnedKnobs())),
+              "cb4b2d67357793b0");
+}
+
+TEST(Service, PlanSubmitRejectsAnEmptyLabel)
+{
+    exp::ExperimentPlan plan = pinnedPlan();
+    plan.mutablePoints()[0].label.clear();
+    exp::PlanEnvelope env;
+    EXPECT_FALSE(exp::decodePlanSubmit(
+        exp::encodePlanSubmit(plan, pinnedKnobs()), &env));
+}
+
+TEST(Service, PlanSubmitRejectsARepeatedLabel)
+{
+    // A plan cannot hold two equal labels, so patch the second label
+    // of an encoded two-point plan into a copy of the first.
+    exp::ExperimentPlan plan = pinnedPlan();
+    exp::SweepPoint twin = plan.points()[0];
+    twin.label = "pinned-other";
+    plan.add(twin);
+    std::string body = exp::encodePlanSubmit(plan, pinnedKnobs());
+    exp::PlanEnvelope env;
+    ASSERT_TRUE(exp::decodePlanSubmit(body, &env));
+
+    const std::size_t at = body.find(twin.label);
+    ASSERT_NE(at, std::string::npos);
+    body.replace(at, twin.label.size(), plan.points()[0].label);
+    EXPECT_FALSE(exp::decodePlanSubmit(body, &env));
+}
+
+TEST(Service, PlanSubmitRejectsAnIntFieldOutOfRange)
+{
+    // forkClones travels as an i64; a value beyond int must fail the
+    // decode rather than wrap.
+    exp::ExperimentPlan plan = pinnedPlan();
+    plan.mutablePoints()[0].options.forkClones = 0x5eed1234;
+    std::string body = exp::encodePlanSubmit(plan, pinnedKnobs());
+    const std::size_t at =
+        body.find(std::string("\x34\x12\xed\x5e\0\0\0\0", 8));
+    ASSERT_NE(at, std::string::npos);
+    exp::PlanEnvelope env;
+    ASSERT_TRUE(exp::decodePlanSubmit(body, &env));
+    body[at + 4] = 1;
+    EXPECT_FALSE(exp::decodePlanSubmit(body, &env));
+}
+
+/** Every enum of @p p holds one of its declared values. */
+bool
+enumsDeclared(const exp::SweepPoint& p)
+{
+    for (const auto& c : p.machine.clusters)
+        for (const auto& u : c.units)
+            if (static_cast<int>(u.type) >= isa::numUnitTypes)
+                return false;
+    return p.machine.interconnect <=
+               config::InterconnectScheme::SharedBus &&
+           p.machine.arbitration <= config::ArbitrationPolicy::RoundRobin &&
+           p.mode <= core::SimMode::Coupled &&
+           p.options.mode <= sched::ScheduleMode::Unrestricted;
+}
+
+TEST(Service, MutatedBodiesFailOrDecodeToDeclaredEnums)
+{
+    // Set each byte of a one-point plan-submit body and of a small
+    // record payload to a few values. A mutant must fail to decode or
+    // decode to declared enum values: an undeclared UnitType, say,
+    // aborts the scheduler once the daemon runs the point.
+    const unsigned char values[] = {0x00, 0x01, 0x05, 0xff};
+    std::vector<std::string> bad;
+    std::size_t decoded = 0;
+
+    const std::string body =
+        exp::encodePlanSubmit(pinnedPlan(), pinnedKnobs());
+    for (std::size_t i = 0; i < body.size(); ++i) {
+        for (const unsigned char v : values) {
+            std::string mutant = body;
+            mutant[i] = static_cast<char>(v);
+            exp::PlanEnvelope env;
+            if (!exp::decodePlanSubmit(mutant, &env))
+                continue;
+            ++decoded;
+            for (const auto& p : env.plan.points())
+                if (!enumsDeclared(p))
+                    bad.push_back(strCat("plan-submit byte ", i, " = ",
+                                         static_cast<int>(v)));
+        }
+    }
+
+    exp::OutcomeRecord rec;
+    rec.label = "point";
+    rec.pointFingerprint = "0123456789abcdef";
+    rec.threw = 1;
+    rec.errorKind = static_cast<std::uint8_t>(SimErrorKind::Deadlock);
+    rec.error = "deadlock";
+    rec.memory = {isa::Value::makeInt(3)};
+    const std::string payload = exp::encodeOutcomeRecord(rec);
+    for (std::size_t i = 0; i < payload.size(); ++i) {
+        for (const unsigned char v : values) {
+            std::string mutant = payload;
+            mutant[i] = static_cast<char>(v);
+            exp::OutcomeRecord back;
+            if (!exp::decodeOutcomeRecord(mutant, &back))
+                continue;
+            ++decoded;
+            if (back.threw > 3 ||
+                back.errorKind >
+                    static_cast<std::uint8_t>(SimErrorKind::WorkerLost))
+                bad.push_back(strCat("record byte ", i, " = ",
+                                     static_cast<int>(v)));
+        }
+    }
+
+    EXPECT_GT(decoded, 0u);  // most bytes are payload, e.g. source text
+    EXPECT_TRUE(bad.empty()) << bad.size() << " mutants, first: "
+                             << (bad.empty() ? "" : bad.front());
+}
+
 TEST(Service, PlanSubmitRejectsTraceSinks)
 {
     exp::ExperimentPlan plan = smallPlan();
@@ -181,7 +379,6 @@ TEST(Service, DaemonStatsRoundTrip)
     stats.heartbeats = 99;
     stats.workerLost = 1;
     stats.resultsStreamed = 12;
-    stats.acksReceived = 11;
     stats.replayed = 5;
     stats.executed = 7;
     stats.reconnects = 2;
@@ -199,7 +396,6 @@ TEST(Service, DaemonStatsRoundTrip)
     EXPECT_EQ(back.heartbeats, 99u);
     EXPECT_EQ(back.workerLost, 1u);
     EXPECT_EQ(back.resultsStreamed, 12u);
-    EXPECT_EQ(back.acksReceived, 11u);
     EXPECT_EQ(back.replayed, 5u);
     EXPECT_EQ(back.executed, 7u);
     EXPECT_EQ(back.reconnects, 2u);

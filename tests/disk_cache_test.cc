@@ -155,6 +155,101 @@ TEST(DiskCache, KeyCollisionIsDetectedByEmbeddedKey)
     EXPECT_GT(st.compiles, 0u);
 }
 
+/** A hand-made compile result covering every Program, Operation and
+ *  Operand form the .pcc layout carries. */
+sched::CompileResult
+pinnedCompileResult()
+{
+    using namespace isa;
+    Operation add;
+    add.opcode = Opcode::IADD;
+    add.srcs = {Operand::makeReg(RegRef{0, 1}), Operand::makeIntImm(-7)};
+    add.dsts = {RegRef{1, 2}, RegRef{0, 3}};
+    Operation load;
+    load.opcode = Opcode::LD;
+    load.srcs = {Operand::makeReg(RegRef{0, 4}), Operand::makeIntImm(8)};
+    load.dsts = {RegRef{0, 5}};
+    load.flavor = MemFlavor::consumeLoad();
+    Operation fmul;
+    fmul.opcode = Opcode::FMUL;
+    fmul.srcs = {Operand::makeFloatImm(1.5), Operand()};
+    fmul.dsts = {RegRef{1, 0}};
+    Operation branch;
+    branch.opcode = Opcode::BT;
+    branch.srcs = {Operand::makeReg(RegRef{0, 6})};
+    branch.branchTarget = 0;
+    Operation fork;
+    fork.opcode = Opcode::FORK;
+    fork.srcs = {Operand::makeReg(RegRef{0, 1})};
+    fork.forkTarget = 1;
+    Operation mark;
+    mark.opcode = Opcode::MARK;
+    mark.markId = -3;
+
+    ThreadCode main;
+    main.name = "main";
+    main.instructions.resize(3);
+    main.instructions[0].slots = {{0, add}, {2, load}};
+    main.instructions[1].slots = {{1, fmul}, {3, mark}};
+    main.instructions[2].slots = {{3, branch}, {3, fork}};
+    main.regCount = {7, 1};
+    ThreadCode child;
+    child.name = "child";
+    child.instructions.resize(1);
+    Operation end;
+    end.opcode = Opcode::ETHR;
+    child.instructions[0].slots = {{3, end}};
+    child.paramHomes = {RegRef{0, 1}};
+    child.regCount = {2, 0};
+
+    sched::CompileResult c;
+    c.program.threads = {main, child};
+    c.program.entry = 0;
+    c.program.memorySize = 16;
+    c.program.memInits = {{0, Value::makeInt(5), true},
+                          {1, Value::makeFloat(-0.25), false}};
+    c.program.symbols["out"] = Symbol{0, 1};
+    c.program.symbols["ring"] = Symbol{1, 8};
+    sched::FuncScheduleInfo f;
+    f.name = "main";
+    f.blockRows = {2, 1};
+    f.totalRows = 3;
+    f.totalOps = 6;
+    f.copiesInserted = 1;
+    f.regCount = {7, 1};
+    c.funcInfo = {f};
+    return c;
+}
+
+TEST(DiskCache, EntryBytesArePinned)
+{
+    // A .pcc entry is one frame around the full key string and the
+    // compile result. Its digest pins the layout; serving it from a
+    // fresh cache proves this is the layout the cache reads.
+    const std::string dir = tempDir();
+    Workload w;
+    w.source = "(defvar out 0)(defun main () (set out 1))";
+    const std::string key =
+        exp::CompileCache::key(w.source, w.machine, w.opts);
+    const sched::CompileResult pinned = pinnedCompileResult();
+    exp::ByteWriter entry;
+    entry.str(key);
+    exp::writeCompileResult(entry, pinned);
+    const std::string bytes = exp::frame(entry.take());
+    EXPECT_EQ(exp::fnv1a64Hex(bytes), "4e8a071aac8a7e73");
+
+    ASSERT_TRUE(exp::atomicWriteFile(w.entryPath(dir), bytes));
+    exp::CompileCache cache;
+    cache.setDiskDir(dir);
+    const auto served = cache.compile(w.source, w.machine, w.opts);
+    EXPECT_EQ(cache.stats().diskHits, 1u);
+    EXPECT_EQ(cache.stats().compiles, 0u);
+    exp::ByteWriter again;
+    again.str(key);
+    exp::writeCompileResult(again, *served);
+    EXPECT_EQ(exp::frame(again.take()), bytes);
+}
+
 TEST(DiskCache, DisabledCacheBypassesDiskEntirely)
 {
     const std::string dir = tempDir();

@@ -125,6 +125,105 @@ TEST(Serialize, OutcomeRecordRoundTrip)
     EXPECT_FALSE(exp::decodeOutcomeRecord("garbage", &back));
 }
 
+/** A hand-made clean record that sets every RunStats and record field,
+ *  so its pinned digest covers the whole record layout. */
+exp::OutcomeRecord
+pinnedCleanRecord()
+{
+    exp::OutcomeRecord rec;
+    rec.label = "Pinned/Coupled@pinned";
+    rec.pointFingerprint = "0123456789abcdef";
+    rec.retries = 1;
+    rec.compileCached = true;
+    rec.wallMs = 2.25;
+    sim::RunStats& s = rec.stats;
+    s.cycles = 618;
+    s.opsByUnit = {100, 200, 300, 400};
+    s.opsByFu = {11, 12, 13};
+    s.totalOps = 5117;
+    s.memAccesses = 21;
+    s.memHits = 20;
+    s.memMisses = 1;
+    s.memParked = 2;
+    s.memParkedCycles = 9;
+    s.memBankDelayCycles = 3;
+    s.opCacheHits = 4;
+    s.opCacheMisses = 5;
+    s.opCacheLineWaitCycles = 6;
+    s.writebacks = 7;
+    s.writebackStallCycles = 8;
+    s.remoteWrites = 9;
+    s.wbGrantsByCluster = {31, 32};
+    s.wbDenialsByCluster = {41, 42};
+    s.stallsByFu = {{1, 2, 3, 4, 5, 6, 7}, {8, 9, 10, 11, 12, 13, 14}};
+    s.stallsByCluster = {{15, 16, 17, 18, 19, 20, 21}};
+    s.stallsTotal = {22, 23, 24, 25, 26, 27, 28};
+    s.threadsSpawned = 3;
+    s.peakActiveThreads = 2;
+    s.threads.push_back({"main", 0, 618, 77, {1, 0, 0, 0, 0, 0, 2}});
+    s.threads.push_back({"worker", 12, 500, 40, {0, 3, 0, 0, 1, 0, 0}});
+    s.marks.push_back({1, -5, 300});
+    s.faultsEnabled = true;
+    s.faults.memJitterEvents = 51;
+    s.faults.memJitterCycles = 52;
+    s.faults.memBurstEvents = 53;
+    s.faults.memBurstAccesses = 54;
+    s.faults.memBurstCycles = 55;
+    s.faults.bankStormEvents = 56;
+    s.faults.bankStormDelayCycles = 57;
+    s.faults.fuBubbleEvents = 58;
+    s.faults.fuBubbleCycles = 59;
+    s.faults.opcacheFlushes = 60;
+    s.faults.spawnDelayEvents = 61;
+    s.faults.spawnDelayCycles = 62;
+    rec.memory = {isa::Value::makeInt(-9), isa::Value::makeFloat(0.5)};
+    rec.symbols["out"] = isa::Symbol{4, 2};
+    rec.symbols["a"] = isa::Symbol{0, 4};
+    rec.memorySize = 64;
+    sched::FuncScheduleInfo f;
+    f.name = "main";
+    f.blockRows = {3, 5};
+    f.totalRows = 8;
+    f.totalOps = 20;
+    f.copiesInserted = 1;
+    f.regCount = {6, 7};
+    rec.funcInfo.push_back(f);
+    return rec;
+}
+
+TEST(Serialize, OutcomeRecordBytesArePinned)
+{
+    // Digests of the record encoding as journals, worker pipes and
+    // the daemon stream carry it. A change here breaks every journal
+    // and every mixed-version daemon/client pair: it needs a
+    // kFormatVersion bump, not a new constant.
+    const exp::OutcomeRecord clean = pinnedCleanRecord();
+    EXPECT_EQ(exp::fnv1a64Hex(exp::encodeOutcomeRecord(clean)),
+              "d8fb9bccca740912");
+
+    exp::OutcomeRecord failed;
+    failed.label = "deadlock-point";
+    failed.pointFingerprint = "fedcba9876543210";
+    failed.failed = true;
+    failed.errorKind = static_cast<std::uint8_t>(SimErrorKind::Deadlock);
+    failed.errorCycle = 12345;
+    failed.error = "deadlock at cycle 12345";
+    failed.retries = 2;
+    failed.wallMs = 0.75;
+    EXPECT_EQ(exp::fnv1a64Hex(exp::encodeOutcomeRecord(failed)),
+              "925789ef6be6bfac");
+
+    exp::OutcomeRecord threw;
+    threw.label = "budget-point";
+    threw.pointFingerprint = "00000000deadbeef";
+    threw.threw = 1;
+    threw.errorKind = static_cast<std::uint8_t>(SimErrorKind::CycleLimit);
+    threw.errorCycle = 999;
+    threw.error = "cycle budget of 999 exhausted";
+    EXPECT_EQ(exp::fnv1a64Hex(exp::encodeOutcomeRecord(threw)),
+              "dac5be0032005847");
+}
+
 TEST(Journal, ReplayIsBitIdenticalWithZeroCompiles)
 {
     const std::string dir = tempDir();

@@ -5,7 +5,7 @@
  * Usage:
  *   procoupd --socket PATH [--state DIR] [--jobs N] [--retries N]
  *            [--lease-ms N] [--heartbeat-ms N] [--disk-cache DIR]
- *            [--no-workers] [--once]
+ *            [--no-workers]
  *   procoupd --socket PATH --stop        ask a running daemon to exit
  *
  * Clients submit plans with `<harness> --connect PATH` (any runner
@@ -35,7 +35,7 @@ usage(const char* argv0)
         stderr,
         "usage: %s --socket PATH [--state DIR] [--jobs N] [--retries N]\n"
         "          [--lease-ms N] [--heartbeat-ms N] [--disk-cache DIR]\n"
-        "          [--no-workers] [--once]\n"
+        "          [--no-workers]\n"
         "       %s --socket PATH --stop\n",
         argv0, argv0);
     std::exit(2);
@@ -96,8 +96,6 @@ main(int argc, char** argv)
             opts.diskCacheDir = value(i, a);
         } else if (a == "--no-workers") {
             opts.inProcess = true;
-        } else if (a == "--once") {
-            opts.once = true;
         } else if (a == "--stop") {
             stop = true;
         } else if (a == "--help" || a == "-h") {
