@@ -4,11 +4,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <map>
 #include <set>
+#include <sstream>
 
 #include "procoup/config/presets.hh"
 #include "procoup/config/validate.hh"
+#include "procoup/exp/serialize.hh"
+#include "procoup/gen/generator.hh"
 #include "procoup/ir/frontend.hh"
 #include "procoup/opt/passes.hh"
 #include "procoup/sched/compiler.hh"
@@ -17,6 +24,7 @@
 #include "procoup/benchmarks/benchmarks.hh"
 #include "procoup/core/node.hh"
 #include "procoup/support/error.hh"
+#include "procoup/support/strings.hh"
 
 namespace procoup {
 namespace {
@@ -353,6 +361,128 @@ TEST(Scheduler, InvariantsHoldAcrossTheFullBenchmarkMatrix)
                 checkScheduleInvariants(result.program, machine);
             }
         }
+    }
+}
+
+/**
+ * Compile bytes are pinned: fnv1a64 of the serialized CompileResult
+ * for every benchmark x mode on four machine shapes, the pass corpus
+ * and generated programs must match tests/golden/compile_digests.txt.
+ * A compiler change that is meant to alter output regenerates it with
+ *
+ *     PROCOUP_UPDATE_GOLDEN=1 ./sched_test --gtest_filter='CompileBytes.*'
+ *
+ * and the diff is reviewed like any other golden update.
+ */
+const char* const kCompileDigestsPath =
+    PROCOUP_SOURCE_DIR "/tests/golden/compile_digests.txt";
+
+std::string
+compileDigest(const std::string& source,
+              const config::MachineConfig& machine, core::SimMode mode)
+{
+    exp::ByteWriter w;
+    exp::writeCompileResult(
+        w, sched::compile(source, machine, core::optionsFor(mode)));
+    return exp::fnv1a64Hex(w.bytes());
+}
+
+std::string
+modeLabel(core::SimMode mode)
+{
+    std::string name = core::simModeName(mode);
+    std::transform(name.begin(), name.end(), name.begin(),
+                   [](unsigned char c) { return std::tolower(c); });
+    return name;
+}
+
+/** Integer and float units with three-cycle pipelines. */
+config::MachineConfig
+deepAluMachine()
+{
+    config::MachineConfig m = config::baseline();
+    m.name = "lat3";
+    for (auto& c : m.clusters)
+        for (auto& u : c.units)
+            if (u.type == isa::UnitType::Integer ||
+                    u.type == isa::UnitType::Float)
+                u.latency = 3;
+    return m;
+}
+
+/** Every pinned (label, digest) pair, in a fixed order. */
+std::vector<std::pair<std::string, std::string>>
+compileDigests()
+{
+    std::vector<std::pair<std::string, std::string>> out;
+    const std::vector<config::MachineConfig> machines = {
+        config::baseline(), config::fuMix(1, 1), config::fuMix(2, 3),
+        deepAluMachine()};
+    for (const auto& machine : machines)
+        for (const auto& b : benchmarks::all())
+            for (auto mode : core::allSimModes()) {
+                if (mode == core::SimMode::Ideal && !b.hasIdeal())
+                    continue;
+                out.emplace_back(
+                    strCat(machine.name, "/", b.name, "/",
+                           modeLabel(mode)),
+                    compileDigest(b.forMode(mode), machine, mode));
+            }
+
+    namespace fs = std::filesystem;
+    std::vector<fs::path> corpus;
+    for (const auto& e : fs::directory_iterator(
+             fs::path(PROCOUP_SOURCE_DIR) / "tests" / "corpus"))
+        if (e.path().filename().string().rfind("pass-", 0) == 0)
+            corpus.push_back(e.path());
+    std::sort(corpus.begin(), corpus.end());
+    for (const auto& path : corpus) {
+        std::ifstream f(path);
+        std::ostringstream ss;
+        ss << f.rdbuf();
+        for (auto mode : {core::SimMode::Seq, core::SimMode::Sts,
+                          core::SimMode::Tpe, core::SimMode::Coupled})
+            out.emplace_back(strCat("corpus/", path.filename().string(),
+                                    "/", modeLabel(mode)),
+                             compileDigest(ss.str(), config::baseline(),
+                                           mode));
+    }
+
+    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+        const std::string source = gen::generate(seed).source;
+        for (auto mode : {core::SimMode::Coupled, core::SimMode::Tpe})
+            out.emplace_back(strCat("gen/", seed, "/", modeLabel(mode)),
+                             compileDigest(source, config::baseline(),
+                                           mode));
+    }
+    return out;
+}
+
+TEST(CompileBytes, MatchCheckedInDigests)
+{
+    const auto digests = compileDigests();
+
+    if (std::getenv("PROCOUP_UPDATE_GOLDEN") != nullptr) {
+        std::ofstream out(kCompileDigestsPath);
+        ASSERT_TRUE(out) << "cannot write " << kCompileDigestsPath;
+        for (const auto& [label, digest] : digests)
+            out << label << " " << digest << "\n";
+        GTEST_SKIP() << "golden file regenerated: "
+                     << kCompileDigestsPath;
+    }
+
+    std::ifstream in(kCompileDigestsPath);
+    ASSERT_TRUE(in) << "missing golden file " << kCompileDigestsPath
+                    << " — regenerate with PROCOUP_UPDATE_GOLDEN=1";
+    std::map<std::string, std::string> golden;
+    for (std::string label, digest; in >> label >> digest;)
+        golden[label] = digest;
+
+    EXPECT_EQ(golden.size(), digests.size());
+    for (const auto& [label, digest] : digests) {
+        auto it = golden.find(label);
+        ASSERT_NE(it, golden.end()) << "no golden digest for " << label;
+        EXPECT_EQ(it->second, digest) << label;
     }
 }
 
