@@ -1,5 +1,7 @@
 #include "procoup/config/machine.hh"
 
+#include <algorithm>
+
 #include "procoup/support/error.hh"
 #include "procoup/support/strings.hh"
 
@@ -87,26 +89,19 @@ MachineConfig::fusOfType(isa::UnitType t) const
     return out;
 }
 
-std::vector<int>
-MachineConfig::fusOfCluster(int c) const
-{
-    PROCOUP_ASSERT(c >= 0 && c < static_cast<int>(clusters.size()),
-                   "cluster index out of range");
-    int base = 0;
-    for (int i = 0; i < c; ++i)
-        base += static_cast<int>(clusters[i].units.size());
-    std::vector<int> out;
-    for (std::size_t i = 0; i < clusters[c].units.size(); ++i)
-        out.push_back(base + static_cast<int>(i));
-    return out;
-}
-
 int
 MachineConfig::fuInCluster(int c, isa::UnitType t) const
 {
-    for (int fu : fusOfCluster(c))
-        if (fuConfig(fu).type == t)
+    PROCOUP_ASSERT(c >= 0 && c < static_cast<int>(clusters.size()),
+                   "cluster index out of range");
+    int fu = 0;
+    for (int i = 0; i < c; ++i)
+        fu += static_cast<int>(clusters[i].units.size());
+    for (const auto& u : clusters[c].units) {
+        if (u.type == t)
             return fu;
+        ++fu;
+    }
     return -1;
 }
 
@@ -193,6 +188,22 @@ MachineConfig::toString() const
                 memory.missRate, ", penalty [", memory.missPenaltyMin,
                 ", ", memory.missPenaltyMax, "]\n");
     return s;
+}
+
+FuTable::FuTable(const MachineConfig& m)
+    : _numClusters(static_cast<int>(m.clusters.size())),
+      _first(m.clusters.size() * isa::numUnitTypes, -1)
+{
+    _maxLatency.fill(1);
+    for (int c = 0; c < _numClusters; ++c)
+        for (const auto& u : m.clusters[c].units) {
+            const int t = static_cast<int>(u.type);
+            int& first = _first[c * isa::numUnitTypes + t];
+            if (first < 0)
+                first = numFus();
+            _maxLatency[t] = std::max(_maxLatency[t], u.latency);
+            _units.push_back(Unit{c, u.type});
+        }
 }
 
 } // namespace config

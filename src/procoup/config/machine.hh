@@ -12,6 +12,7 @@
  * memory model (hit latency, miss rate, and a miss-penalty range).
  */
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -145,9 +146,6 @@ struct MachineConfig
     /** Global indices of all units of type @p t. */
     std::vector<int> fusOfType(isa::UnitType t) const;
 
-    /** Global indices of all units in cluster @p c. */
-    std::vector<int> fusOfCluster(int c) const;
-
     /** Global index of the unit of type @p t in cluster @p c, or -1. */
     int fuInCluster(int c, isa::UnitType t) const;
 
@@ -181,6 +179,51 @@ struct MachineConfig
      * machine description.
      */
     std::string compileFingerprint() const;
+};
+
+/**
+ * Flat function-unit lookups for one MachineConfig: each unit's
+ * cluster and type, the lowest-index unit of each type in each
+ * cluster, and the longest pipeline of each type. Built once (per
+ * compile, per validated program) and then only queried; it keeps no
+ * reference to the config.
+ */
+class FuTable
+{
+  public:
+    explicit FuTable(const MachineConfig& m);
+
+    int numFus() const { return static_cast<int>(_units.size()); }
+    int numClusters() const { return _numClusters; }
+
+    int cluster(int fu) const { return _units[fu].cluster; }
+    isa::UnitType type(int fu) const { return _units[fu].type; }
+
+    /** Lowest-index unit of type @p t in cluster @p c, or -1. */
+    int
+    unitIn(int c, isa::UnitType t) const
+    {
+        return _first[c * isa::numUnitTypes + static_cast<int>(t)];
+    }
+
+    /** Longest pipeline among units of type @p t; 1 if there are none. */
+    int
+    maxLatency(isa::UnitType t) const
+    {
+        return _maxLatency[static_cast<int>(t)];
+    }
+
+  private:
+    struct Unit
+    {
+        int cluster = 0;
+        isa::UnitType type = isa::UnitType::Integer;
+    };
+
+    int _numClusters = 0;
+    std::vector<Unit> _units;
+    std::vector<int> _first;  ///< [cluster * numUnitTypes + type]
+    std::array<int, isa::numUnitTypes> _maxLatency{};
 };
 
 } // namespace config

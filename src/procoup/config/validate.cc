@@ -1,6 +1,6 @@
 #include "procoup/config/validate.hh"
 
-#include <set>
+#include <vector>
 
 #include "procoup/support/error.hh"
 #include "procoup/support/strings.hh"
@@ -35,7 +35,13 @@ checkReg(const isa::Program&, const isa::ThreadCode& t, std::size_t i,
 void
 validateProgram(const isa::Program& prog, const MachineConfig& machine)
 {
-    const int num_fus = machine.numFus();
+    const FuTable fus(machine);
+    const int num_fus = fus.numFus();
+
+    // Row of the last slot seen on each unit (rows numbered across
+    // all threads), for the one-operation-per-unit check.
+    std::vector<std::size_t> last_row(num_fus, ~std::size_t{0});
+    std::size_t row = 0;
 
     for (const auto& t : prog.threads) {
         if (t.regCount.size() != machine.clusters.size())
@@ -47,25 +53,25 @@ validateProgram(const isa::Program& prog, const MachineConfig& machine)
         for (const auto& p : t.paramHomes)
             checkReg(prog, t, 0, machine, p);
 
-        for (std::size_t i = 0; i < t.instructions.size(); ++i) {
+        for (std::size_t i = 0; i < t.instructions.size(); ++i, ++row) {
             const auto& inst = t.instructions[i];
-            std::set<int> used_fus;
             for (const auto& slot : inst.slots) {
                 if (slot.fu >= num_fus)
                     fail(t.name, i, strCat("no such function unit: fu",
                                            slot.fu));
-                if (!used_fus.insert(slot.fu).second)
+                if (last_row[slot.fu] == row)
                     fail(t.name, i, strCat("two operations on fu",
                                            slot.fu));
+                last_row[slot.fu] = row;
 
                 const auto& op = slot.op;
-                const auto& fu_cfg = machine.fuConfig(slot.fu);
-                if (op.unitType() != fu_cfg.type)
+                if (op.unitType() != fus.type(slot.fu))
                     fail(t.name, i,
                          strCat(isa::opcodeName(op.opcode), " on a ",
-                                unitTypeName(fu_cfg.type), " unit"));
+                                unitTypeName(fus.type(slot.fu)),
+                                " unit"));
 
-                const int cluster = machine.fuCluster(slot.fu);
+                const int cluster = fus.cluster(slot.fu);
                 for (const auto& src : op.srcs) {
                     if (src.kind() == isa::Operand::Kind::None)
                         fail(t.name, i, "unset source operand");

@@ -9,47 +9,51 @@ Liveness
 computeLiveness(const ir::ThreadFunc& func)
 {
     const int nblocks = static_cast<int>(func.blocks.size());
-    const std::size_t nregs = func.regTypes.size();
+    const std::size_t words = (func.regTypes.size() + 63) / 64;
+    auto set = [&](std::vector<std::uint64_t>& bits, int b,
+                   std::uint32_t r) {
+        bits[b * words + r / 64] |= std::uint64_t{1} << (r % 64);
+    };
+    auto has = [&](const std::vector<std::uint64_t>& bits, int b,
+                   std::uint32_t r) {
+        return (bits[b * words + r / 64] >> (r % 64) & 1) != 0;
+    };
 
     // Per-block use (read before any write) and def (written) sets.
-    std::vector<std::vector<bool>> use(nblocks,
-                                       std::vector<bool>(nregs, false));
-    std::vector<std::vector<bool>> def(nblocks,
-                                       std::vector<bool>(nregs, false));
-
+    std::vector<std::uint64_t> use(nblocks * words, 0);
+    std::vector<std::uint64_t> def(nblocks * words, 0);
+    std::vector<std::vector<int>> succs(nblocks);
     for (int b = 0; b < nblocks; ++b) {
         for (const auto& i : func.blocks[b].instrs) {
             for (const auto& s : i.srcs)
-                if (s.isReg() && !def[b][s.reg()])
-                    use[b][s.reg()] = true;
+                if (s.isReg() && !has(def, b, s.reg()))
+                    set(use, b, s.reg());
             if (i.dst != ir::kNoReg)
-                def[b][i.dst] = true;
+                set(def, b, i.dst);
         }
+        succs[b] = func.successors(b);
     }
 
     Liveness live;
-    live.liveIn.assign(nblocks, std::vector<bool>(nregs, false));
-    live.liveOut.assign(nblocks, std::vector<bool>(nregs, false));
+    live.words = words;
+    live.liveIn.assign(nblocks * words, 0);
+    live.liveOut.assign(nblocks * words, 0);
 
     bool changed = true;
     while (changed) {
         changed = false;
         for (int b = nblocks - 1; b >= 0; --b) {
-            std::vector<bool> out(nregs, false);
-            for (int s : func.successors(b))
-                for (std::size_t r = 0; r < nregs; ++r)
-                    if (live.liveIn[s][r])
-                        out[r] = true;
-
-            std::vector<bool> in = use[b];
-            for (std::size_t r = 0; r < nregs; ++r)
-                if (out[r] && !def[b][r])
-                    in[r] = true;
-
-            if (out != live.liveOut[b] || in != live.liveIn[b]) {
-                live.liveOut[b] = std::move(out);
-                live.liveIn[b] = std::move(in);
-                changed = true;
+            for (std::size_t w = 0; w < words; ++w) {
+                std::uint64_t out = 0;
+                for (int s : succs[b])
+                    out |= live.liveIn[s * words + w];
+                const std::size_t k = b * words + w;
+                const std::uint64_t in = use[k] | (out & ~def[k]);
+                if (out != live.liveOut[k] || in != live.liveIn[k]) {
+                    live.liveOut[k] = out;
+                    live.liveIn[k] = in;
+                    changed = true;
+                }
             }
         }
     }
@@ -60,13 +64,13 @@ std::vector<bool>
 crossBlockRegs(const ir::ThreadFunc& func, const Liveness& live)
 {
     const std::size_t nregs = func.regTypes.size();
+    std::vector<std::uint64_t> any(live.words, 0);
+    for (std::size_t k = 0; k < live.liveIn.size(); ++k)
+        any[k % live.words] |= live.liveIn[k] | live.liveOut[k];
+
     std::vector<bool> cross(nregs, false);
-
-    for (std::size_t b = 0; b < func.blocks.size(); ++b)
-        for (std::size_t r = 0; r < nregs; ++r)
-            if (live.liveIn[b][r] || live.liveOut[b][r])
-                cross[r] = true;
-
+    for (std::size_t r = 0; r < nregs; ++r)
+        cross[r] = (any[r / 64] >> (r % 64) & 1) != 0;
     for (std::uint32_t p : func.params)
         cross[p] = true;
     return cross;

@@ -10,6 +10,7 @@
  * def/use sets.
  */
 
+#include <cstdint>
 #include <vector>
 
 #include "procoup/ir/ir.hh"
@@ -17,20 +18,31 @@
 namespace procoup {
 namespace opt {
 
-/** Per-block liveness sets (indexed [block][vreg]). */
+/** Per-block liveness sets: one bit per vreg, @c words 64-bit words
+ *  per block (block b's set starts at word b * words). */
 struct Liveness
 {
-    std::vector<std::vector<bool>> liveIn;
-    std::vector<std::vector<bool>> liveOut;
+    std::size_t words = 0;
+    std::vector<std::uint64_t> liveIn;
+    std::vector<std::uint64_t> liveOut;
 
     bool isLiveIn(int block, std::uint32_t reg) const
     {
-        return liveIn[block][reg];
+        return test(liveIn, block, reg);
     }
 
     bool isLiveOut(int block, std::uint32_t reg) const
     {
-        return liveOut[block][reg];
+        return test(liveOut, block, reg);
+    }
+
+  private:
+    bool
+    test(const std::vector<std::uint64_t>& set, int block,
+         std::uint32_t reg) const
+    {
+        return set[static_cast<std::size_t>(block) * words + reg / 64] >>
+                   (reg % 64) & 1;
     }
 };
 

@@ -1,6 +1,7 @@
 #include "procoup/sched/compiler.hh"
 
 #include <algorithm>
+#include <array>
 
 #include "procoup/config/validate.hh"
 #include "procoup/ir/frontend.hh"
@@ -30,6 +31,37 @@ CompileResult::infoFor(const std::string& name) const
     throw CompileError(strCat("no schedule info for function ", name));
 }
 
+namespace {
+
+/** Every operation of @p func needs a unit of its class in a cluster
+ *  the placement gives it. @throws CompileError naming the first one
+ *  that has none */
+void
+checkUnitClasses(const ir::ThreadFunc& func, const config::FuTable& fus,
+                 const FuncPlacement& placement)
+{
+    std::array<bool, isa::numUnitTypes> served{};
+    served[static_cast<int>(isa::UnitType::Branch)] =
+        fus.unitIn(placement.branchCluster, isa::UnitType::Branch) >= 0;
+    for (int c : placement.clusterOrder)
+        for (auto t : {isa::UnitType::Integer, isa::UnitType::Float,
+                       isa::UnitType::Memory})
+            if (fus.unitIn(c, t) >= 0)
+                served[static_cast<int>(t)] = true;
+
+    for (const auto& b : func.blocks)
+        for (const auto& i : b.instrs) {
+            const isa::UnitType t = isa::unitTypeOf(i.op);
+            if (!served[static_cast<int>(t)])
+                throw CompileError(strCat(
+                    "function '", func.name, "' needs a unit of class ",
+                    isa::unitTypeName(t), " for ", isa::opcodeName(i.op),
+                    ", but none of its clusters has one"));
+        }
+}
+
+} // namespace
+
 CompileResult
 compileModule(ir::Module mod, const config::MachineConfig& machine,
               const CompileOptions& opts)
@@ -44,6 +76,8 @@ compileModule(ir::Module mod, const config::MachineConfig& machine,
     if (branch.empty())
         throw CompileError("machine has no branch cluster");
 
+    const config::FuTable fus(machine);
+
     // Single-cluster threads must land on a cluster that owns every
     // arithmetic unit class the machine provides (the Figure 8 mix
     // machines have clusters with only memory units, which cannot
@@ -53,16 +87,15 @@ compileModule(ir::Module mod, const config::MachineConfig& machine,
         bool ok = true;
         for (auto t : {isa::UnitType::Integer, isa::UnitType::Float,
                        isa::UnitType::Memory})
-            if (machine.countUnits(t) > 0 &&
-                    machine.fuInCluster(c, t) < 0)
+            if (machine.countUnits(t) > 0 && fus.unitIn(c, t) < 0)
                 ok = false;
         if (ok)
             single_eligible.push_back(c);
     }
     if (single_eligible.empty()) {
         for (int c : arith)
-            if (machine.fuInCluster(c, isa::UnitType::Integer) >= 0 &&
-                    machine.fuInCluster(c, isa::UnitType::Memory) >= 0)
+            if (fus.unitIn(c, isa::UnitType::Integer) >= 0 &&
+                    fus.unitIn(c, isa::UnitType::Memory) >= 0)
                 single_eligible.push_back(c);
     }
     if (single_eligible.empty())
@@ -88,10 +121,11 @@ compileModule(ir::Module mod, const config::MachineConfig& machine,
                 placement.clusterOrder.push_back(
                     arith[(k + shift) % arith.size()]);
         }
+        checkUnitClasses(func, fus, placement);
 
         FuncScheduleInfo info;
         result.program.threads.push_back(
-            scheduleFunction(func, machine, placement, &info));
+            scheduleFunction(func, fus, placement, &info));
         result.funcInfo.push_back(std::move(info));
     }
 

@@ -1,11 +1,12 @@
 #include "procoup/sched/scheduler.hh"
 
 #include <algorithm>
-#include <map>
-#include <set>
+#include <bit>
+#include <functional>
 
 #include "procoup/opt/liveness.hh"
 #include "procoup/support/error.hh"
+#include "procoup/support/inline_vector.hh"
 #include "procoup/support/strings.hh"
 
 namespace procoup {
@@ -20,45 +21,28 @@ namespace {
 constexpr int kInfeasible = 1 << 29;
 
 /** Identifies a value: a block-local definition (node id) or a
- *  cross-block import (read through a vreg's home register). */
+ *  cross-block import (slot in the block's import table, read through
+ *  the vreg's home register). */
 struct ValueKey
 {
     bool isImport = false;
-    int defNode = -1;
-    std::uint32_t vreg = ir::kNoReg;
+    int index = -1;
 
-    bool operator<(const ValueKey& o) const
-    {
-        if (isImport != o.isImport)
-            return isImport < o.isImport;
-        if (isImport)
-            return vreg < o.vreg;
-        return defNode < o.defNode;
-    }
+    bool operator==(const ValueKey&) const = default;
 
-    static ValueKey
-    ofImport(std::uint32_t v)
-    {
-        ValueKey k;
-        k.isImport = true;
-        k.vreg = v;
-        return k;
-    }
-
-    static ValueKey
-    ofDef(int node)
-    {
-        ValueKey k;
-        k.defNode = node;
-        return k;
-    }
+    static ValueKey ofImport(int slot) { return {true, slot}; }
+    static ValueKey ofDef(int node) { return {false, node}; }
 };
 
 /** Where a value can be read: register and availability row. */
 struct Location
 {
-    std::uint32_t reg = 0;
+    static constexpr std::uint32_t kAbsent = ~std::uint32_t{0};
+
+    std::uint32_t reg = kAbsent;
     int readyRow = 0;
+
+    bool present() const { return reg != kAbsent; }
 };
 
 /** One inserted inter-cluster copy (a MOV on the source cluster's
@@ -74,28 +58,39 @@ struct CopyOp
     std::uint32_t dstReg = 0;
 };
 
-/** A source operand resolved against reaching definitions. */
+/** A source operand: a constant (read from the IR instruction) or a
+ *  value resolved against reaching definitions. */
 struct NodeSrc
 {
-    enum class Kind { Const, Value };
-
-    Kind kind = Kind::Const;
-    isa::Value constVal;
+    bool isConst = false;
     ValueKey value;
+};
+
+/** A dependence edge; the scheduler keeps them in flat arrays. */
+struct Edge
+{
+    int from = 0;
+    int to = 0;
+    int lat = 0;
 };
 
 /** One schedulable operation. */
 struct Node
 {
-    IrInstr instr;
-    std::vector<NodeSrc> srcs;
+    /** The IR instruction, or null for a lead copy (a MOV of dst). */
+    const IrInstr* instr = nullptr;
+    Opcode op = Opcode::NOP;
+    std::uint32_t dst = ir::kNoReg;
+    support::InlineVec<NodeSrc, 3> srcs;
 
-    std::vector<std::pair<int, int>> preds;  ///< (node, latency)
-    std::vector<int> succs;
+    /** Predecessor edges [predBegin, predEnd) and successor edges
+     *  [succBegin, succEnd) in the block's edge arrays. */
+    int predBegin = 0;
+    int predEnd = 0;
+    int succBegin = 0;
+    int succEnd = 0;
     int predsLeft = 0;
     int height = 0;
-
-    bool isTerminator = false;
 
     /** The final in-block definition of a cross-block register: must
      *  write the home register. */
@@ -107,7 +102,8 @@ struct Node
     int row = -1;
 
     /** Assigned destinations: (cluster, reg), at most maxDests. */
-    std::vector<std::pair<int, std::uint32_t>> dests;
+    support::InlineVec<std::pair<int, std::uint32_t>,
+                       isa::Operation::maxDests> dests;
 };
 
 /** Per-function context: home registers and register allocation. */
@@ -115,10 +111,11 @@ class FunctionScheduler
 {
   public:
     FunctionScheduler(const ir::ThreadFunc& func,
-                      const config::MachineConfig& machine,
+                      const config::FuTable& fus,
                       const FuncPlacement& placement)
-        : func(func), machine(machine), placement(placement),
-          regCounter(machine.clusters.size(), 0)
+        : func(func), fus(fus), placement(placement),
+          home(func.regTypes.size(), {-1, 0}),
+          regCounter(fus.numClusters(), 0)
     {
         PROCOUP_ASSERT(!placement.clusterOrder.empty(),
                        "function with no allowed clusters");
@@ -126,12 +123,9 @@ class FunctionScheduler
     }
 
     int
-    latencyOf(isa::UnitType t) const
+    latencyOf(Opcode op) const
     {
-        int lat = 1;
-        for (int fu : machine.fusOfType(t))
-            lat = std::max(lat, machine.fuConfig(fu).latency);
-        return lat;
+        return fus.maxLatency(isa::unitTypeOf(op));
     }
 
     std::uint32_t
@@ -140,12 +134,21 @@ class FunctionScheduler
         return regCounter[cluster]++;
     }
 
+    /** Home (cluster, register) of cross-block vreg @p v. */
+    const std::pair<int, std::uint32_t>&
+    homeOf(std::uint32_t v) const
+    {
+        PROCOUP_ASSERT(home[v].first >= 0, "cross-block value has no home");
+        return home[v];
+    }
+
     const ir::ThreadFunc& func;
-    const config::MachineConfig& machine;
+    const config::FuTable& fus;
     const FuncPlacement& placement;
 
     std::vector<bool> cross;
-    std::map<std::uint32_t, std::pair<int, std::uint32_t>> home;
+    /** Per vreg; cluster -1 when the vreg has no home. */
+    std::vector<std::pair<int, std::uint32_t>> home;
     std::vector<std::uint32_t> regCounter;
     int copiesInserted = 0;
 
@@ -162,7 +165,7 @@ class FunctionScheduler
         // unit-mix machines) could strand the value.
         std::vector<int> home_clusters;
         for (int c : placement.clusterOrder)
-            if (machine.fuInCluster(c, isa::UnitType::Integer) >= 0)
+            if (fus.unitIn(c, isa::UnitType::Integer) >= 0)
                 home_clusters.push_back(c);
         if (home_clusters.empty())
             home_clusters = placement.clusterOrder;
@@ -172,7 +175,7 @@ class FunctionScheduler
         // over the preference order.
         std::size_t rr = 0;
         auto place = [&](std::uint32_t v) {
-            if (home.count(v))
+            if (home[v].first >= 0)
                 return;
             const int c = home_clusters[rr++ % home_clusters.size()];
             home[v] = {c, regCounter[c]++};
@@ -185,18 +188,24 @@ class FunctionScheduler
     }
 };
 
-/** Schedules and emits one basic block. */
+/**
+ * Schedules and emits the basic blocks of one function. Its scratch
+ * (per-vreg tables, edge arrays, unit row bitmaps, value locations)
+ * is allocated once per function and reset between blocks.
+ */
 class BlockScheduler
 {
   public:
-    BlockScheduler(FunctionScheduler& fs, const ir::BasicBlock& block)
-        : fs(fs), block(block)
+    explicit BlockScheduler(FunctionScheduler& fs)
+        : fs(fs), numClusters(fs.fus.numClusters()),
+          vregs(fs.func.regTypes.size()), busy(fs.fus.numFus())
     {}
 
     std::vector<isa::Instruction>
-    run()
+    run(const ir::BasicBlock& block)
     {
-        buildNodes();
+        reset();
+        buildNodes(block);
         computeHeights();
         scheduleAll();
         return emit();
@@ -218,14 +227,28 @@ class BlockScheduler
             int movRow = 0;
             int movFu = 0;
         };
-        std::vector<MovPlan> movs;
+        support::InlineVec<MovPlan, 3> movs;
 
         /** Source indices satisfied by adding a producer dest slot. */
-        std::vector<std::size_t> destAdds;
+        support::InlineVec<std::size_t, 3> destAdds;
     };
 
-    void buildNodes();
+    /** What the current block does with one vreg. */
+    struct VregState
+    {
+        bool touched = false;  ///< listed in blockRegs
+        bool defined = false;
+        bool imported = false;   ///< read before any write
+        bool redefined = false;  ///< imported, then written
+        int defNode = -1;        ///< final definition so far
+        int leadCopy = -1;
+        int importSlot = -1;
+    };
+
+    void reset();
+    void buildNodes(const ir::BasicBlock& block);
     void addEdge(int from, int to, int lat);
+    void linkEdges();
     void computeHeights();
     void scheduleAll();
     void scheduleNode(int n);
@@ -233,20 +256,54 @@ class BlockScheduler
     void commit(int n, const Candidate& cand);
     int firstFreeRow(int fu, int from) const;
     void markBusy(int fu, int row);
-    std::map<int, Location>& locationsOf(const ValueKey& key);
+    Location* locationsOf(const ValueKey& key);
     std::vector<isa::Instruction> emit();
 
     FunctionScheduler& fs;
-    const ir::BasicBlock& block;
+    const int numClusters;
+
+    std::vector<VregState> vregs;
+    std::vector<std::uint32_t> blockRegs;  ///< vregs touched by the block
 
     std::vector<Node> nodes;
     int termNode = -1;
-    std::map<std::uint32_t, int> leadCopy;
-    std::map<ValueKey, std::map<int, Location>> locations;
-    std::map<int, std::set<int>> busy;  ///< fu -> occupied rows
+    std::vector<std::uint32_t> importVreg;  ///< by import slot
+    std::vector<Edge> edges;                ///< preds, sorted by (to, from)
+    std::vector<std::pair<int, int>> succs; ///< (node, latency)
+    std::vector<int> memNodes;
+    std::vector<int> storeLike;
+
+    /** Locations of each value, numClusters entries per value, in
+     *  cluster order. */
+    std::vector<Location> defLocs;
+    std::vector<Location> importLocs;
+
+    /** Per unit, one bit per occupied row. */
+    std::vector<std::vector<std::uint64_t>> busy;
     std::vector<CopyOp> copies;
     int maxRow = -1;
+
+    std::vector<std::pair<int, int>> ready;  ///< heap of (-height, id)
+    std::vector<int> rowIndex;               ///< row -> emitted row
 };
+
+void
+BlockScheduler::reset()
+{
+    for (std::uint32_t v : blockRegs)
+        vregs[v] = VregState{};
+    blockRegs.clear();
+    nodes.clear();
+    termNode = -1;
+    importVreg.clear();
+    edges.clear();
+    memNodes.clear();
+    storeLike.clear();
+    for (auto& rows : busy)
+        rows.clear();
+    copies.clear();
+    maxRow = -1;
+}
 
 // ===================================================================
 // DAG construction
@@ -256,45 +313,58 @@ void
 BlockScheduler::addEdge(int from, int to, int lat)
 {
     PROCOUP_ASSERT(from != to, "self edge in dependence DAG");
-    nodes[to].preds.emplace_back(from, lat);
+    edges.push_back(Edge{from, to, lat});
 }
 
 void
-BlockScheduler::buildNodes()
+BlockScheduler::buildNodes(const ir::BasicBlock& block)
 {
     // Which vregs does the block import (read before writing) and
     // also redefine? Those get renamed through a lead copy so a late
     // transfer can never read the redefined home register by mistake.
-    std::set<std::uint32_t> defined;
-    std::set<std::uint32_t> imported;
-    std::set<std::uint32_t> redefined_imports;
+    std::vector<std::uint32_t> redefined_imports;
+    auto touch = [&](std::uint32_t v) -> VregState& {
+        if (!vregs[v].touched) {
+            vregs[v].touched = true;
+            blockRegs.push_back(v);
+        }
+        return vregs[v];
+    };
     for (const auto& i : block.instrs) {
         for (const auto& s : i.srcs)
-            if (s.isReg() && !defined.count(s.reg()))
-                imported.insert(s.reg());
+            if (s.isReg() && !vregs[s.reg()].defined)
+                touch(s.reg()).imported = true;
         if (i.dst != ir::kNoReg) {
-            defined.insert(i.dst);
-            if (imported.count(i.dst))
-                redefined_imports.insert(i.dst);
+            VregState& d = touch(i.dst);
+            d.defined = true;
+            if (d.imported && !d.redefined) {
+                d.redefined = true;
+                redefined_imports.push_back(i.dst);
+            }
         }
     }
+    std::sort(redefined_imports.begin(), redefined_imports.end());
+
+    auto import_of = [&](std::uint32_t v) {
+        int& slot = vregs[v].importSlot;
+        if (slot < 0) {
+            slot = static_cast<int>(importVreg.size());
+            importVreg.push_back(v);
+        }
+        return ValueKey::ofImport(slot);
+    };
 
     for (std::uint32_t v : redefined_imports) {
-        PROCOUP_ASSERT(fs.home.count(v), "redefined import has no home");
+        PROCOUP_ASSERT(fs.home[v].first >= 0,
+                       "redefined import has no home");
         Node n;
-        n.instr.op = Opcode::MOV;
-        n.instr.dst = v;  // for type lookup; registers assigned later
-        NodeSrc src;
-        src.kind = NodeSrc::Kind::Value;
-        src.value = ValueKey::ofImport(v);
-        n.srcs.push_back(src);
+        n.op = Opcode::MOV;
+        n.dst = v;  // for type lookup; registers assigned later
+        n.srcs.push_back(NodeSrc{false, import_of(v)});
         nodes.push_back(std::move(n));
-        leadCopy[v] = static_cast<int>(nodes.size()) - 1;
+        vregs[v].leadCopy = static_cast<int>(nodes.size()) - 1;
     }
 
-    std::map<std::uint32_t, int> def_node;
-    std::vector<int> mem_nodes;
-    std::vector<int> store_like;
     int last_fence = -1;
 
     auto is_sync = [](const IrInstr& i) {
@@ -325,35 +395,31 @@ BlockScheduler::buildNodes()
 
     for (const auto& i : block.instrs) {
         Node n;
-        n.instr = i;
-        n.isTerminator = i.isTerminator();
+        n.instr = &i;
+        n.op = i.op;
+        n.dst = i.dst;
         for (const auto& s : i.srcs) {
             NodeSrc src;
             if (s.isConst()) {
-                src.kind = NodeSrc::Kind::Const;
-                src.constVal = s.constant();
+                src.isConst = true;
+            } else if (vregs[s.reg()].defNode >= 0) {
+                src.value = ValueKey::ofDef(vregs[s.reg()].defNode);
+            } else if (vregs[s.reg()].leadCopy >= 0) {
+                src.value = ValueKey::ofDef(vregs[s.reg()].leadCopy);
             } else {
-                src.kind = NodeSrc::Kind::Value;
-                auto it = def_node.find(s.reg());
-                if (it != def_node.end())
-                    src.value = ValueKey::ofDef(it->second);
-                else if (leadCopy.count(s.reg()))
-                    src.value = ValueKey::ofDef(leadCopy[s.reg()]);
-                else
-                    src.value = ValueKey::ofImport(s.reg());
+                src.value = import_of(s.reg());
             }
-            n.srcs.push_back(std::move(src));
+            n.srcs.push_back(src);
         }
         nodes.push_back(std::move(n));
         const int id = static_cast<int>(nodes.size()) - 1;
-        Node& node = nodes[id];
+        const Node& node = nodes[id];
 
         // True dependences carry the producer's pipeline latency.
         for (const auto& src : node.srcs)
-            if (src.kind == NodeSrc::Kind::Value && !src.value.isImport)
-                addEdge(src.value.defNode, id,
-                        fs.latencyOf(isa::unitTypeOf(
-                            nodes[src.value.defNode].instr.op)));
+            if (!src.isConst && !src.value.isImport)
+                addEdge(src.value.index, id,
+                        fs.latencyOf(nodes[src.value.index].op));
 
         // Conservative memory / fence ordering (strict row order so
         // same-address accesses issue in program order).
@@ -362,71 +428,100 @@ BlockScheduler::buildNodes()
                            i.op == Opcode::MARK;
         if (is_mem || i.op == Opcode::FORK || i.op == Opcode::MARK) {
             if (fence) {
-                for (int m : mem_nodes)
+                for (int m : memNodes)
                     addEdge(m, id, 1);
             } else if (i.op == Opcode::LD) {
-                for (int s : store_like)
-                    if (may_alias(nodes[s].instr, i))
+                for (int s : storeLike)
+                    if (may_alias(*nodes[s].instr, i))
                         addEdge(s, id, 1);
             } else {  // plain ST: after all aliasing memory refs
-                for (int m : mem_nodes)
-                    if (may_alias(nodes[m].instr, i))
+                for (int m : memNodes)
+                    if (may_alias(*nodes[m].instr, i))
                         addEdge(m, id, 1);
             }
             if (last_fence >= 0)
                 addEdge(last_fence, id, 1);
 
-            mem_nodes.push_back(id);
+            memNodes.push_back(id);
             if (i.op != Opcode::LD)
-                store_like.push_back(id);
+                storeLike.push_back(id);
             if (fence)
                 last_fence = id;
         }
 
         if (i.dst != ir::kNoReg)
-            def_node[i.dst] = id;
+            vregs[i.dst].defNode = id;
 
-        if (node.isTerminator) {
+        if (i.isTerminator()) {
             PROCOUP_ASSERT(termNode == -1, "two terminators in block");
             termNode = id;
         }
     }
 
-    // Write-after-read: the home-writing definition of a cross-block
-    // register may not precede any reader of the imported value.
-    std::map<std::uint32_t, std::vector<int>> import_readers;
+    // The final in-block definition of a cross-block register writes
+    // its home, so it may not precede any reader of the imported value
+    // (write-after-read).
+    for (std::uint32_t v : blockRegs)
+        if (vregs[v].defNode >= 0 && fs.cross[v])
+            nodes[vregs[v].defNode].writesHome = true;
     for (std::size_t id = 0; id < nodes.size(); ++id)
-        for (const auto& src : nodes[id].srcs)
-            if (src.kind == NodeSrc::Kind::Value && src.value.isImport)
-                import_readers[src.value.vreg].push_back(
-                    static_cast<int>(id));
-
-    for (const auto& [v, node] : def_node) {
-        if (!fs.cross[v])
-            continue;
-        nodes[node].writesHome = true;
-        auto it = import_readers.find(v);
-        if (it == import_readers.end())
-            continue;
-        for (int reader : it->second)
-            if (reader != node)
-                addEdge(reader, node, 0);
-    }
-
-    // Deduplicate edges (keep max latency) and derive succs/counts.
-    for (auto& n : nodes) {
-        std::map<int, int> best;
-        for (const auto& [p, lat] : n.preds) {
-            auto it = best.find(p);
-            if (it == best.end() || it->second < lat)
-                best[p] = lat;
+        for (const auto& src : nodes[id].srcs) {
+            if (src.isConst || !src.value.isImport)
+                continue;
+            const std::uint32_t v = importVreg[src.value.index];
+            const int def = vregs[v].defNode;
+            if (def >= 0 && fs.cross[v] && def != static_cast<int>(id))
+                addEdge(static_cast<int>(id), def, 0);
         }
-        n.preds.assign(best.begin(), best.end());
-        n.predsLeft = static_cast<int>(n.preds.size());
+
+    linkEdges();
+
+    // Every value's locations; an import starts in its home register.
+    defLocs.assign(nodes.size() * numClusters, Location{});
+    importLocs.assign(importVreg.size() * numClusters, Location{});
+    for (std::size_t slot = 0; slot < importVreg.size(); ++slot) {
+        const auto& [cluster, reg] = fs.homeOf(importVreg[slot]);
+        importLocs[slot * numClusters + cluster] = Location{reg, 0};
     }
-    for (std::size_t id = 0; id < nodes.size(); ++id)
-        for (const auto& [p, lat] : nodes[id].preds)
-            nodes[p].succs.push_back(static_cast<int>(id));
+}
+
+void
+BlockScheduler::linkEdges()
+{
+    // Deduplicate edges (keep max latency), grouped by consumer.
+    std::sort(edges.begin(), edges.end(),
+              [](const Edge& a, const Edge& b) {
+                  if (a.to != b.to)
+                      return a.to < b.to;
+                  if (a.from != b.from)
+                      return a.from < b.from;
+                  return a.lat > b.lat;
+              });
+    std::size_t kept = 0;
+    for (std::size_t e = 0; e < edges.size(); ++e)
+        if (kept == 0 || edges[kept - 1].to != edges[e].to ||
+                edges[kept - 1].from != edges[e].from)
+            edges[kept++] = edges[e];
+    edges.resize(kept);
+
+    // Predecessor spans, then successor spans (ascending consumer id
+    // within each producer).
+    std::vector<int> succ_count(nodes.size() + 1, 0);
+    for (std::size_t e = 0; e < edges.size(); ++e) {
+        Node& to = nodes[edges[e].to];
+        if (to.predEnd == 0)
+            to.predBegin = static_cast<int>(e);
+        to.predEnd = static_cast<int>(e) + 1;
+        ++to.predsLeft;
+        ++succ_count[edges[e].from + 1];
+    }
+    for (std::size_t n = 0; n < nodes.size(); ++n) {
+        succ_count[n + 1] += succ_count[n];
+        nodes[n].succBegin = nodes[n].succEnd = succ_count[n];
+    }
+    succs.resize(edges.size());
+    for (const Edge& e : edges)
+        succs[nodes[e.from].succEnd++] = {e.to, e.lat};
 }
 
 void
@@ -434,15 +529,11 @@ BlockScheduler::computeHeights()
 {
     // All edges point from earlier to later nodes; process in reverse.
     for (int id = static_cast<int>(nodes.size()) - 1; id >= 0; --id) {
-        int h = fs.latencyOf(isa::unitTypeOf(nodes[id].instr.op));
-        for (int s : nodes[id].succs) {
-            int lat = 0;
-            for (const auto& [p, l] : nodes[s].preds)
-                if (p == id)
-                    lat = std::max(lat, l);
-            h = std::max(h, nodes[s].height + lat);
-        }
-        nodes[id].height = h;
+        Node& node = nodes[id];
+        int h = fs.latencyOf(node.op);
+        for (int k = node.succBegin; k < node.succEnd; ++k)
+            h = std::max(h, nodes[succs[k].first].height + succs[k].second);
+        node.height = h;
     }
 }
 
@@ -453,34 +544,34 @@ BlockScheduler::computeHeights()
 int
 BlockScheduler::firstFreeRow(int fu, int from) const
 {
-    auto it = busy.find(fu);
-    if (it == busy.end())
-        return from;
-    int r = from;
-    while (it->second.count(r))
-        ++r;
-    return r;
+    const auto& rows = busy[fu];
+    for (int r = from;;) {
+        const std::size_t w = static_cast<std::size_t>(r) / 64;
+        if (w >= rows.size())
+            return r;
+        const std::uint64_t free = ~rows[w] >> (r % 64);
+        if (free != 0)
+            return r + std::countr_zero(free);
+        r = static_cast<int>(w + 1) * 64;
+    }
 }
 
 void
 BlockScheduler::markBusy(int fu, int row)
 {
-    busy[fu].insert(row);
+    auto& rows = busy[fu];
+    const std::size_t w = static_cast<std::size_t>(row) / 64;
+    if (w >= rows.size())
+        rows.resize(w + 1, 0);
+    rows[w] |= std::uint64_t{1} << (row % 64);
     maxRow = std::max(maxRow, row);
 }
 
-std::map<int, Location>&
+Location*
 BlockScheduler::locationsOf(const ValueKey& key)
 {
-    auto it = locations.find(key);
-    if (it != locations.end())
-        return it->second;
-    auto& locs = locations[key];
-    if (key.isImport) {
-        const auto& [cluster, reg] = fs.home.at(key.vreg);
-        locs[cluster] = Location{reg, 0};
-    }
-    return locs;
+    auto& locs = key.isImport ? importLocs : defLocs;
+    return &locs[static_cast<std::size_t>(key.index) * numClusters];
 }
 
 BlockScheduler::Candidate
@@ -488,48 +579,52 @@ BlockScheduler::evaluate(int n, int cluster)
 {
     Candidate cand;
     const Node& node = nodes[n];
-    const isa::UnitType ut = isa::unitTypeOf(node.instr.op);
-    const int fu = fs.machine.fuInCluster(cluster, ut);
+    const int fu = fs.fus.unitIn(cluster, isa::unitTypeOf(node.op));
     if (fu < 0)
         return cand;
 
     int earliest = 0;
-    for (const auto& [p, lat] : node.preds) {
-        PROCOUP_ASSERT(nodes[p].row >= 0, "predecessor not scheduled");
-        earliest = std::max(earliest, nodes[p].row + lat);
+    for (int k = node.predBegin; k < node.predEnd; ++k) {
+        const Node& pred = nodes[edges[k].from];
+        PROCOUP_ASSERT(pred.row >= 0, "predecessor not scheduled");
+        earliest = std::max(earliest, pred.row + edges[k].lat);
     }
 
-    // Rows claimed by this candidate's own planned copies, so two
+    // Unit rows claimed by this candidate's own planned copies, so two
     // copies in one candidate never share a unit-row.
-    std::map<int, std::set<int>> claimed;
+    support::InlineVec<std::pair<int, int>, 3> claimed;
     auto first_free = [&](int f, int from) {
         int r = firstFreeRow(f, from);
-        auto it = claimed.find(f);
-        if (it != claimed.end())
-            while (it->second.count(r))
-                r = firstFreeRow(f, r + 1);
+        auto taken = [&] {
+            return std::find(claimed.begin(), claimed.end(),
+                             std::pair<int, int>{f, r}) != claimed.end();
+        };
+        while (taken())
+            r = firstFreeRow(f, r + 1);
         return r;
     };
 
     int cost = 0;
-    std::map<ValueKey, int> planned;  ///< value -> ready row, this cand
-    std::map<int, int> planned_dests; ///< producer -> slots claimed
+    support::InlineVec<std::pair<ValueKey, int>, 3> planned;  ///< ready row
+    support::InlineVec<std::pair<int, int>, 3> planned_dests; ///< slots
     for (std::size_t si = 0; si < node.srcs.size(); ++si) {
         const NodeSrc& src = node.srcs[si];
-        if (src.kind == NodeSrc::Kind::Const)
+        if (src.isConst)
             continue;
 
         // The same value read twice uses one transfer/register.
-        auto seen = planned.find(src.value);
+        auto seen = std::find_if(planned.begin(), planned.end(),
+                                 [&](const auto& p) {
+                                     return p.first == src.value;
+                                 });
         if (seen != planned.end()) {
             earliest = std::max(earliest, seen->second);
             continue;
         }
 
-        auto& locs = locationsOf(src.value);
-        auto here = locs.find(cluster);
-        if (here != locs.end()) {
-            earliest = std::max(earliest, here->second.readyRow);
+        const Location* locs = locationsOf(src.value);
+        if (locs[cluster].present()) {
+            earliest = std::max(earliest, locs[cluster].readyRow);
             continue;
         }
 
@@ -537,17 +632,23 @@ BlockScheduler::evaluate(int n, int cluster)
         // no schedule cost ("an operation can specify at most two
         // simultaneous register destinations").
         if (!src.value.isImport) {
-            const Node& prod = nodes[src.value.defNode];
+            const int def = src.value.index;
+            const Node& prod = nodes[def];
+            auto claims = std::find_if(
+                planned_dests.begin(), planned_dests.end(),
+                [&](const auto& p) { return p.first == def; });
+            const int claimed_slots =
+                claims != planned_dests.end() ? claims->second : 0;
             const int free_slots = isa::Operation::maxDests -
-                static_cast<int>(prod.dests.size()) -
-                planned_dests[src.value.defNode];
+                static_cast<int>(prod.dests.size()) - claimed_slots;
             if (free_slots > 0) {
                 cand.destAdds.push_back(si);
-                ++planned_dests[src.value.defNode];
-                const int ready =
-                    prod.row + fs.latencyOf(isa::unitTypeOf(
-                                   prod.instr.op));
-                planned[src.value] = ready;
+                if (claims != planned_dests.end())
+                    ++claims->second;
+                else
+                    planned_dests.push_back({def, 1});
+                const int ready = prod.row + fs.latencyOf(prod.op);
+                planned.push_back({src.value, ready});
                 earliest = std::max(earliest, ready);
                 cost += 2;
                 continue;
@@ -558,9 +659,13 @@ BlockScheduler::evaluate(int n, int cluster)
         // cluster already holding the value.
         int best_row = kInfeasible;
         Candidate::MovPlan plan;
-        for (const auto& [loc_cluster, loc] : locs) {
-            const int mov_fu = fs.machine.fuInCluster(
-                loc_cluster, isa::UnitType::Integer);
+        for (int loc_cluster = 0; loc_cluster < numClusters;
+             ++loc_cluster) {
+            const Location& loc = locs[loc_cluster];
+            if (!loc.present())
+                continue;
+            const int mov_fu =
+                fs.fus.unitIn(loc_cluster, isa::UnitType::Integer);
             if (mov_fu < 0)
                 continue;
             const int row = first_free(mov_fu, loc.readyRow);
@@ -576,10 +681,10 @@ BlockScheduler::evaluate(int n, int cluster)
         if (best_row >= kInfeasible)
             return cand;  // operand cannot be sourced here
         cand.movs.push_back(plan);
-        claimed[plan.movFu].insert(plan.movRow);
+        claimed.push_back({plan.movFu, plan.movRow});
         const int ready =
-            best_row + fs.latencyOf(isa::UnitType::Integer);
-        planned[src.value] = ready;
+            best_row + fs.fus.maxLatency(isa::UnitType::Integer);
+        planned.push_back({src.value, ready});
         earliest = std::max(earliest, ready);
         cost += 6;
     }
@@ -602,12 +707,11 @@ BlockScheduler::commit(int n, const Candidate& cand)
 
     for (std::size_t si : cand.destAdds) {
         const ValueKey& key = node.srcs[si].value;
-        Node& prod = nodes[key.defNode];
+        Node& prod = nodes[key.index];
         const std::uint32_t reg = fs.newTemp(cand.cluster);
         prod.dests.emplace_back(cand.cluster, reg);
-        locationsOf(key)[cand.cluster] = Location{
-            reg, prod.row + fs.latencyOf(isa::unitTypeOf(
-                                prod.instr.op))};
+        locationsOf(key)[cand.cluster] =
+            Location{reg, prod.row + fs.latencyOf(prod.op)};
     }
 
     for (const auto& plan : cand.movs) {
@@ -625,15 +729,14 @@ BlockScheduler::commit(int n, const Candidate& cand)
 
         locationsOf(key)[cand.cluster] = Location{
             copy.dstReg,
-            plan.movRow + fs.latencyOf(isa::UnitType::Integer)};
+            plan.movRow + fs.fus.maxLatency(isa::UnitType::Integer)};
     }
 
-    if (node.instr.dst != ir::kNoReg && node.writesHome) {
-        const auto& [hc, hr] = fs.home.at(node.instr.dst);
+    if (node.dst != ir::kNoReg && node.writesHome) {
+        const auto& [hc, hr] = fs.homeOf(node.dst);
         node.dests.emplace_back(hc, hr);
-        locationsOf(ValueKey::ofDef(n))[hc] = Location{
-            hr, node.row + fs.latencyOf(isa::unitTypeOf(
-                               node.instr.op))};
+        locationsOf(ValueKey::ofDef(n))[hc] =
+            Location{hr, node.row + fs.latencyOf(node.op)};
     }
 }
 
@@ -641,44 +744,50 @@ void
 BlockScheduler::scheduleNode(int n)
 {
     Candidate best;
-    const isa::UnitType ut = isa::unitTypeOf(nodes[n].instr.op);
-
-    std::vector<int> clusters;
-    if (ut == isa::UnitType::Branch)
-        clusters = {fs.placement.branchCluster};
-    else
-        clusters = fs.placement.clusterOrder;
-
-    for (int c : clusters) {
+    auto consider = [&](int c) {
         Candidate cand = evaluate(n, c);
         if (cand.cost < best.cost)
-            best = cand;
-    }
+            best = std::move(cand);
+    };
+    if (isa::unitTypeOf(nodes[n].op) == isa::UnitType::Branch)
+        consider(fs.placement.branchCluster);
+    else
+        for (int c : fs.placement.clusterOrder)
+            consider(c);
     if (best.cost >= kInfeasible)
-        PROCOUP_PANIC(strCat("no feasible cluster for ",
-                             nodes[n].instr.toString(), " in ",
-                             fs.func.name));
+        throw CompileError(strCat(
+            "no feasible cluster for ",
+            nodes[n].instr != nullptr ? nodes[n].instr->toString()
+                                      : "a lead copy",
+            " in ", fs.func.name));
     commit(n, best);
 }
 
 void
 BlockScheduler::scheduleAll()
 {
-    // Most critical first: ready set ordered by descending height.
-    std::set<std::pair<int, int>> ready;
+    // Most critical first: a heap of (-height, id), smallest on top.
+    const auto later = std::greater<std::pair<int, int>>();
+    ready.clear();
     for (std::size_t id = 0; id < nodes.size(); ++id)
         if (nodes[id].predsLeft == 0 && static_cast<int>(id) != termNode)
-            ready.insert({-nodes[id].height, static_cast<int>(id)});
+            ready.push_back({-nodes[id].height, static_cast<int>(id)});
+    std::make_heap(ready.begin(), ready.end(), later);
 
     std::size_t scheduled = 0;
     while (!ready.empty()) {
-        const auto [negh, id] = *ready.begin();
-        ready.erase(ready.begin());
+        std::pop_heap(ready.begin(), ready.end(), later);
+        const int id = ready.back().second;
+        ready.pop_back();
         scheduleNode(id);
         ++scheduled;
-        for (int s : nodes[id].succs)
-            if (--nodes[s].predsLeft == 0 && s != termNode)
-                ready.insert({-nodes[s].height, s});
+        for (int k = nodes[id].succBegin; k < nodes[id].succEnd; ++k) {
+            const int s = succs[k].first;
+            if (--nodes[s].predsLeft == 0 && s != termNode) {
+                ready.push_back({-nodes[s].height, s});
+                std::push_heap(ready.begin(), ready.end(), later);
+            }
+        }
     }
 
     // The terminator is the row at which the instruction pointer
@@ -692,8 +801,8 @@ BlockScheduler::scheduleAll()
                 floor = std::max(floor, n.row);
         Candidate cand = evaluate(termNode, fs.placement.branchCluster);
         if (cand.cost >= kInfeasible)
-            PROCOUP_PANIC(strCat("cannot schedule terminator of ",
-                                 fs.func.name));
+            throw CompileError(strCat("cannot schedule terminator of ",
+                                      fs.func.name));
         cand.row = firstFreeRow(cand.fu, std::max(cand.row, floor));
         commit(termNode, cand);
         ++scheduled;
@@ -709,72 +818,68 @@ BlockScheduler::scheduleAll()
 std::vector<isa::Instruction>
 BlockScheduler::emit()
 {
-    struct RowOp
-    {
-        int fu;
-        isa::Operation op;
+    // Compress empty rows: rows encode ordering only — data timing is
+    // enforced at runtime by the register presence bits. Each row
+    // holds its nodes in id order, then its copies in insertion order.
+    rowIndex.assign(maxRow + 1, -1);
+    for (const auto& n : nodes)
+        rowIndex[n.row] = 0;
+    for (const auto& copy : copies)
+        rowIndex[copy.row] = 0;
+    int rows = 0;
+    for (int& r : rowIndex)
+        if (r == 0)
+            r = rows++;
+    std::vector<isa::Instruction> out(rows);
+
+    auto reg_of = [](int cluster, std::uint32_t reg) {
+        return isa::RegRef{static_cast<std::uint16_t>(cluster),
+                           static_cast<std::uint16_t>(reg)};
     };
-    std::map<int, std::vector<RowOp>> row_ops;
 
-    auto operand_of = [&](const NodeSrc& src, int cluster) {
-        if (src.kind == NodeSrc::Kind::Const)
-            return isa::Operand::makeImm(src.constVal);
-        const auto& locs = locations.at(src.value);
-        auto it = locs.find(cluster);
-        PROCOUP_ASSERT(it != locs.end(),
-                       "operand missing in issuing cluster");
-        return isa::Operand::makeReg(isa::RegRef{
-            static_cast<std::uint16_t>(cluster),
-            static_cast<std::uint16_t>(it->second.reg)});
-    };
-
-    for (std::size_t id = 0; id < nodes.size(); ++id) {
-        Node& n = nodes[id];
+    for (auto& n : nodes) {
         isa::Operation op;
-        op.opcode = n.instr.op;
-        op.flavor = n.instr.flavor;
-        op.branchTarget =
-            static_cast<std::uint32_t>(std::max(n.instr.target, 0));
-        op.forkTarget = n.instr.forkTarget;
-        op.markId = n.instr.markId;
+        op.opcode = n.op;
+        if (n.instr != nullptr) {
+            op.flavor = n.instr->flavor;
+            op.branchTarget = static_cast<std::uint32_t>(
+                std::max(n.instr->target, 0));
+            op.forkTarget = n.instr->forkTarget;
+            op.markId = n.instr->markId;
+        }
 
-        for (const auto& src : n.srcs)
-            op.srcs.push_back(operand_of(src, n.cluster));
+        for (std::size_t si = 0; si < n.srcs.size(); ++si) {
+            const NodeSrc& src = n.srcs[si];
+            if (src.isConst) {
+                op.srcs.push_back(isa::Operand::makeImm(
+                    n.instr->srcs[si].constant()));
+                continue;
+            }
+            const Location& loc = locationsOf(src.value)[n.cluster];
+            PROCOUP_ASSERT(loc.present(),
+                           "operand missing in issuing cluster");
+            op.srcs.push_back(
+                isa::Operand::makeReg(reg_of(n.cluster, loc.reg)));
+        }
 
         if (isa::opcodeWritesRegister(op.opcode) && n.dests.empty())
             n.dests.emplace_back(n.cluster, fs.newTemp(n.cluster));
         for (const auto& [c, r] : n.dests)
-            op.dsts.push_back(
-                isa::RegRef{static_cast<std::uint16_t>(c),
-                            static_cast<std::uint16_t>(r)});
+            op.dsts.push_back(reg_of(c, r));
 
-        row_ops[n.row].push_back(RowOp{n.fu, std::move(op)});
+        out[rowIndex[n.row]].slots.push_back(
+            isa::OpSlot{static_cast<std::uint16_t>(n.fu), std::move(op)});
     }
 
     for (const auto& copy : copies) {
         isa::Operation op;
         op.opcode = Opcode::MOV;
-        op.srcs.push_back(isa::Operand::makeReg(isa::RegRef{
-            static_cast<std::uint16_t>(copy.srcCluster),
-            static_cast<std::uint16_t>(copy.srcReg)}));
-        op.dsts.push_back(isa::RegRef{
-            static_cast<std::uint16_t>(copy.dstCluster),
-            static_cast<std::uint16_t>(copy.dstReg)});
-        row_ops[copy.row].push_back(RowOp{copy.fu, std::move(op)});
-    }
-
-    // Compress empty rows: rows encode ordering only — data timing is
-    // enforced at runtime by the register presence bits.
-    std::vector<isa::Instruction> out;
-    for (auto& [row, ops] : row_ops) {
-        isa::Instruction inst;
-        for (auto& ro : ops) {
-            isa::OpSlot slot;
-            slot.fu = static_cast<std::uint16_t>(ro.fu);
-            slot.op = std::move(ro.op);
-            inst.slots.push_back(std::move(slot));
-        }
-        out.push_back(std::move(inst));
+        op.srcs.push_back(isa::Operand::makeReg(
+            reg_of(copy.srcCluster, copy.srcReg)));
+        op.dsts.push_back(reg_of(copy.dstCluster, copy.dstReg));
+        out[rowIndex[copy.row]].slots.push_back(
+            isa::OpSlot{static_cast<std::uint16_t>(copy.fu),
+                        std::move(op)});
     }
     return out;
 }
@@ -846,11 +951,11 @@ elideFallthroughBranches(isa::ThreadCode& code)
 } // namespace
 
 isa::ThreadCode
-scheduleFunction(const ir::ThreadFunc& func,
-                 const config::MachineConfig& machine,
+scheduleFunction(const ir::ThreadFunc& func, const config::FuTable& fus,
                  const FuncPlacement& placement, FuncScheduleInfo* info)
 {
-    FunctionScheduler fsched(func, machine, placement);
+    FunctionScheduler fsched(func, fus, placement);
+    BlockScheduler bs(fsched);
 
     isa::ThreadCode code;
     code.name = func.name;
@@ -858,8 +963,7 @@ scheduleFunction(const ir::ThreadFunc& func,
     std::vector<int> block_start;
     std::vector<int> block_rows;
     for (const auto& block : func.blocks) {
-        BlockScheduler bs(fsched, block);
-        auto rows = bs.run();
+        auto rows = bs.run(block);
         block_start.push_back(
             static_cast<int>(code.instructions.size()));
         block_rows.push_back(static_cast<int>(rows.size()));
@@ -878,7 +982,7 @@ scheduleFunction(const ir::ThreadFunc& func,
 
     code.regCount = fsched.regCounter;
     for (std::uint32_t p : func.params) {
-        const auto& [c, r] = fsched.home.at(p);
+        const auto& [c, r] = fsched.homeOf(p);
         code.paramHomes.push_back(
             isa::RegRef{static_cast<std::uint16_t>(c),
                         static_cast<std::uint16_t>(r)});

@@ -73,14 +73,17 @@ struct FuncScheduleInfo
 };
 
 /**
- * Schedule @p func for @p machine with the given placement.
+ * Schedule @p func on the machine whose units @p fus describes, with
+ * the given placement.
  *
  * @param[out] info optional diagnostics
  * @return the compiled thread code (fork targets still refer to IR
  *         function indices; the driver keeps them 1:1)
+ * @throws CompileError if an operation cannot be placed on any
+ *         cluster the placement allows
  */
 isa::ThreadCode scheduleFunction(const ir::ThreadFunc& func,
-                                 const config::MachineConfig& machine,
+                                 const config::FuTable& fus,
                                  const FuncPlacement& placement,
                                  FuncScheduleInfo* info = nullptr);
 

@@ -68,6 +68,21 @@ TEST_P(BothModes, StraightLineArithmetic)
     EXPECT_DOUBLE_EQ(out.at("r2"), 10.5);
 }
 
+TEST_P(BothModes, CseKeepsNearlyEqualFloatConstantsApart)
+{
+    // 0.1234568 and 0.1234567 agree in six significant digits; the
+    // two products are different expressions and must not be merged.
+    const auto out = compileAndRun(
+        "(defarray x (1) :init-each 3.0)"
+        "(defvar d 0.0)"
+        "(defun main ()"
+        "  (let ((v (aref x 0)))"
+        "    (set d (* 1000000.0"
+        "              (- (* v 0.1234568) (* v 0.1234567))))))",
+        GetParam());
+    EXPECT_NEAR(out.at("d"), 0.3, 1e-6);
+}
+
 TEST_P(BothModes, LoopAccumulation)
 {
     const auto out = compileAndRun(

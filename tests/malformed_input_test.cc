@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "procoup/benchmarks/benchmarks.hh"
 #include "procoup/config/parse.hh"
 #include "procoup/config/presets.hh"
 #include "procoup/core/node.hh"
@@ -59,6 +60,48 @@ TEST(MalformedInput, BrokenMachineDescriptionsRaiseCompileError)
     for (const auto& desc : descriptions)
         EXPECT_THROW(config::parseMachine(desc), CompileError)
             << "description: " << desc;
+}
+
+TEST(MalformedInput, MachinesMissingAUnitClassRaiseCompileError)
+{
+    // Valid descriptions whose clusters cannot serve the code. The
+    // first has no FPU at all. The second has one, and a memory unit,
+    // but single-cluster placement (TPE) puts each thread on a cluster
+    // without memory, so the check must follow each function's
+    // placement rather than the machine as a whole.
+    struct Case
+    {
+        const char* machine;
+        core::SimMode mode;
+        const char* unitClass;
+    };
+    const Case cases[] = {
+        {"(machine (cluster (iu) (mem)) (cluster (br)))",
+         core::SimMode::Coupled, "FPU"},
+        {"(machine (cluster (iu) (fpu)) (cluster (mem)) (cluster (br)))",
+         core::SimMode::Tpe, "MEM"},
+    };
+    const auto& matrix = benchmarks::byName("Matrix");
+    for (const auto& c : cases) {
+        core::CoupledNode node(config::parseMachine(c.machine));
+        try {
+            node.compile(matrix.forMode(c.mode), c.mode);
+            ADD_FAILURE() << "compiled on " << c.machine;
+        } catch (const CompileError& e) {
+            const std::string what = e.what();
+            EXPECT_EQ(what.rfind("function '", 0), 0u) << what;
+            EXPECT_NE(what.find(std::string("needs a unit of class ") +
+                                c.unitClass),
+                      std::string::npos)
+                << what;
+        }
+    }
+
+    // The same machine serves the modes that may spread a thread over
+    // every cluster.
+    core::CoupledNode split(config::parseMachine(cases[1].machine));
+    for (auto mode : {core::SimMode::Coupled, core::SimMode::Sts})
+        EXPECT_NO_THROW(split.compile(matrix.forMode(mode), mode));
 }
 
 TEST(MalformedInput, DiagnosticsCarrySourceLocations)
