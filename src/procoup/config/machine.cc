@@ -89,22 +89,6 @@ MachineConfig::fusOfType(isa::UnitType t) const
     return out;
 }
 
-int
-MachineConfig::fuInCluster(int c, isa::UnitType t) const
-{
-    PROCOUP_ASSERT(c >= 0 && c < static_cast<int>(clusters.size()),
-                   "cluster index out of range");
-    int fu = 0;
-    for (int i = 0; i < c; ++i)
-        fu += static_cast<int>(clusters[i].units.size());
-    for (const auto& u : clusters[c].units) {
-        if (u.type == t)
-            return fu;
-        ++fu;
-    }
-    return -1;
-}
-
 std::vector<int>
 MachineConfig::arithClusters() const
 {

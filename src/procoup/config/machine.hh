@@ -146,9 +146,6 @@ struct MachineConfig
     /** Global indices of all units of type @p t. */
     std::vector<int> fusOfType(isa::UnitType t) const;
 
-    /** Global index of the unit of type @p t in cluster @p c, or -1. */
-    int fuInCluster(int c, isa::UnitType t) const;
-
     /** Clusters containing at least one non-branch unit. */
     std::vector<int> arithClusters() const;
 

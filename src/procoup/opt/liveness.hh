@@ -6,8 +6,7 @@
  * Live-variable analysis over the IR CFG. The paper's compiler keeps
  * "live variables ... in registers across basic block boundaries";
  * the scheduler uses this analysis to decide which virtual registers
- * need a stable home register, and dead-code elimination uses the
- * def/use sets.
+ * need a stable home register.
  */
 
 #include <cstdint>
@@ -25,25 +24,6 @@ struct Liveness
     std::size_t words = 0;
     std::vector<std::uint64_t> liveIn;
     std::vector<std::uint64_t> liveOut;
-
-    bool isLiveIn(int block, std::uint32_t reg) const
-    {
-        return test(liveIn, block, reg);
-    }
-
-    bool isLiveOut(int block, std::uint32_t reg) const
-    {
-        return test(liveOut, block, reg);
-    }
-
-  private:
-    bool
-    test(const std::vector<std::uint64_t>& set, int block,
-         std::uint32_t reg) const
-    {
-        return set[static_cast<std::size_t>(block) * words + reg / 64] >>
-                   (reg % 64) & 1;
-    }
 };
 
 /** Standard backward may-analysis to a fixpoint. */

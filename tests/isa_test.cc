@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "procoup/support/error.hh"
+#include "procoup/config/parse.hh"
 #include "procoup/config/presets.hh"
 #include "procoup/config/validate.hh"
 #include "procoup/isa/builder.hh"
@@ -264,8 +265,29 @@ TEST(MachineConfig, BaselineShape)
     EXPECT_EQ(m.branchClusters(), (std::vector<int>{4, 5}));
     EXPECT_EQ(m.fuCluster(testutil::fuMU(3)), 3);
     EXPECT_EQ(m.fuConfig(testutil::fuFPU(2)).type, UnitType::Float);
-    EXPECT_EQ(m.fuInCluster(1, UnitType::Memory), testutil::fuMU(1));
-    EXPECT_EQ(m.fuInCluster(4, UnitType::Integer), -1);
+
+    const config::FuTable fus(m);
+    EXPECT_EQ(fus.numFus(), 14);
+    EXPECT_EQ(fus.cluster(testutil::fuMU(3)), 3);
+    EXPECT_EQ(fus.type(testutil::fuFPU(2)), UnitType::Float);
+    EXPECT_EQ(fus.unitIn(1, UnitType::Memory), testutil::fuMU(1));
+    EXPECT_EQ(fus.unitIn(4, UnitType::Integer), -1);
+    EXPECT_EQ(fus.maxLatency(UnitType::Float), 1);
+}
+
+TEST(MachineConfig, FuTableTakesLowestUnitAndLongestPipeline)
+{
+    const auto m = config::parseMachine(
+        "(machine (cluster (iu 2) (iu 3) (mem)) (cluster (fpu 4)) "
+        "(cluster (br)))");
+    const config::FuTable fus(m);
+    EXPECT_EQ(fus.unitIn(0, UnitType::Integer), 0);
+    EXPECT_EQ(fus.unitIn(0, UnitType::Memory), 2);
+    EXPECT_EQ(fus.unitIn(1, UnitType::Float), 3);
+    EXPECT_EQ(fus.unitIn(1, UnitType::Integer), -1);
+    EXPECT_EQ(fus.maxLatency(UnitType::Integer), 3);
+    EXPECT_EQ(fus.maxLatency(UnitType::Float), 4);
+    EXPECT_EQ(fus.maxLatency(UnitType::Memory), 1);
 }
 
 TEST(MachineConfig, MemoryPresets)

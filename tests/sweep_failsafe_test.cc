@@ -8,10 +8,12 @@
 #include <gtest/gtest.h>
 
 #include "procoup/benchmarks/benchmarks.hh"
+#include "procoup/config/parse.hh"
 #include "procoup/config/presets.hh"
 #include "procoup/exp/harness.hh"
 #include "procoup/exp/plan.hh"
 #include "procoup/exp/runner.hh"
+#include "procoup/exp/serialize.hh"
 #include "procoup/fault/fault.hh"
 #include "procoup/support/error.hh"
 
@@ -134,6 +136,30 @@ TEST(SweepFailSafe, BundleAndReportCarryErrorRecords)
     EXPECT_NE(report.find("\"failed_points\": 2"), std::string::npos);
     EXPECT_NE(report.find("\"label\": \"deadlock-point\""),
               std::string::npos);
+}
+
+TEST(SweepFailSafe, MachineMissingAUnitClassIsACompileError)
+{
+    // The machine parses but has no FPU for Matrix: the point becomes
+    // the compile-error record that procoupd and isolated workers
+    // stream, and an in-process sweep throws CompileError, where the
+    // scheduler used to abort the process.
+    exp::ExperimentPlan plan("no-fpu");
+    plan.addBenchmark(config::parseMachine(
+                          "(machine (cluster (iu) (mem)) (cluster (br)))"),
+                      benchmarks::byName("Matrix"), core::SimMode::Coupled);
+    exp::CompileCache cache;
+    const exp::OutcomeRecord rec = exp::executePointToRecord(
+        plan.points().front(), "no-fpu", cache, exp::RunnerOptions{});
+    EXPECT_EQ(rec.threw, 2);
+    EXPECT_NE(rec.error.find("needs a unit of class FPU"),
+              std::string::npos)
+        << rec.error;
+
+    exp::RunnerOptions ropts;
+    ropts.failSafe = true;
+    exp::SweepRunner runner(ropts);
+    EXPECT_THROW(runner.run(plan), CompileError);
 }
 
 TEST(SweepFailSafe, RetryRecordsFirstDeterministicError)
