@@ -187,4 +187,16 @@ BENCHMARK(BM_SweepTable2)
 
 } // namespace
 
-BENCHMARK_MAIN();
+int
+main(int argc, char** argv)
+{
+    benchmark::Initialize(&argc, argv);
+    if (benchmark::ReportUnrecognizedArguments(argc, argv))
+        return 1;
+    // The report's own "library_build_type" is Google Benchmark's
+    // build, not the build of the code it measures.
+    benchmark::AddCustomContext("procoup_build_type", PROCOUP_BUILD_TYPE);
+    benchmark::RunSpecifiedBenchmarks();
+    benchmark::Shutdown();
+    return 0;
+}

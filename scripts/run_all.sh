@@ -77,8 +77,10 @@ PROCOUP_SOAK_JOURNAL=build/soak_journal \
 python3 scripts/check_stats_schema.py --journal-dir build/soak_journal
 
 # Simulator-core throughput: the google-benchmark microbenchmarks,
-# distilled to per-benchmark real time and simulated cycles/second.
+# distilled to the median and min real time and the median simulated
+# cycles/second over three repetitions.
 build/bench/micro_speed --benchmark_format=json \
-    --benchmark_min_time=0.2 > build/micro_speed_raw.json
+    --benchmark_min_time=0.2 --benchmark_repetitions=3 \
+    > build/micro_speed_raw.json
 python3 scripts/collect_core.py --out BENCH_core.json \
     build/micro_speed_raw.json

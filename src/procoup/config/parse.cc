@@ -1,5 +1,6 @@
 #include "procoup/config/parse.hh"
 
+#include "procoup/config/validate.hh"
 #include "procoup/lang/parser.hh"
 #include "procoup/support/error.hh"
 #include "procoup/support/strings.hh"
@@ -61,12 +62,8 @@ parseCluster(const Sexpr& form)
         fu.latency = u.size() > 1
             ? static_cast<int>(u.at(1).intValue())
             : 1;
-        if (fu.latency < 1)
-            fail(u, "latency must be at least 1");
         c.units.push_back(fu);
     }
-    if (c.units.empty())
-        fail(form, "cluster with no function units");
     return c;
 }
 
@@ -98,10 +95,6 @@ parseMemory(const Sexpr& form, MemoryConfig& mem)
             fail(kw, strCat("unknown memory option ", k));
         }
     }
-    if (mem.missRate < 0.0 || mem.missRate > 1.0)
-        fail(form, "miss rate must be within [0, 1]");
-    if (mem.missPenaltyMin > mem.missPenaltyMax)
-        fail(form, "miss penalty range is inverted");
 }
 
 } // namespace
@@ -155,10 +148,6 @@ parseMachine(const std::string& text)
                 else
                     fail(kw, strCat("unknown opcache option ", key));
             }
-            if (m.opCache.linesPerUnit < 1 ||
-                    m.opCache.rowsPerLine < 1 ||
-                    m.opCache.missPenalty < 0)
-                fail(f, "bad opcache parameters");
         } else if (f.isCall("max-active-threads")) {
             m.maxActiveThreads =
                 static_cast<int>(f.at(1).intValue());
@@ -170,10 +159,7 @@ parseMachine(const std::string& text)
         }
     }
 
-    if (m.clusters.empty())
-        throw CompileError("machine has no clusters");
-    if (m.branchClusters().empty())
-        throw CompileError("machine has no branch unit");
+    validateMachine(m);
     return m;
 }
 

@@ -33,6 +33,34 @@ checkReg(const isa::Program&, const isa::ThreadCode& t, std::size_t i,
 } // namespace
 
 void
+validateMachine(const MachineConfig& machine)
+{
+    const auto bad = [](const std::string& what) {
+        throw CompileError(strCat("machine description: ", what));
+    };
+    if (machine.clusters.empty())
+        throw CompileError("machine has no clusters");
+    for (const auto& c : machine.clusters) {
+        if (c.units.empty())
+            bad("cluster with no function units");
+        for (const auto& fu : c.units)
+            if (fu.latency < 1)
+                bad("latency must be at least 1");
+    }
+    if (machine.branchClusters().empty())
+        throw CompileError("machine has no branch unit");
+    const MemoryConfig& mem = machine.memory;
+    if (!(mem.missRate >= 0.0 && mem.missRate <= 1.0))
+        bad("miss rate must be within [0, 1]");
+    if (mem.missPenaltyMin > mem.missPenaltyMax)
+        bad("miss penalty range is inverted");
+    const OpCacheConfig& oc = machine.opCache;
+    if (oc.enabled && (oc.linesPerUnit < 1 || oc.rowsPerLine < 1 ||
+                       oc.missPenalty < 0))
+        bad("bad opcache parameters");
+}
+
+void
 validateProgram(const isa::Program& prog, const MachineConfig& machine)
 {
     const FuTable fus(machine);

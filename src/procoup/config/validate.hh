@@ -3,10 +3,12 @@
 
 /**
  * @file
- * Static well-formedness checks of a compiled program against a machine
- * description. Run by the compiler after scheduling and by tests on
- * hand-built programs; violations indicate compiler bugs or malformed
- * hand assembly and throw CompileError.
+ * Static well-formedness checks of a machine description, and of a
+ * compiled program against one. Machines are checked wherever they
+ * enter from outside (machine files, decoded plan-submit bytes);
+ * programs after scheduling and in tests on hand-built programs,
+ * where violations indicate compiler bugs or malformed hand assembly.
+ * Both throw CompileError.
  */
 
 #include "procoup/config/machine.hh"
@@ -14,6 +16,20 @@
 
 namespace procoup {
 namespace config {
+
+/**
+ * Check that @p machine can be simulated:
+ *  - it has clusters, and every cluster has units;
+ *  - every unit's latency is at least 1;
+ *  - some cluster has a branch unit;
+ *  - the miss rate lies in [0, 1] and the miss-penalty range is
+ *    ordered;
+ *  - an enabled operation cache has lines, rows per line, and a
+ *    non-negative miss penalty.
+ *
+ * @throws CompileError describing the first violation.
+ */
+void validateMachine(const MachineConfig& machine);
 
 /**
  * Check that @p prog is executable on @p machine:

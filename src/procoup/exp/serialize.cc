@@ -8,6 +8,7 @@
 #include <string_view>
 #include <unistd.h>
 
+#include "procoup/config/validate.hh"
 #include "procoup/exp/service.hh"
 #include "procoup/support/error.hh"
 #include "procoup/support/strings.hh"
@@ -571,12 +572,19 @@ decodePlanSubmit(const std::string& body, PlanEnvelope* env)
     submitFields(r, name, env->options, points);
     if (r.failed() || !r.atEnd())
         return false;
-    // ExperimentPlan::add aborts on an empty or repeated label, so
+    // ExperimentPlan::add aborts on an empty or repeated label, and
+    // binding a machine the simulator cannot run aborts the point, so
     // such a plan is malformed bytes here.
     std::set<std::string_view> labels;
-    for (const SweepPoint& p : points)
+    for (const SweepPoint& p : points) {
         if (p.label.empty() || !labels.insert(p.label).second)
             return false;
+        try {
+            config::validateMachine(p.machine);
+        } catch (const CompileError&) {
+            return false;
+        }
+    }
     env->plan = ExperimentPlan(name);
     for (SweepPoint& p : points)
         env->plan.add(std::move(p));

@@ -87,7 +87,8 @@ std::string encodePlanSubmit(const ExperimentPlan& plan,
                              const RunnerOptions& options);
 
 /** Decode a plan-submit body; false on malformed bytes or a plan
- *  that violates its own invariants (an empty or repeated label). */
+ *  that violates its own invariants (an empty or repeated label, or a
+ *  machine config::validateMachine rejects). */
 bool decodePlanSubmit(const std::string& body, PlanEnvelope* env);
 
 // ---- Frame bodies ------------------------------------------------------

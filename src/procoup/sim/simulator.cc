@@ -48,7 +48,7 @@ Simulator::Simulator(const config::MachineConfig& machine,
     _stats.stallsByCluster.assign(machine.clusters.size(),
                                   StallCounts{});
     rrLastThread.assign(fus.size(), -1);
-    fuStallScratch.assign(fus.size(), FuStall{});
+    fuPicks.assign(fus.size(), FuPick{});
 
     if (opts.faults.enabled)
         faults = std::make_unique<fault::FaultInjector>(opts.faults);
@@ -61,23 +61,6 @@ Simulator::Simulator(const config::MachineConfig& machine,
     if (faults)
         max_latency += faults->maxPipelineBubble();
     wheel.assign(static_cast<std::size_t>(max_latency) + 1, {});
-
-    // Slot index (validateProgram guarantees fu < numFus and at most
-    // one operation per (row, fu)).
-    const std::size_t nf = fus.size();
-    slotIndex.resize(this->program.threads.size());
-    for (std::size_t c = 0; c < this->program.threads.size(); ++c) {
-        const auto& code = this->program.threads[c];
-        auto& idx = slotIndex[c];
-        idx.assign(code.instructions.size() * nf, -1);
-        for (std::size_t row = 0; row < code.instructions.size();
-             ++row) {
-            const auto& slots = code.instructions[row].slots;
-            for (std::size_t s = 0; s < slots.size(); ++s)
-                idx[row * nf + slots[s].fu] =
-                    static_cast<std::int16_t>(s);
-        }
-    }
 
     // Operation caches mutate hit/miss statistics on every probe, and
     // idle swap-out watches the wall clock: both give "nothing
@@ -174,23 +157,15 @@ Simulator::emitTrace(TraceEvent::Kind kind, int thread, int fu,
 }
 
 void
-Simulator::noteFuCycle(int fu, int thread, StallCause cause)
+Simulator::emitStallTrace(int fu, int thread, StallCause cause)
 {
-    const int k = static_cast<int>(cause);
-    ++_stats.stallsByFu[fu][k];
-    ++_stats.stallsByCluster[fus[fu].cluster][k];
-    ++_stats.stallsTotal[k];
-    if (thread >= 0)
-        ++threadStalls[thread][k];
-    if (cause != StallCause::Issued && traceStalls && tracer) {
-        TraceEvent e;
-        e.kind = TraceEvent::Kind::Stall;
-        e.cycle = _cycle;
-        e.thread = thread;
-        e.fu = fu;
-        e.cause = cause;
-        tracer(e);
-    }
+    TraceEvent e;
+    e.kind = TraceEvent::Kind::Stall;
+    e.cycle = _cycle;
+    e.thread = thread;
+    e.fu = fu;
+    e.cause = cause;
+    tracer(e);
 }
 
 void
@@ -243,12 +218,11 @@ Simulator::classifyOperandStall(const ThreadContext& t,
 }
 
 void
-Simulator::executeIssue(const IssueDecision& d)
+Simulator::executeIssue(int fu_index, int thread, std::size_t slot)
 {
-    ThreadContext& t = *threads[d.threadIndex];
-    const auto& slot = t.currentInstruction().slots[d.slot];
-    const Operation& op = slot.op;
-    const FuState& fu = fus[d.fu];
+    ThreadContext& t = *threads[thread];
+    const Operation& op = t.currentInstruction().slots[slot].op;
+    const FuState& fu = fus[fu_index];
 
     const ValueList srcs = readSources(t, op);
 
@@ -329,13 +303,13 @@ Simulator::executeIssue(const IssueDecision& d)
       }
     }
 
-    trace(TraceEvent::Kind::Issue, t.id(), d.fu,
+    trace(TraceEvent::Kind::Issue, t.id(), fu_index,
           [&] { return op.toString(); });
 
-    t.markIssued(d.slot);
+    t.markIssued(slot);
     t.noteIssue(_cycle);
-    noteFuCycle(d.fu, t.id(), StallCause::Issued);
-    ++_stats.opsByFu[d.fu];
+    noteFuCycle(fu_index, t.id(), StallCause::Issued);
+    ++_stats.opsByFu[fu_index];
     ++_stats.opsByUnit[static_cast<int>(fu.type)];
     ++_stats.totalOps;
     progressThisCycle = true;
@@ -345,8 +319,12 @@ void
 Simulator::enqueueWriteback(int thread, const isa::RegRef& dst,
                             const isa::Value& value, int src_cluster)
 {
-    wbByThread[static_cast<std::size_t>(thread)].push_back(
-        {dst, value, src_cluster});
+    auto& q = wbByThread[static_cast<std::size_t>(thread)];
+    if (q.empty())
+        wbPending.insert(std::upper_bound(wbPending.begin(),
+                                          wbPending.end(), thread),
+                         thread);
+    q.push_back({dst, value, src_cluster});
     ++wbCount;
 }
 
@@ -359,20 +337,22 @@ Simulator::doWriteback()
     // Priority: thread id (spawn order), then enqueue order — the
     // queues are per-thread FIFOs, so draining them in thread order
     // visits entries exactly as the old global (thread, age) sort did.
-    for (std::size_t th = 0; th < wbByThread.size(); ++th) {
-        auto& q = wbByThread[th];
-        if (q.empty())
-            continue;
+    // Only the queues wbPending lists can hold entries; nothing is
+    // enqueued during the drain. A thread that retired before its
+    // results landed stays listed until its queue empties.
+    std::size_t pending = 0;
+    for (const int th : wbPending) {
+        auto& q = wbByThread[static_cast<std::size_t>(th)];
+        ++_work.wbQueuesVisited;
         std::size_t keep = 0;
         for (std::size_t i = 0; i < q.size(); ++i) {
             WbEntry& e = q[i];
             if (network.tryGrant(e.srcCluster, e.dst.cluster)) {
                 threads[th]->regs().write(e.dst, e.value);
-                trace(TraceEvent::Kind::Writeback,
-                      static_cast<int>(th), -1, [&] {
-                          return strCat(e.dst.toString(), " <- ",
-                                        e.value.toString());
-                      });
+                trace(TraceEvent::Kind::Writeback, th, -1, [&] {
+                    return strCat(e.dst.toString(), " <- ",
+                                  e.value.toString());
+                });
                 ++_stats.writebacks;
                 if (e.srcCluster != e.dst.cluster)
                     ++_stats.remoteWrites;
@@ -385,7 +365,10 @@ Simulator::doWriteback()
             }
         }
         q.resize(keep);
+        if (keep > 0)
+            wbPending[pending++] = th;
     }
+    wbPending.resize(pending);
     _stats.writebackStallCycles += wbCount;
 }
 
@@ -400,89 +383,79 @@ Simulator::finished() const
 void
 Simulator::selectAndIssue()
 {
-    decisionScratch.clear();
-    const std::size_t nf = fus.size();
-    const std::size_t n = activeList.size();
+    const StallCause no_candidate = activeList.empty()
+                                        ? StallCause::IdleNoThread
+                                        : StallCause::NoReadyOp;
+    for (auto& p : fuPicks)
+        p = {-1, 0, -1, no_candidate};
 
-    // One probe row per active thread, resolved once per cycle: the
-    // instruction pointer cannot move during the issue phase.
-    rowScratch.clear();
-    for (int ti : activeList) {
-        ThreadContext& t = *threads[ti];
-        IssueRow row;
-        row.t = &t;
-        row.inst = &t.currentInstruction();
-        row.slots = slotIndex[t.codeIndex()].data() + t.ip() * nf;
-        rowScratch.push_back(row);
-    }
-
+    // Every unissued slot of an active thread's current row is a
+    // candidate of its unit (at most one per (row, unit)), and each
+    // unit visits its candidates in its own scan order: priority
+    // (spawn) order — activeList is kept sorted by thread id — or,
+    // under round-robin, from the first thread past the unit's
+    // last-served one (upper_bound(activeList, rrLastThread[fu])),
+    // wrapping around. Walking the rows in activeList order visits
+    // each unit's candidates from its scan start to the end; a second
+    // walk, needed only under round-robin, covers the wrapped-around
+    // front. The instruction pointers cannot move during the issue
+    // phase, and selection reads a frozen view of the presence bits.
     const bool round_robin =
         machine.arbitration == config::ArbitrationPolicy::RoundRobin;
-    for (std::size_t fu = 0; fu < nf; ++fu) {
-        // Threads are scanned in priority (spawn) order — activeList
-        // is maintained sorted by thread id — or, under round-robin,
-        // starting just past the unit's last-served thread.
-        std::size_t start = 0;
-        if (round_robin && n > 0) {
-            while (start < n &&
-                   activeList[start] <= rrLastThread[fu])
-                ++start;
-            if (start == n)
-                start = 0;
-        }
-        // Stall attribution: if the unit issues nothing, its slot is
-        // charged to the unit's highest-priority blocked candidate
-        // (in the same scan order arbitration used), or to
-        // NoReadyOp/IdleNoThread when no candidate exists at all.
-        bool taken = false;
-        int blockedThread = -1;
-        StallCause blockedCause = StallCause::NoReadyOp;
-        for (std::size_t k = 0; k < n && !taken; ++k) {
-            std::size_t pos = start + k;
-            if (pos >= n)
-                pos -= n;
-            const std::int16_t s = rowScratch[pos].slots[fu];
-            if (s < 0)
+    for (int lap = 0; lap < (round_robin ? 2 : 1); ++lap) {
+        for (const int ti : activeList) {
+            ThreadContext& t = *threads[ti];
+            if (t.allSlotsIssued())
                 continue;
-            ThreadContext& t = *rowScratch[pos].t;
-            if (t.slotIssued(static_cast<std::size_t>(s)))
-                continue;
-            const Operation& op =
-                rowScratch[pos].inst->slots[static_cast<std::size_t>(s)]
-                    .op;
-            // Operand check first: fetching a line for an operation
-            // that cannot issue anyway would evict lines other
-            // threads are about to use.
-            const bool ready = operandsReady(t, op);
-            if (ready &&
-                opCaches.present(static_cast<int>(fu), t.codeIndex(),
-                                 static_cast<std::uint32_t>(t.ip()),
-                                 _cycle)) {
-                decisionScratch.push_back(
-                    {static_cast<int>(fu), t.id(),
-                     static_cast<std::size_t>(s)});
-                taken = true;
-                rrLastThread[fu] = t.id();
-            } else if (blockedThread < 0) {
-                blockedThread = t.id();
-                blockedCause = ready ? StallCause::OpcacheMiss
-                                     : classifyOperandStall(t, op);
-            }
-        }
-        if (!taken) {
-            if (n == 0) {
-                fuStallScratch[fu] = {-1, StallCause::IdleNoThread};
-                noteFuCycle(static_cast<int>(fu), -1,
-                            StallCause::IdleNoThread);
-            } else {
-                fuStallScratch[fu] = {blockedThread, blockedCause};
-                noteFuCycle(static_cast<int>(fu), blockedThread,
-                            blockedCause);
+            const isa::Instruction& inst = t.currentInstruction();
+            _work.issueSlotsExamined += inst.slots.size();
+            for (std::size_t s = 0; s < inst.slots.size(); ++s) {
+                if (t.slotIssued(s))
+                    continue;
+                const std::size_t fu = inst.slots[s].fu;
+                FuPick& pick = fuPicks[fu];
+                if (pick.thread >= 0)
+                    continue;
+                if (round_robin && (ti > rrLastThread[fu]) != (lap == 0))
+                    continue;
+                const Operation& op = inst.slots[s].op;
+                // Operand check first: fetching a line for an
+                // operation that cannot issue anyway would evict
+                // lines other threads are about to use.
+                const bool ready = operandsReady(t, op);
+                if (ready &&
+                    opCaches.present(static_cast<int>(fu),
+                                     t.codeIndex(),
+                                     static_cast<std::uint32_t>(t.ip()),
+                                     _cycle)) {
+                    pick.thread = ti;
+                    pick.slot = s;
+                    rrLastThread[fu] = ti;
+                } else if (pick.stallThread < 0) {
+                    // Stall attribution: an empty cycle is charged to
+                    // the unit's first blocked candidate in scan
+                    // order, or to NoReadyOp/IdleNoThread when it has
+                    // none.
+                    pick.stallThread = ti;
+                    pick.stallCause = ready
+                                          ? StallCause::OpcacheMiss
+                                          : classifyOperandStall(t, op);
+                }
             }
         }
     }
-    for (const auto& d : decisionScratch)
-        executeIssue(d);
+
+    // Charge the stalls, then apply the issues, both in unit order:
+    // memory RNG draws, wheel, spawn and trace order depend on it.
+    const std::size_t nf = fus.size();
+    for (std::size_t fu = 0; fu < nf; ++fu)
+        if (fuPicks[fu].thread < 0)
+            noteFuCycle(static_cast<int>(fu), fuPicks[fu].stallThread,
+                        fuPicks[fu].stallCause);
+    for (std::size_t fu = 0; fu < nf; ++fu)
+        if (fuPicks[fu].thread >= 0)
+            executeIssue(static_cast<int>(fu), fuPicks[fu].thread,
+                         fuPicks[fu].slot);
 }
 
 bool
@@ -653,8 +626,8 @@ Simulator::fastForwardQuiescentSpan()
         const std::uint64_t span = next - 1 - _cycle;
         for (std::size_t fu = 0; fu < fus.size(); ++fu)
             chargeFuStallSpan(static_cast<int>(fu),
-                              fuStallScratch[fu].thread,
-                              fuStallScratch[fu].cause, span);
+                              fuPicks[fu].stallThread,
+                              fuPicks[fu].stallCause, span);
         _cycle = next - 1;
     }
     if (deadlocked) {
@@ -841,6 +814,16 @@ Simulator::sanitizeCheck() const
                        strCat("sanitize: writeback queues hold ",
                               wbPop, " entry(ies) but wbCount is ",
                               wbCount));
+    std::vector<int> nonEmpty;
+    for (std::size_t th = 0; th < wbByThread.size(); ++th)
+        if (!wbByThread[th].empty())
+            nonEmpty.push_back(static_cast<int>(th));
+    if (nonEmpty != wbPending)
+        throw SimError(SimErrorKind::InvariantViolation, _cycle,
+                       strCat("sanitize: ", nonEmpty.size(),
+                              " writeback queue(s) hold entries but the "
+                              "pending list names ", wbPending.size(),
+                              " thread(s), or not in ascending order"));
 
     // (c) Scoreboard presence bits: every cleared bit must have a
     // pending producer — a result in the wheel, a queued writeback,

@@ -20,14 +20,15 @@
  * The simulator is functional (exact values) but cycle-accurate in the
  * paper's sense: it counts cycles, operations, and unit utilization.
  *
- * The per-cycle hot path avoids both scanning and allocation (see
- * docs/INTERNALS.md, "Simulator hot path"): issue selection probes a
- * per-instruction slot index instead of rescanning instruction rows,
+ * A stepped cycle costs in proportion to live state, not to every
+ * thread ever spawned, and allocates nothing (see docs/INTERNALS.md,
+ * "Simulator hot path"): issue selection walks each active thread's
+ * current row once and hands every unissued slot to its unit,
  * pipeline completions sit in a latency-bucketed wheel, writebacks
- * live in per-thread FIFO queues (no per-cycle sort), and spans of
- * quiescent cycles — every unit stalled, only memory or pipeline
- * timers pending — are fast-forwarded in one step with their stall
- * accounting bulk-charged.
+ * live in per-thread FIFO queues drained only where a list of pending
+ * thread ids says they are non-empty, and spans of quiescent cycles —
+ * every unit stalled, only memory or pipeline timers pending — are
+ * fast-forwarded in one step with their stall accounting bulk-charged.
  */
 
 #include <chrono>
@@ -94,6 +95,20 @@ struct SimOptions
     std::uint64_t sanitizeEveryCycles = 0;
 };
 
+/**
+ * Deterministic work counts of the cycle loop: the same on every host,
+ * so a test can pin them exactly. Kept out of RunStats, whose bytes the
+ * goldens pin.
+ */
+struct WorkCounts
+{
+    /** Writeback queues the drain visited; each held an entry. */
+    std::uint64_t wbQueuesVisited = 0;
+
+    /** Instruction-row slots issue selection examined. */
+    std::uint64_t issueSlotsExamined = 0;
+};
+
 /** Executes one compiled program on one machine configuration. */
 class Simulator
 {
@@ -143,6 +158,9 @@ class Simulator
     /** Number of currently active threads. */
     int activeThreads() const;
 
+    /** Work the cycle loop has done so far. */
+    const WorkCounts& work() const { return _work; }
+
     /** Install (or clear, with nullptr) a trace sink. */
     void setTracer(TraceFn fn) { tracer = std::move(fn); }
 
@@ -186,29 +204,16 @@ class Simulator
         ValueList args;
     };
 
-    /** An issue decision made in the selection pass. */
-    struct IssueDecision
-    {
-        int fu = 0;
-        int threadIndex = 0;
-        std::size_t slot = 0;
-    };
-
-    /** Per-cycle issue-scan view of one active thread. */
-    struct IssueRow
-    {
-        ThreadContext* t = nullptr;
-        const isa::Instruction* inst = nullptr;
-        /** This thread's slot-index row: slot per fu, or -1. */
-        const std::int16_t* slots = nullptr;
-    };
-
-    /** The (thread, cause) a unit's stalled cycle was charged to;
-     *  reused by fast-forward to charge whole quiescent spans. */
-    struct FuStall
+    /** One unit's selection this cycle: the winning thread and slot
+     *  (thread < 0 when nothing issues), and the (thread, cause) of
+     *  its first blocked candidate, which an empty cycle is charged
+     *  to. Fast-forward reuses that charge for whole quiescent spans. */
+    struct FuPick
     {
         int thread = -1;
-        StallCause cause = StallCause::IdleNoThread;
+        std::size_t slot = 0;
+        int stallThread = -1;
+        StallCause stallCause = StallCause::IdleNoThread;
     };
 
     void spawnThread(std::uint32_t fork_target, const ValueList& args);
@@ -236,7 +241,20 @@ class Simulator
      * Called exactly once per FU per cycle, making the conservation
      * identity cycles × numFus == issued + Σ stalls exact.
      */
-    void noteFuCycle(int fu, int thread, StallCause cause);
+    void noteFuCycle(int fu, int thread, StallCause cause)
+    {
+        const int k = static_cast<int>(cause);
+        ++_stats.stallsByFu[fu][k];
+        ++_stats.stallsByCluster[fus[fu].cluster][k];
+        ++_stats.stallsTotal[k];
+        if (thread >= 0)
+            ++threadStalls[thread][k];
+        if (cause != StallCause::Issued && traceStalls && tracer)
+            emitStallTrace(fu, thread, cause);
+    }
+
+    /** noteFuCycle's Stall trace event, kept off the inlined path. */
+    void emitStallTrace(int fu, int thread, StallCause cause);
 
     /** Bulk form of noteFuCycle for a fast-forwarded span of @p span
      *  identically-stalled cycles (no trace events: fast-forward is
@@ -252,14 +270,14 @@ class Simulator
     StallCause classifyOperandStall(const ThreadContext& t,
                                     const isa::Operation& op) const;
 
-    /** Phase 4: per-unit selection over the slot index, stall
-     *  attribution, then application of the issue decisions. */
+    /** Phase 4: per-unit selection over the unissued slots of the
+     *  active threads, stall attribution, then the issues. */
     void selectAndIssue();
 
     void enqueueWriteback(int thread, const isa::RegRef& dst,
                           const isa::Value& value, int src_cluster);
 
-    void executeIssue(const IssueDecision& d);
+    void executeIssue(int fu, int thread, std::size_t slot);
     void doWriteback();
     void manageActiveSet();
 
@@ -311,15 +329,6 @@ class Simulator
     /** Per-unit last-served thread id (round-robin arbitration). */
     std::vector<int> rrLastThread;
 
-    /**
-     * Slot index, built at bind time: for thread function c,
-     * slotIndex[c][row * numFus + fu] is the position in
-     * instructions[row].slots of the operation bound to unit fu, or
-     * -1. Each unit probes one entry per thread instead of rescanning
-     * the row's slot list (at most one operation per (row, fu)).
-     */
-    std::vector<std::vector<std::int16_t>> slotIndex;
-
     std::unique_ptr<MemorySystem> mem;
     WritebackNetwork network;
     OpCaches opCaches;
@@ -353,6 +362,10 @@ class Simulator
     std::vector<std::vector<WbEntry>> wbByThread;
     std::size_t wbCount = 0;
 
+    /** Ascending ids of the threads whose writeback queue is
+     *  non-empty: the drain visits these and no other queue. */
+    std::vector<int> wbPending;
+
     std::uint64_t _cycle = 0;
     std::uint64_t lastProgressCycle = 0;
     bool progressThisCycle = false;
@@ -369,11 +382,10 @@ class Simulator
 
     /** Per-cycle scratch (members to keep their capacity). */
     std::vector<CompletedLoad> memDoneScratch;
-    std::vector<IssueDecision> decisionScratch;
-    std::vector<IssueRow> rowScratch;
-    std::vector<FuStall> fuStallScratch;
+    std::vector<FuPick> fuPicks;  ///< indexed by unit
 
     RunStats _stats;
+    WorkCounts _work;
 };
 
 } // namespace sim

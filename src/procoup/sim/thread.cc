@@ -1,7 +1,5 @@
 #include "procoup/sim/thread.hh"
 
-#include "procoup/support/error.hh"
-
 namespace procoup {
 namespace sim {
 
@@ -29,20 +27,6 @@ ThreadContext::resetWindow()
     endPending = false;
 }
 
-const isa::Instruction&
-ThreadContext::currentInstruction() const
-{
-    PROCOUP_ASSERT(_state == ThreadState::Active, "thread not active");
-    return _code->instructions[_ip];
-}
-
-bool
-ThreadContext::slotIssued(std::size_t slot) const
-{
-    PROCOUP_ASSERT(slot < issued.size(), "slot out of range");
-    return issued[slot];
-}
-
 void
 ThreadContext::markIssued(std::size_t slot)
 {
@@ -51,12 +35,6 @@ ThreadContext::markIssued(std::size_t slot)
     issued[slot] = true;
     --unissued;
     ++_opsIssued;
-}
-
-bool
-ThreadContext::allSlotsIssued() const
-{
-    return unissued == 0;
 }
 
 void

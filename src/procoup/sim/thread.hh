@@ -17,6 +17,7 @@
 
 #include "procoup/isa/program.hh"
 #include "procoup/sim/regfile.hh"
+#include "procoup/support/error.hh"
 
 namespace procoup {
 namespace sim {
@@ -62,16 +63,24 @@ class ThreadContext
     const RegisterSet& regs() const { return _regs; }
 
     /** The instruction at the current IP. @pre state() == Active */
-    const isa::Instruction& currentInstruction() const;
+    const isa::Instruction& currentInstruction() const
+    {
+        PROCOUP_ASSERT(_state == ThreadState::Active, "thread not active");
+        return _code->instructions[_ip];
+    }
 
     /** True if slot @p slot of the current instruction has issued. */
-    bool slotIssued(std::size_t slot) const;
+    bool slotIssued(std::size_t slot) const
+    {
+        PROCOUP_ASSERT(slot < issued.size(), "slot out of range");
+        return issued[slot];
+    }
 
     /** Record that slot @p slot issued this cycle. */
     void markIssued(std::size_t slot);
 
     /** All operations of the current instruction have issued. */
-    bool allSlotsIssued() const;
+    bool allSlotsIssued() const { return unissued == 0; }
 
     /** Record a resolved control transfer from the current row. */
     void setBranch(bool taken, std::uint32_t target,

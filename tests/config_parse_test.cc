@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "procoup/config/parse.hh"
 #include "procoup/config/presets.hh"
+#include "procoup/config/validate.hh"
 #include "procoup/core/node.hh"
 #include "procoup/support/error.hh"
 #include "procoup/support/strings.hh"
@@ -90,6 +93,21 @@ TEST(ConfigParse, Rejections)
     EXPECT_THROW(parseMachine(
         "(machine (cluster (iu) (mem)) (cluster (br)) (bogus))"),
         CompileError);
+}
+
+TEST(ConfigParse, ValidateMachineChecksBuiltMachines)
+{
+    // The parser's semantic checks, on machines built in code (as a
+    // decoded plan builds them).
+    EXPECT_NO_THROW(config::validateMachine(config::baseline()));
+    auto m = config::baseline();
+    m.opCache.enabled = true;
+    m.opCache.linesPerUnit = 0;
+    EXPECT_THROW(config::validateMachine(m), CompileError);
+    m.opCache.enabled = false;
+    EXPECT_NO_THROW(config::validateMachine(m));
+    m.memory.missRate = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_THROW(config::validateMachine(m), CompileError);
 }
 
 TEST(ConfigParse, OpCacheAndSwapSections)

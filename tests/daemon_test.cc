@@ -242,6 +242,35 @@ TEST(Service, PlanSubmitRejectsARepeatedLabel)
     EXPECT_FALSE(exp::decodePlanSubmit(body, &env));
 }
 
+TEST(Service, PlanSubmitRejectsAMachineTheSimulatorCannotRun)
+{
+    // Each of these machines encodes to well-formed bytes but breaks a
+    // rule a machine file must meet, so the decoder must reject the
+    // plan. An operation cache with no lines, for one, aborts the
+    // point at bind (OpCaches).
+    const std::vector<void (*)(config::MachineConfig&)> breaks = {
+        [](config::MachineConfig& m) { m.opCache.linesPerUnit = 0; },
+        [](config::MachineConfig& m) { m.opCache.rowsPerLine = 0; },
+        [](config::MachineConfig& m) { m.clusters.clear(); },
+        [](config::MachineConfig& m) { m.clusters[0].units.clear(); },
+        [](config::MachineConfig& m) { m.clusters[1].units.pop_back(); },
+        [](config::MachineConfig& m) { m.clusters[0].units[0].latency = 0; },
+        [](config::MachineConfig& m) { m.memory.missRate = 1.5; },
+        [](config::MachineConfig& m) { m.memory.missPenaltyMin = 50; },
+    };
+    for (std::size_t i = 0; i < breaks.size(); ++i) {
+        exp::ExperimentPlan plan = pinnedPlan();
+        breaks[i](plan.mutablePoints()[0].machine);
+        exp::PlanEnvelope env;
+        if (exp::decodePlanSubmit(
+                exp::encodePlanSubmit(plan, pinnedKnobs()), &env)) {
+            ADD_FAILURE() << "break " << i << " decoded";
+            // What the daemon does with a decoded plan.
+            exp::SweepRunner(env.options).run(env.plan);
+        }
+    }
+}
+
 TEST(Service, PlanSubmitRejectsAnIntFieldOutOfRange)
 {
     // forkClones travels as an i64; a value beyond int must fail the

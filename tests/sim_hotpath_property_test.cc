@@ -11,9 +11,11 @@
  *  optimizations exploit: high memory latencies (quiescent-cycle
  *  fast-forward), mixed unit latencies (completion wheel), all
  *  interconnect schemes (writeback queue order), both arbitration
- *  policies (slot-index scan order), operation caches and bounded
- *  active sets (which disable fast-forward), and synchronizing
- *  memory flavors (parked-transaction wakeups).
+ *  policies (each unit's scan order over the live slots), operation
+ *  caches and bounded active sets (which disable fast-forward), and
+ *  synchronizing memory flavors (parked-transaction wakeups). Paper
+ *  benchmarks that spawn up to 2017 threads cover long pending-
+ *  writeback lists and round-robin over long active lists.
  *
  *  The generator only emits programs that terminate: loop bounds are
  *  constants, `take` is always immediately refilled by a dependent
@@ -26,6 +28,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -323,10 +326,11 @@ struct Observed
 
 template <typename Sim>
 Observed
-observe(const config::MachineConfig& machine, const isa::Program& prog)
+observe(const config::MachineConfig& machine, const isa::Program& prog,
+        const sim::SimOptions& options = {})
 {
     Observed o;
-    Sim s(machine, prog);
+    Sim s(machine, prog, options);
     try {
         while (s.step()) {
             if (s.cycle() > kCycleCap) {
@@ -403,6 +407,116 @@ TEST(SimHotpathProperty, OptimizedMatchesReferenceSimulator)
     // overwhelming majority of cases must complete.
     EXPECT_GE(ran, 40) << "too few comparable runs (deadlocks: "
                        << deadlocks << ")";
+}
+
+/** The random programs rarely spawn more than a few threads. These
+ *  benchmarks spawn 81 to 2017 on interconnects narrow enough to keep
+ *  writes queued, including writes for threads that already retired,
+ *  and round-robin starts each unit's scan deep into a long active
+ *  list. */
+TEST(SimHotpathProperty, ManyThreadProgramsOnNarrowInterconnects)
+{
+    struct Case
+    {
+        const char* benchmark;
+        core::SimMode mode;
+    };
+    const Case cases[] = {
+        {"Sort", core::SimMode::Coupled},
+        {"FFT", core::SimMode::Coupled},
+        {"Model", core::SimMode::Coupled},
+        {"LUD", core::SimMode::Tpe},
+    };
+    for (const auto scheme : {config::InterconnectScheme::SharedBus,
+                              config::InterconnectScheme::SinglePort}) {
+        auto machine = config::withInterconnect(config::baseline(), scheme);
+        machine.arbitration = config::ArbitrationPolicy::RoundRobin;
+        core::CoupledNode node(machine);
+        for (const auto& c : cases) {
+            const std::string what = strCat(
+                c.benchmark, " on ",
+                config::interconnectSchemeName(scheme));
+            const isa::Program prog =
+                node.compile(benchmarks::byName(c.benchmark)
+                                 .forMode(c.mode),
+                             c.mode)
+                    .program;
+            // The sanitizer also checks that the pending-writeback list
+            // names exactly the non-empty queues, in ascending order.
+            sim::SimOptions checked;
+            checked.sanitizeEveryCycles = 256;
+            const Observed fast =
+                observe<sim::Simulator>(machine, prog, checked);
+            const Observed ref =
+                observe<simtest::SlowReferenceSimulator>(machine, prog);
+            ASSERT_FALSE(fast.threw || fast.capped)
+                << what << ": " << fast.error;
+            ASSERT_FALSE(ref.threw || ref.capped)
+                << what << ": " << ref.error;
+            EXPECT_GE(fast.stats.threadsSpawned, 81u) << what;
+            EXPECT_TRUE(fast.stats == ref.stats)
+                << what << ": RunStats diverged (cycles "
+                << fast.stats.cycles << " vs " << ref.stats.cycles << ")";
+            EXPECT_TRUE(fast.memory == ref.memory)
+                << what << ": memory image diverged";
+        }
+    }
+}
+
+/** The cycle loop's work counts are the same on every host, so they
+ *  are pinned exactly. Every writeback queue the drain visits holds an
+ *  entry that is either granted or retained for a later cycle, which
+ *  bounds the visits; a drain over every thread ever spawned breaks
+ *  that bound by orders of magnitude on LUD (2017 threads). */
+TEST(SimHotpathProperty, WorkCountsOnTable2AndSharedBus)
+{
+    // Slots issue selection examines on the Table 2 LUD points.
+    const std::map<core::SimMode, std::uint64_t> ludSlots = {
+        {core::SimMode::Seq, 108260},
+        {core::SimMode::Sts, 112194},
+        {core::SimMode::Tpe, 441411},
+        {core::SimMode::Coupled, 380148},
+    };
+    struct Point
+    {
+        std::string benchmark;
+        core::SimMode mode;
+        config::MachineConfig machine;
+        std::uint64_t slots = 0;  ///< pinned when nonzero
+    };
+    std::vector<Point> points;
+    for (const std::string name : {"Matrix", "FFT", "LUD", "Model"})
+        for (const auto mode : core::allSimModes())
+            if (mode != core::SimMode::Ideal ||
+                benchmarks::byName(name).hasIdeal())
+                points.push_back({name, mode, config::baseline(),
+                                  name == "LUD" ? ludSlots.at(mode) : 0});
+    ASSERT_EQ(points.size(), 18u);
+    for (const auto mode : {core::SimMode::Tpe, core::SimMode::Coupled})
+        points.push_back({"LUD", mode,
+                          config::withInterconnect(
+                              config::baseline(),
+                              config::InterconnectScheme::SharedBus)});
+
+    for (const Point& p : points) {
+        const std::string what =
+            strCat(p.benchmark, " ", core::simModeName(p.mode), " on ",
+                   config::interconnectSchemeName(p.machine.interconnect));
+        core::CoupledNode node(p.machine);
+        const isa::Program prog =
+            node.compile(benchmarks::byName(p.benchmark).forMode(p.mode),
+                         p.mode)
+                .program;
+        sim::Simulator s(p.machine, prog);
+        const sim::RunStats st = s.run();
+        EXPECT_LE(s.work().wbQueuesVisited,
+                  st.writebacks + st.writebackStallCycles)
+            << what;
+        EXPECT_GT(s.work().issueSlotsExamined, 0u) << what;
+        if (p.slots > 0) {
+            EXPECT_EQ(s.work().issueSlotsExamined, p.slots) << what;
+        }
+    }
 }
 
 /** The conservation identity holds on the fast-forward path too
