@@ -50,14 +50,20 @@ validateMachine(const MachineConfig& machine)
     if (machine.branchClusters().empty())
         throw CompileError("machine has no branch unit");
     const MemoryConfig& mem = machine.memory;
+    if (mem.hitLatency < 0)
+        bad("hit latency must be at least 0");
     if (!(mem.missRate >= 0.0 && mem.missRate <= 1.0))
         bad("miss rate must be within [0, 1]");
+    if (mem.missPenaltyMin < 0)
+        bad("miss penalty must be at least 0");
     if (mem.missPenaltyMin > mem.missPenaltyMax)
         bad("miss penalty range is inverted");
     const OpCacheConfig& oc = machine.opCache;
     if (oc.enabled && (oc.linesPerUnit < 1 || oc.rowsPerLine < 1 ||
                        oc.missPenalty < 0))
         bad("bad opcache parameters");
+    if (machine.deadlockCycleLimit < 1)
+        bad("deadlock cycle limit must be at least 1");
 }
 
 void

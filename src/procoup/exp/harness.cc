@@ -1,7 +1,11 @@
 #include "procoup/exp/harness.hh"
 
+#include <cfloat>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 
 #include "procoup/exp/service.hh"
@@ -24,118 +28,119 @@ usage(const char* argv0)
         "usage: %s [--jobs N] [--list] [--filter SUBSTRING]\n"
         "       [--stats-json FILE] [--sweep-report FILE]\n"
         "       [--no-compile-cache] [--sanitize[=N]]\n"
-        "       [--faults=INTENSITY] [--fault-seed=S]\n"
-        "       [--fail-safe] [--retry-faulted] [--retries=N]\n"
+        "       [--faults X] [--fault-seed S]\n"
+        "       [--fail-safe] [--retry-faulted] [--retries N]\n"
         "       [--journal DIR] [--disk-cache DIR] [--no-disk-cache]\n"
-        "       [--isolate-workers] [--worker-timeout-ms=N]\n"
+        "       [--isolate-workers] [--worker-timeout-ms N]\n"
         "       [--connect SOCK]\n"
-        "see src/procoup/exp/harness.hh for flag semantics\n",
+        "valued flags also take --flag=X; see src/procoup/exp/harness.hh\n",
         argv0);
     std::exit(1);
 }
 
-void
-writeFileOrDie(const std::string& path, const std::string& content)
-{
-    std::ofstream out(path);
-    if (!out) {
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
-        std::exit(1);
-    }
-    out << content;
-}
-
 } // namespace
 
+bool
+Args::next()
+{
+    if (++_i >= _argc)
+        return false;
+    _arg = _argv[_i];
+    _flag = nullptr;
+    return true;
+}
+
+bool
+Args::set(const char* flag, bool* out)
+{
+    if (_arg != flag)
+        return false;
+    *out = true;
+    return true;
+}
+
+bool
+Args::value(const char* flag, std::string* out)
+{
+    const std::size_t n = std::strlen(flag);
+    if (_arg.compare(0, n, flag) != 0)
+        return false;
+    if (_arg.size() == n) {
+        if (_i + 1 >= _argc)
+            fail(strCat(flag, " needs a value"));
+        *out = _argv[++_i];
+    } else if (_arg[n] == '=') {
+        *out = _arg.substr(n + 1);
+    } else {
+        return false;
+    }
+    _flag = flag;
+    _value = *out;
+    return true;
+}
+
+void
+Args::bad() const
+{
+    fail(_flag ? strCat("bad value for ", _flag, ": '", _value, "'")
+               : strCat("unknown option '", _arg, "'"));
+}
+
+void
+Args::fail(const std::string& what) const
+{
+    std::fprintf(stderr, "%s: %s\n", _argv[0], what.c_str());
+    _usage(_argv[0]);
+    std::exit(1);  // a usage function that returned
+}
+
 HarnessOptions
-HarnessOptions::parse(int argc, char** argv)
+HarnessOptions::parse(int argc, char** argv,
+                      const std::function<bool(Args&)>& own,
+                      Args::Usage usage_fn)
 {
     HarnessOptions o;
+    RunnerOptions& r = o.runner;
     if (const char* env = std::getenv("PROCOUP_DISK_CACHE"))
-        o.diskCacheDir = env;
+        r.diskCacheDir = env;
+    bool no_compile_cache = false;
     bool no_disk_cache = false;
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        auto next = [&]() -> std::string {
-            if (++i >= argc)
-                usage(argv[0]);
-            return argv[i];
-        };
-        if (a == "--jobs") {
-            o.jobs = static_cast<int>(
-                std::strtol(next().c_str(), nullptr, 10));
-            if (o.jobs < 1)
-                usage(argv[0]);
-        } else if (a.rfind("--jobs=", 0) == 0) {
-            o.jobs = static_cast<int>(
-                std::strtol(a.c_str() + 7, nullptr, 10));
-            if (o.jobs < 1)
-                usage(argv[0]);
-        } else if (a == "--list") {
-            o.list = true;
-        } else if (a == "--filter") {
-            o.filter = next();
-        } else if (a.rfind("--filter=", 0) == 0) {
-            o.filter = a.substr(9);
-        } else if (a == "--stats-json") {
-            o.statsJsonPath = next();
-        } else if (a.rfind("--stats-json=", 0) == 0) {
-            o.statsJsonPath = a.substr(13);
-        } else if (a == "--sweep-report") {
-            o.sweepReportPath = next();
-        } else if (a.rfind("--sweep-report=", 0) == 0) {
-            o.sweepReportPath = a.substr(15);
-        } else if (a == "--no-compile-cache") {
-            o.compileCache = false;
-        } else if (a == "--sanitize") {
+    int retries = r.retryPolicy.maxRetries();
+    for (Args a(argc, argv, usage_fn ? usage_fn : usage); a.next();) {
+        if (own && own(a))
+            continue;
+        // Bare --sanitize never takes the next argument as its N.
+        if (a.arg() == "--sanitize") {
             o.sanitizeEveryCycles = 1024;
-        } else if (a.rfind("--sanitize=", 0) == 0) {
-            o.sanitizeEveryCycles = static_cast<std::uint64_t>(
-                std::strtoull(a.c_str() + 11, nullptr, 10));
-            if (o.sanitizeEveryCycles == 0)
-                usage(argv[0]);
-        } else if (a.rfind("--faults=", 0) == 0) {
-            o.faultIntensity = std::strtod(a.c_str() + 9, nullptr);
-            if (o.faultIntensity < 0.0)
-                usage(argv[0]);
-        } else if (a.rfind("--fault-seed=", 0) == 0) {
-            o.faultSeed = static_cast<std::uint64_t>(
-                std::strtoull(a.c_str() + 13, nullptr, 10));
-        } else if (a == "--fail-safe") {
-            o.failSafe = true;
-        } else if (a == "--retry-faulted") {
-            o.retryFaulted = true;
-        } else if (a.rfind("--retries=", 0) == 0) {
-            o.retries = static_cast<int>(
-                std::strtol(a.c_str() + 10, nullptr, 10));
-            if (o.retries < 0)
-                usage(argv[0]);
-        } else if (a == "--journal") {
-            o.journalDir = next();
-        } else if (a.rfind("--journal=", 0) == 0) {
-            o.journalDir = a.substr(10);
-        } else if (a == "--disk-cache") {
-            o.diskCacheDir = next();
-        } else if (a.rfind("--disk-cache=", 0) == 0) {
-            o.diskCacheDir = a.substr(13);
-        } else if (a == "--no-disk-cache") {
-            no_disk_cache = true;
-        } else if (a == "--isolate-workers") {
-            o.isolateWorkers = true;
-        } else if (a.rfind("--worker-timeout-ms=", 0) == 0) {
-            o.workerTimeoutMs = std::strtod(a.c_str() + 20, nullptr);
-            if (o.workerTimeoutMs <= 0.0)
-                usage(argv[0]);
-        } else if (a == "--connect") {
-            o.connectSocket = next();
-        } else if (a.rfind("--connect=", 0) == 0) {
-            o.connectSocket = a.substr(10);
-        } else {
-            usage(argv[0]);
+            continue;
         }
+        if (!(a.number("--jobs", 1, INT_MAX, &r.jobs) ||
+              a.set("--list", &o.list) ||
+              a.value("--filter", &o.filter) ||
+              a.value("--stats-json", &o.statsJsonPath) ||
+              a.value("--sweep-report", &o.sweepReportPath) ||
+              a.set("--no-compile-cache", &no_compile_cache) ||
+              a.number("--sanitize", std::uint64_t{1}, UINT64_MAX,
+                       &o.sanitizeEveryCycles) ||
+              a.number("--faults", 0.0, DBL_MAX, &o.faultIntensity) ||
+              a.number("--fault-seed", std::uint64_t{0}, UINT64_MAX,
+                       &o.faultSeed) ||
+              a.set("--fail-safe", &r.failSafe) ||
+              a.set("--retry-faulted", &r.retryFaulted) ||
+              a.number("--retries", 0, INT_MAX - 1, &retries) ||
+              a.value("--journal", &r.journalDir) ||
+              a.value("--disk-cache", &r.diskCacheDir) ||
+              a.set("--no-disk-cache", &no_disk_cache) ||
+              a.set("--isolate-workers", &r.isolateWorkers) ||
+              a.number("--worker-timeout-ms", DBL_TRUE_MIN, DBL_MAX,
+                       &r.workerTimeoutMs) ||
+              a.value("--connect", &o.connectSocket)))
+            a.bad();
     }
+    r.cacheEnabled = !no_compile_cache;
+    r.retryPolicy.maxAttempts = retries + 1;
     if (no_disk_cache)
-        o.diskCacheDir.clear();
+        r.diskCacheDir.clear();
     return o;
 }
 
@@ -187,29 +192,30 @@ formatSweepReport(const ExperimentPlan& plan, const SweepResult& result,
         ",\n\"wall_ms\": ", fixed(result.wallMs, 3),
         ",\n\"point_wall_ms_total\": ", fixed(point_ms, 3),
         ",\n\"compile_cache\": {\"enabled\": ",
-        options.compileCache ? "true" : "false",
+        options.runner.cacheEnabled ? "true" : "false",
         ", \"hits\": ", result.cacheStats.hits,
         ", \"misses\": ", result.cacheStats.misses,
         ", \"hit_rate\": ", fixed(result.cacheStats.hitRate(), 4),
         "}");
     // Crash-safety blocks appear only when their flag is on, keeping
     // existing sweep reports byte-identical.
-    if (!options.diskCacheDir.empty())
+    const RunnerOptions& r = options.runner;
+    if (!r.diskCacheDir.empty())
         s += strCat(",\n\"disk_cache\": {\"dir\": ",
-                    jsonQuote(options.diskCacheDir),
+                    jsonQuote(r.diskCacheDir),
                     ", \"compiles\": ", result.cacheStats.compiles,
                     ", \"hits\": ", result.cacheStats.diskHits,
                     ", \"stores\": ", result.cacheStats.diskStores,
                     ", \"corrupt\": ", result.cacheStats.diskCorrupt,
                     "}");
-    if (!options.journalDir.empty())
+    if (!r.journalDir.empty())
         s += strCat(",\n\"journal\": {\"dir\": ",
-                    jsonQuote(options.journalDir), ", \"replayed\": ",
+                    jsonQuote(r.journalDir), ", \"replayed\": ",
                     result.replayedPoints, ", \"executed\": ",
                     result.outcomes.size() - result.replayedPoints,
                     ", \"compiles\": ", result.cacheStats.compiles,
                     "}");
-    if (options.isolateWorkers)
+    if (r.isolateWorkers)
         s += ",\n\"isolate_workers\": true";
     if (result.daemon.active)
         s += strCat(",\n\"daemon\": {\"socket\": ",
@@ -277,20 +283,10 @@ runHarness(const ExperimentPlan& plan, const HarnessOptions& options,
                     options.faultIntensity, options.faultSeed);
         }
 
-    RunnerOptions ropts;
-    ropts.jobs = options.jobs;
-    ropts.cacheEnabled = options.compileCache;
-    ropts.failSafe = options.failSafe;
-    ropts.retryFaulted = options.retryFaulted;
-    ropts.retryPolicy.maxAttempts = options.retries + 1;
-    ropts.journalDir = options.journalDir;
-    ropts.diskCacheDir = options.diskCacheDir;
-    ropts.isolateWorkers = options.isolateWorkers;
-    ropts.workerTimeoutMs = options.workerTimeoutMs;
-
     SweepResult result;
     if (!options.connectSocket.empty()) {
-        if (options.isolateWorkers || !options.journalDir.empty()) {
+        if (options.runner.isolateWorkers ||
+            !options.runner.journalDir.empty()) {
             std::fprintf(stderr,
                          "--connect is incompatible with "
                          "--isolate-workers and --journal: the daemon "
@@ -299,10 +295,9 @@ runHarness(const ExperimentPlan& plan, const HarnessOptions& options,
         }
         ClientOptions copts;
         copts.socketPath = options.connectSocket;
-        result = runPlanOverSocket(to_run, ropts, copts);
+        result = runPlanOverSocket(to_run, options.runner, copts);
     } else {
-        SweepRunner runner(ropts);
-        result = runner.run(to_run);
+        result = SweepRunner(options.runner).run(to_run);
     }
 
     if (filtered) {
@@ -340,11 +335,10 @@ runHarness(const ExperimentPlan& plan, const HarnessOptions& options,
                          o.point->label.c_str(), o.error.c_str());
 
     if (!options.statsJsonPath.empty())
-        writeFileOrDie(options.statsJsonPath,
-                       formatStatsBundle(result));
+        writeOutput(options.statsJsonPath, formatStatsBundle(result));
     if (!options.sweepReportPath.empty())
-        writeFileOrDie(options.sweepReportPath,
-                       formatSweepReport(to_run, result, options));
+        writeOutput(options.sweepReportPath,
+                    formatSweepReport(to_run, result, options));
     return 0;
 }
 
@@ -354,6 +348,21 @@ harnessMain(const ExperimentPlan& plan, int argc, char** argv,
 {
     runWorkerIfRequested(argc, argv);
     return runHarness(plan, HarnessOptions::parse(argc, argv), render);
+}
+
+void
+writeOutput(const std::string& path, const std::string& text)
+{
+    if (path == "-") {
+        std::fputs(text.c_str(), stdout);
+        return;
+    }
+    std::ofstream out(path);
+    if (!out) {
+        std::fprintf(stderr, "cannot write %s\n", path.c_str());
+        std::exit(1);
+    }
+    out << text;
 }
 
 std::string

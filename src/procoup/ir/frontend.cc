@@ -4,6 +4,7 @@
 #include <map>
 #include <set>
 
+#include "procoup/isa/alu.hh"
 #include "procoup/lang/parser.hh"
 #include "procoup/support/error.hh"
 #include "procoup/support/strings.hh"
@@ -20,6 +21,13 @@ namespace {
 err(const Sexpr& at, const std::string& what)
 {
     throw CompileError(strCat(what, " (at ", at.loc().toString(), ")"));
+}
+
+/** Fold @p op over constant operands with the simulator's semantics. */
+IrValue
+fold(Opcode op, std::initializer_list<isa::Value> srcs)
+{
+    return IrValue::makeConst(isa::evalAlu(op, srcs));
 }
 
 /** A typed expression result; isVoid marks statement-only forms. */
@@ -526,7 +534,7 @@ FuncBuilder::coerce(const TV& tv, Type want, const Sexpr& at)
     if (want == Type::Float) {
         // int -> float: fold constants, else ITOF on an FPU.
         if (tv.val.isConst())
-            return IrValue::makeFloat(tv.val.constant().asFloat());
+            return fold(Opcode::ITOF, {tv.val.constant()});
         IrInstr i;
         i.op = Opcode::ITOF;
         i.dst = fn().newReg(Type::Float);
@@ -555,21 +563,14 @@ IrValue
 FuncBuilder::emitBin(Opcode op, IrValue a, IrValue b, Type result)
 {
     if (a.isConst() && b.isConst()) {
-        const auto& ca = a.constant();
-        const auto& cb = b.constant();
         switch (op) {
           case Opcode::IADD:
-            return IrValue::makeInt(ca.asInt() + cb.asInt());
           case Opcode::ISUB:
-            return IrValue::makeInt(ca.asInt() - cb.asInt());
           case Opcode::IMUL:
-            return IrValue::makeInt(ca.asInt() * cb.asInt());
           case Opcode::FADD:
-            return IrValue::makeFloat(ca.asFloat() + cb.asFloat());
           case Opcode::FSUB:
-            return IrValue::makeFloat(ca.asFloat() - cb.asFloat());
           case Opcode::FMUL:
-            return IrValue::makeFloat(ca.asFloat() * cb.asFloat());
+            return fold(op, {a.constant(), b.constant()});
           default:
             break;  // fall through to emission
         }
@@ -613,8 +614,8 @@ FuncBuilder::genArith(const Sexpr& e)
         if (a.val.isConst()) {
             const auto& c = a.val.constant();
             return c.isFloat()
-                ? TV::make(IrValue::makeFloat(-c.asFloat()), Type::Float)
-                : TV::make(IrValue::makeInt(-c.asInt()), Type::Int);
+                ? TV::make(fold(Opcode::FNEG, {c}), Type::Float)
+                : TV::make(fold(Opcode::INEG, {c}), Type::Int);
         }
         IrInstr i;
         i.op = a.type == Type::Float ? Opcode::FNEG : Opcode::INEG;
@@ -654,27 +655,18 @@ FuncBuilder::genArith(const Sexpr& e)
         err(e, strCat("unknown operator ", opname));
     }
 
-    // Constant fold division/modulo up front (emitBin folds the rest).
+    // Constant fold division/modulo up front (emitBin folds the rest);
+    // an integer zero divisor is left to trap at run time.
+    const bool divides = opc == Opcode::IDIV || opc == Opcode::IMOD ||
+                         opc == Opcode::FDIV;
     IrValue acc = coerce(args[0], t, e);
     for (std::size_t i = 1; i < args.size(); ++i) {
         IrValue rhs = coerce(args[i], t, e);
-        if (acc.isConst() && rhs.isConst()) {
-            const auto& ca = acc.constant();
-            const auto& cb = rhs.constant();
-            if (opc == Opcode::IDIV && cb.asInt() != 0) {
-                acc = IrValue::makeInt(ca.asInt() / cb.asInt());
-                continue;
-            }
-            if (opc == Opcode::IMOD && cb.asInt() != 0) {
-                acc = IrValue::makeInt(ca.asInt() % cb.asInt());
-                continue;
-            }
-            if (opc == Opcode::FDIV) {
-                acc = IrValue::makeFloat(ca.asFloat() / cb.asFloat());
-                continue;
-            }
-        }
-        acc = emitBin(opc, acc, rhs, t);
+        if (divides && acc.isConst() && rhs.isConst() &&
+            (opc == Opcode::FDIV || rhs.constant().asInt() != 0))
+            acc = fold(opc, {acc.constant(), rhs.constant()});
+        else
+            acc = emitBin(opc, acc, rhs, t);
     }
     return TV::make(acc, t);
 }
@@ -706,18 +698,9 @@ FuncBuilder::genCompare(const Sexpr& e)
 
     IrValue va = coerce(a, t, e);
     IrValue vb = coerce(b, t, e);
-    if (va.isConst() && vb.isConst()) {
-        const double x = va.constant().asFloat();
-        const double y = vb.constant().asFloat();
-        bool r = false;
-        if (s == "<") r = x < y;
-        else if (s == "<=") r = x <= y;
-        else if (s == "=") r = x == y;
-        else if (s == "!=") r = x != y;
-        else if (s == ">") r = x > y;
-        else r = x >= y;
-        return TV::make(IrValue::makeInt(r), Type::Int);
-    }
+    if (va.isConst() && vb.isConst())
+        return TV::make(fold(opc, {va.constant(), vb.constant()}),
+                        Type::Int);
 
     IrInstr i;
     i.op = opc;
@@ -738,8 +721,7 @@ FuncBuilder::genLogic(const Sexpr& e)
         TV a = genExpr(e.at(1));
         IrValue v = coerce(a, Type::Int, e);
         if (v.isConst())
-            return TV::make(
-                IrValue::makeInt(v.constant().asInt() == 0), Type::Int);
+            return TV::make(fold(Opcode::INOT, {v.constant()}), Type::Int);
         IrInstr i;
         i.op = Opcode::INOT;
         i.dst = fn().newReg(Type::Int);
@@ -756,14 +738,9 @@ FuncBuilder::genLogic(const Sexpr& e)
     IrValue acc = coerce(genExpr(e.at(1)), Type::Int, e);
     for (std::size_t i = 2; i < e.size(); ++i) {
         IrValue rhs = coerce(genExpr(e.at(i)), Type::Int, e);
-        if (acc.isConst() && rhs.isConst()) {
-            const std::int64_t x = acc.constant().asInt();
-            const std::int64_t y = rhs.constant().asInt();
-            acc = IrValue::makeInt(opc == Opcode::IAND ? (x & y)
-                                                       : (x | y));
-            continue;
-        }
-        acc = emitBin(opc, acc, rhs, Type::Int);
+        acc = acc.isConst() && rhs.isConst()
+            ? fold(opc, {acc.constant(), rhs.constant()})
+            : emitBin(opc, acc, rhs, Type::Int);
     }
     return TV::make(acc, Type::Int);
 }
@@ -1542,7 +1519,7 @@ FuncBuilder::genExpr(const Sexpr& e)
         if (a.type == Type::Int)
             return a;
         if (a.val.isConst())
-            return TV::make(IrValue::makeInt(a.val.constant().asInt()),
+            return TV::make(fold(Opcode::FTOI, {a.val.constant()}),
                             Type::Int);
         IrInstr i;
         i.op = Opcode::FTOI;

@@ -1,35 +1,43 @@
-#include "procoup/sim/alu.hh"
+#include "procoup/isa/alu.hh"
 
 #include "procoup/support/error.hh"
 #include "procoup/support/strings.hh"
 
 namespace procoup {
-namespace sim {
-
-using isa::Opcode;
-using isa::Value;
+namespace isa {
 
 namespace {
+
+/** The int64 with the bits of @p v: arithmetic on uint64 wraps modulo
+ *  2^64, and the conversion back is modular since C++20. */
+std::int64_t
+wrap(std::uint64_t v)
+{
+    return static_cast<std::int64_t>(v);
+}
 
 Value
 intBin(Opcode op, std::int64_t a, std::int64_t b)
 {
+    const std::uint64_t ua = static_cast<std::uint64_t>(a);
+    const std::uint64_t ub = static_cast<std::uint64_t>(b);
     switch (op) {
-      case Opcode::IADD: return Value::makeInt(a + b);
-      case Opcode::ISUB: return Value::makeInt(a - b);
-      case Opcode::IMUL: return Value::makeInt(a * b);
+      case Opcode::IADD: return Value::makeInt(wrap(ua + ub));
+      case Opcode::ISUB: return Value::makeInt(wrap(ua - ub));
+      case Opcode::IMUL: return Value::makeInt(wrap(ua * ub));
       case Opcode::IDIV:
         if (b == 0)
             throw SimError("integer division by zero");
-        return Value::makeInt(a / b);
+        // a / -1 is -a, which wraps for INT64_MIN.
+        return Value::makeInt(b == -1 ? wrap(0 - ua) : a / b);
       case Opcode::IMOD:
         if (b == 0)
             throw SimError("integer modulo by zero");
-        return Value::makeInt(a % b);
+        return Value::makeInt(b == -1 ? 0 : a % b);
       case Opcode::IAND: return Value::makeInt(a & b);
       case Opcode::IOR:  return Value::makeInt(a | b);
       case Opcode::IXOR: return Value::makeInt(a ^ b);
-      case Opcode::ISHL: return Value::makeInt(a << (b & 63));
+      case Opcode::ISHL: return Value::makeInt(wrap(ua << (b & 63)));
       case Opcode::ISHR: return Value::makeInt(a >> (b & 63));
       case Opcode::ILT:  return Value::makeInt(a < b);
       case Opcode::ILE:  return Value::makeInt(a <= b);
@@ -38,8 +46,7 @@ intBin(Opcode op, std::int64_t a, std::int64_t b)
       case Opcode::IGT:  return Value::makeInt(a > b);
       case Opcode::IGE:  return Value::makeInt(a >= b);
       default:
-        PROCOUP_PANIC(strCat("not an integer binop: ",
-                             isa::opcodeName(op)));
+        PROCOUP_PANIC(strCat("not an integer binop: ", opcodeName(op)));
     }
 }
 
@@ -58,7 +65,7 @@ floatBin(Opcode op, double a, double b)
       case Opcode::FGT:  return Value::makeInt(a > b);
       case Opcode::FGE:  return Value::makeInt(a >= b);
       default:
-        PROCOUP_PANIC(strCat("not a float binop: ", isa::opcodeName(op)));
+        PROCOUP_PANIC(strCat("not a float binop: ", opcodeName(op)));
     }
 }
 
@@ -73,7 +80,8 @@ evalAlu(Opcode op, std::span<const Value> srcs)
     };
     switch (op) {
       case Opcode::INEG:
-        return Value::makeInt(-arg(0).asInt());
+        return Value::makeInt(
+            wrap(0 - static_cast<std::uint64_t>(arg(0).asInt())));
       case Opcode::INOT:
         return Value::makeInt(arg(0).asInt() == 0);
       case Opcode::FNEG:
@@ -92,10 +100,10 @@ evalAlu(Opcode op, std::span<const Value> srcs)
 
     const Value& a = arg(0);
     const Value& b = arg(1);
-    if (unitTypeOf(op) == isa::UnitType::Integer)
+    if (unitTypeOf(op) == UnitType::Integer)
         return intBin(op, a.asInt(), b.asInt());
     return floatBin(op, a.asFloat(), b.asFloat());
 }
 
-} // namespace sim
+} // namespace isa
 } // namespace procoup

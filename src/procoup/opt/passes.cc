@@ -7,7 +7,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "procoup/sim/alu.hh"
+#include "procoup/isa/alu.hh"
 #include "procoup/support/error.hh"
 
 namespace procoup {
@@ -88,7 +88,7 @@ foldInstr(const IrInstr& i)
         if (srcs.size() == 2 && srcs[1].asInt() == 0)
             return std::nullopt;  // keep the runtime trap
     }
-    return sim::evalAlu(i.op, srcs);
+    return isa::evalAlu(i.op, srcs);
 }
 
 } // namespace

@@ -108,6 +108,23 @@ TEST(ConfigParse, ValidateMachineChecksBuiltMachines)
     EXPECT_NO_THROW(config::validateMachine(m));
     m.memory.missRate = std::numeric_limits<double>::quiet_NaN();
     EXPECT_THROW(config::validateMachine(m), CompileError);
+    // Memory timings and a deadlock limit the simulator cannot run.
+    m = config::baseline();
+    m.memory.hitLatency = -3;
+    EXPECT_THROW(config::validateMachine(m), CompileError);
+    m = config::baseline();
+    m.memory.missPenaltyMin = -5;
+    m.memory.missPenaltyMax = -1;
+    EXPECT_THROW(config::validateMachine(m), CompileError);
+    m = config::baseline();
+    m.deadlockCycleLimit = 0;
+    EXPECT_THROW(config::validateMachine(m), CompileError);
+    EXPECT_THROW(parseMachine("(machine x (cluster (iu) (mem)) (cluster (br))"
+                              " (memory :hit -3))"),
+                 CompileError);
+    EXPECT_THROW(parseMachine("(machine x (cluster (iu) (mem)) (cluster (br))"
+                              " (memory :penalty -5 -1 :miss-rate 0.5))"),
+                 CompileError);
 }
 
 TEST(ConfigParse, OpCacheAndSwapSections)

@@ -257,6 +257,13 @@ TEST(Service, PlanSubmitRejectsAMachineTheSimulatorCannotRun)
         [](config::MachineConfig& m) { m.clusters[0].units[0].latency = 0; },
         [](config::MachineConfig& m) { m.memory.missRate = 1.5; },
         [](config::MachineConfig& m) { m.memory.missPenaltyMin = 50; },
+        [](config::MachineConfig& m) { m.memory.hitLatency = -3; },
+        [](config::MachineConfig& m) {
+            m.memory.missPenaltyMin = -5;
+            m.memory.missPenaltyMax = -1;
+        },
+        [](config::MachineConfig& m) { m.deadlockCycleLimit = 0; },
+        [](config::MachineConfig& m) { m.deadlockCycleLimit = -1; },
     };
     for (std::size_t i = 0; i < breaks.size(); ++i) {
         exp::ExperimentPlan plan = pinnedPlan();

@@ -3,9 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "procoup/config/presets.hh"
 #include "procoup/core/node.hh"
 #include "procoup/support/error.hh"
+#include "procoup/support/strings.hh"
 
 namespace procoup {
 namespace {
@@ -151,6 +154,27 @@ TEST(LanguageCorners, IntFloatCasts)
         "    (set f (/ (float 7) 2.0))))");
     EXPECT_EQ(r.intValue("i"), 2);
     EXPECT_DOUBLE_EQ(r.value("f"), 3.5);
+}
+
+TEST(LanguageCorners, Int64MinOverMinusOneWraps)
+{
+    // Integer arithmetic wraps modulo 2^64 whether the frontend folds
+    // it or the ALU runs it; INT64_MIN / -1 once raised SIGFPE in both.
+    const std::string min = "(- -9223372036854775807 1)";
+    for (const std::string op : {"/", "mod"}) {
+        const std::int64_t want =
+            op == "/" ? std::numeric_limits<std::int64_t>::min() : 0;
+        const auto folded = run(strCat(
+            "(defvar out 7)"
+            "(defun main () (set out (", op, " ", min, " -1)))"));
+        EXPECT_EQ(folded.intValue("out"), want) << op;
+        const auto runtime = run(strCat(
+            "(defarray d (1))(defvar out 7)"
+            "(defun main ()"
+            "  (aset d 0 -1.0)"
+            "  (set out (", op, " ", min, " (int (aref d 0)))))"));
+        EXPECT_EQ(runtime.intValue("out"), want) << op;
+    }
 }
 
 TEST(LanguageCorners, GlobalScalarsReadAndWrite)

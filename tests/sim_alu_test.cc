@@ -3,8 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
-#include "procoup/sim/alu.hh"
+#include "procoup/isa/alu.hh"
 #include "procoup/support/error.hh"
 
 namespace procoup {
@@ -12,7 +13,10 @@ namespace {
 
 using isa::Opcode;
 using isa::Value;
-using sim::evalAlu;
+using isa::evalAlu;
+
+constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
 
 // --- Integer binary operations ---------------------------------------
 
@@ -46,6 +50,16 @@ INSTANTIATE_TEST_SUITE_P(
         IntBinCase{"div", Opcode::IDIV, 17, 5, 3},
         IntBinCase{"div_negative", Opcode::IDIV, -17, 5, -3},
         IntBinCase{"mod", Opcode::IMOD, 17, 5, 2},
+        IntBinCase{"mod_negative", Opcode::IMOD, -17, 5, -2},
+        // Integer arithmetic wraps modulo 2^64.
+        IntBinCase{"add_wraps", Opcode::IADD, kMax, 1, kMin},
+        IntBinCase{"sub_wraps", Opcode::ISUB, kMin, 1, kMax},
+        IntBinCase{"mul_wraps", Opcode::IMUL, kMax, 2, -2},
+        IntBinCase{"mul_min_by_minus_one", Opcode::IMUL, kMin, -1, kMin},
+        IntBinCase{"div_by_minus_one", Opcode::IDIV, 7, -1, -7},
+        IntBinCase{"div_min_by_minus_one", Opcode::IDIV, kMin, -1, kMin},
+        IntBinCase{"mod_min_by_minus_one", Opcode::IMOD, kMin, -1, 0},
+        IntBinCase{"shl_into_sign", Opcode::ISHL, 1, 63, kMin},
         IntBinCase{"and", Opcode::IAND, 0b1100, 0b1010, 0b1000},
         IntBinCase{"or", Opcode::IOR, 0b1100, 0b1010, 0b1110},
         IntBinCase{"xor", Opcode::IXOR, 0b1100, 0b1010, 0b0110},
@@ -112,6 +126,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(Alu, UnaryOps)
 {
     EXPECT_EQ(evalAlu(Opcode::INEG, {Value::makeInt(5)}).rawInt(), -5);
+    EXPECT_EQ(evalAlu(Opcode::INEG, {Value::makeInt(kMin)}).rawInt(), kMin);
     EXPECT_EQ(evalAlu(Opcode::INOT, {Value::makeInt(0)}).rawInt(), 1);
     EXPECT_EQ(evalAlu(Opcode::INOT, {Value::makeInt(7)}).rawInt(), 0);
     EXPECT_DOUBLE_EQ(

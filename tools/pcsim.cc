@@ -6,14 +6,14 @@
  *   pcsim [options] program.pcl
  *   pcsim [options] --benchmark Matrix|FFT|LUD|Model
  *
- * Options:
+ * pcsim is a harness over a one-point plan: it takes every flag of
+ * src/procoup/exp/harness.hh, and these of its own (valued ones also
+ * as --flag=X):
+ *
  *   --mode seq|sts|ideal|tpe|coupled   simulation mode (default coupled)
  *   --machine FILE                     s-expression machine description
  *   --interconnect full|tri-port|dual-port|single-port|shared-bus
  *   --mem min|mem1|mem2                memory model preset
- *   --jobs N                           accepted for CLI uniformity with
- *                                      the bench harnesses (a single
- *                                      program is one sweep point)
  *   --dump-asm                         print the compiled assembly
  *   --dump-ir                          print the optimized IR
  *   --dump-schedule                    print Figure-1-style schedules
@@ -22,64 +22,28 @@
  *   --max-trace N                      stop tracing after N events
  *   --trace-stalls                     include per-FU stall-cause events
  *   --trace-out FILE                   write Chrome trace-event JSON
- *   --stats-json FILE                  write machine-readable run stats
- *                                      ("-" for stdout), including the
- *                                      stall-cause attribution
  *   --verify                           (with --benchmark) check results
  *   --sym NAME                         print a data symbol after the run
- *   --faults X                         attach a deterministic fault
- *                                      plan of intensity X (stats-json
- *                                      switches to procoup-stats/2
- *                                      with a "faults" block)
- *   --fault-seed S                     seed of the fault RNG stream
- *   --sanitize[=N]                     re-validate simulator invariants
- *                                      every N cycles (default 1024)
  *   --cycle-cap N                      abort the run (SimError) after
  *                                      N cycles
  *   --deadline-ms T                    abort the run after T ms of
  *                                      simulation wall-clock
- *   --fail-safe                        a simulation failure becomes a
- *                                      structured error record (and a
- *                                      "procoup-stats/2" error object
- *                                      in --stats-json) instead of a
- *                                      nonzero exit
- *   --journal DIR                      write-ahead results journal: a
- *                                      completed run is recorded in
- *                                      DIR and replayed bit-identically
- *                                      on a rerun (see exp/journal.hh)
- *   --disk-cache DIR                   persistent compile cache shared
- *                                      across processes and runs
- *                                      (default: $PROCOUP_DISK_CACHE)
- *   --no-disk-cache                    ignore --disk-cache and the
- *                                      environment default
- *   --isolate-workers                  run the point in a supervised
- *                                      child process; crashes become
- *                                      worker-crash error records
- *   --retries N                        respawn/retry budget (default 2)
- *   --worker-timeout-ms N              per-point budget under
- *                                      --isolate-workers
- *   --connect SOCK                     run the point on a procoupd
- *                                      sweep daemon listening on Unix
- *                                      socket SOCK; output is byte-
- *                                      identical to a local run.
- *                                      Incompatible with --trace,
- *                                      --trace-out, --isolate-workers
- *                                      and --journal
  *
- * The run itself goes through exp::SweepRunner as a one-point
- * ExperimentPlan sharing a compile cache with the dump path, exactly
- * like the bench/ harness grids.
+ * Its --stats-json FILE ("-" = stdout) is the run's own procoup-stats
+ * document, not a bundle; a run that fails under --fail-safe writes a
+ * procoup-stats/2 error document there and exits 0.
  *
  * Exit status: 0 on success, 1 on compile/simulation errors or a
  * failed verification.
  */
 
+#include <cfloat>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "procoup/benchmarks/benchmarks.hh"
@@ -87,11 +51,9 @@
 #include "procoup/config/presets.hh"
 #include "procoup/core/node.hh"
 #include "procoup/exp/cache.hh"
-#include "procoup/exp/plan.hh"
-#include "procoup/exp/runner.hh"
-#include "procoup/exp/service.hh"
+#include "procoup/exp/harness.hh"
+#include "procoup/exp/serialize.hh"
 #include "procoup/exp/worker.hh"
-#include "procoup/fault/fault.hh"
 #include "procoup/ir/frontend.hh"
 #include "procoup/isa/asmtext.hh"
 #include "procoup/opt/passes.hh"
@@ -134,12 +96,10 @@ parseMode(const std::string& s)
 std::string
 readFile(const std::string& path)
 {
-    std::ifstream in(path);
-    if (!in)
+    std::string text;
+    if (!exp::readWholeFile(path, &text))
         throw CompileError(strCat("cannot open ", path));
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    return ss.str();
+    return text;
 }
 
 struct Options
@@ -148,7 +108,6 @@ struct Options
     config::MachineConfig machine = config::baseline();
     std::string source_file;
     std::string benchmark;
-    int jobs = 1;
     bool dump_asm = false;
     bool dump_ir = false;
     bool dump_schedule = false;
@@ -157,152 +116,61 @@ struct Options
     long max_trace = 2000;
     bool trace_stalls = false;
     std::string trace_out;
-    std::string stats_json;
     bool verify = false;
     std::vector<std::string> symbols;
-    double fault_intensity = 0.0;
-    std::uint64_t fault_seed = 1;
-    std::uint64_t sanitize_every = 0;
     std::uint64_t cycle_cap = 0;
     double deadline_ms = 0.0;
-    bool fail_safe = false;
-    std::string journal_dir;
-    std::string disk_cache_dir;
-    bool isolate_workers = false;
-    int retries = 2;
-    double worker_timeout_ms = 120000.0;
-    std::string connect_socket;
+
+    /** Take the current argument if it is one of pcsim's own flags or
+     *  its input file. */
+    bool take(exp::Args& a);
 };
 
-Options
-parseArgs(int argc, char** argv)
+bool
+Options::take(exp::Args& a)
 {
-    Options o;
-    if (const char* env = std::getenv("PROCOUP_DISK_CACHE"))
-        o.disk_cache_dir = env;
-    bool no_disk_cache = false;
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        auto next = [&]() -> std::string {
-            if (++i >= argc)
-                usage(argv[0]);
-            return argv[i];
-        };
-        if (a == "--mode") {
-            o.mode = parseMode(next());
-        } else if (a == "--machine") {
-            o.machine = config::parseMachine(readFile(next()));
-        } else if (a == "--interconnect") {
-            const std::string s = next();
-            o.machine = config::withInterconnect(
-                o.machine,
-                config::parseMachine(
-                    strCat("(machine (cluster (iu) (mem)) (cluster "
-                           "(br)) (interconnect ", s, "))"))
-                    .interconnect);
-        } else if (a == "--mem") {
-            const std::string s = next();
-            if (s == "min")
-                o.machine = config::withMemMin(o.machine);
-            else if (s == "mem1")
-                o.machine = config::withMem1(o.machine);
-            else if (s == "mem2")
-                o.machine = config::withMem2(o.machine);
-            else
-                usage(argv[0]);
-        } else if (a == "--benchmark") {
-            o.benchmark = next();
-        } else if (a == "--jobs") {
-            o.jobs = static_cast<int>(
-                std::strtol(next().c_str(), nullptr, 10));
-            if (o.jobs < 1)
-                usage(argv[0]);
-        } else if (a == "--dump-asm") {
-            o.dump_asm = true;
-        } else if (a == "--dump-ir") {
-            o.dump_ir = true;
-        } else if (a == "--dump-schedule") {
-            o.dump_schedule = true;
-        } else if (a == "--diag") {
-            o.diag = true;
-        } else if (a == "--trace") {
-            o.do_trace = true;
-        } else if (a == "--max-trace") {
-            o.max_trace = std::strtol(next().c_str(), nullptr, 10);
-        } else if (a == "--trace-stalls") {
-            o.trace_stalls = true;
-        } else if (a == "--trace-out") {
-            o.trace_out = next();
-        } else if (a == "--stats-json") {
-            o.stats_json = next();
-        } else if (a == "--verify") {
-            o.verify = true;
-        } else if (a == "--sym") {
-            o.symbols.push_back(next());
-        } else if (a == "--faults") {
-            o.fault_intensity = std::strtod(next().c_str(), nullptr);
-            if (o.fault_intensity < 0.0)
-                usage(argv[0]);
-        } else if (a == "--fault-seed") {
-            o.fault_seed = std::strtoull(next().c_str(), nullptr, 10);
-        } else if (a == "--sanitize") {
-            o.sanitize_every = 1024;
-        } else if (a.rfind("--sanitize=", 0) == 0) {
-            o.sanitize_every =
-                std::strtoull(a.c_str() + 11, nullptr, 10);
-            if (o.sanitize_every == 0)
-                usage(argv[0]);
-        } else if (a == "--cycle-cap") {
-            o.cycle_cap = std::strtoull(next().c_str(), nullptr, 10);
-            if (o.cycle_cap == 0)
-                usage(argv[0]);
-        } else if (a == "--deadline-ms") {
-            o.deadline_ms = std::strtod(next().c_str(), nullptr);
-            if (o.deadline_ms <= 0.0)
-                usage(argv[0]);
-        } else if (a == "--fail-safe") {
-            o.fail_safe = true;
-        } else if (a == "--journal") {
-            o.journal_dir = next();
-        } else if (a == "--disk-cache") {
-            o.disk_cache_dir = next();
-        } else if (a == "--no-disk-cache") {
-            no_disk_cache = true;
-        } else if (a == "--isolate-workers") {
-            o.isolate_workers = true;
-        } else if (a == "--retries") {
-            o.retries = static_cast<int>(
-                std::strtol(next().c_str(), nullptr, 10));
-            if (o.retries < 0)
-                usage(argv[0]);
-        } else if (a == "--worker-timeout-ms") {
-            o.worker_timeout_ms =
-                std::strtod(next().c_str(), nullptr);
-            if (o.worker_timeout_ms <= 0.0)
-                usage(argv[0]);
-        } else if (a == "--connect") {
-            o.connect_socket = next();
-        } else if (!a.empty() && a[0] == '-') {
-            usage(argv[0]);
-        } else {
-            o.source_file = a;
-        }
+    std::string s;
+    if (a.value("--mode", &s)) {
+        mode = parseMode(s);
+    } else if (a.value("--machine", &s)) {
+        machine = config::parseMachine(readFile(s));
+    } else if (a.value("--interconnect", &s)) {
+        machine = config::withInterconnect(
+            machine,
+            config::parseMachine(
+                strCat("(machine (cluster (iu) (mem)) (cluster "
+                       "(br)) (interconnect ", s, "))"))
+                .interconnect);
+    } else if (a.value("--mem", &s)) {
+        if (s == "min")
+            machine = config::withMemMin(machine);
+        else if (s == "mem1")
+            machine = config::withMem1(machine);
+        else if (s == "mem2")
+            machine = config::withMem2(machine);
+        else
+            a.bad();
+    } else if (a.value("--sym", &s)) {
+        symbols.push_back(s);
+    } else if (!a.arg().starts_with("-")) {
+        source_file = a.arg();
+    } else {
+        return a.value("--benchmark", &benchmark) ||
+               a.set("--dump-asm", &dump_asm) ||
+               a.set("--dump-ir", &dump_ir) ||
+               a.set("--dump-schedule", &dump_schedule) ||
+               a.set("--diag", &diag) ||
+               a.set("--trace", &do_trace) ||
+               a.number("--max-trace", 0L, LONG_MAX, &max_trace) ||
+               a.set("--trace-stalls", &trace_stalls) ||
+               a.value("--trace-out", &trace_out) ||
+               a.set("--verify", &verify) ||
+               a.number("--cycle-cap", std::uint64_t{1}, UINT64_MAX,
+                        &cycle_cap) ||
+               a.number("--deadline-ms", DBL_TRUE_MIN, DBL_MAX,
+                        &deadline_ms);
     }
-    if (no_disk_cache)
-        o.disk_cache_dir.clear();
-    if (o.source_file.empty() == o.benchmark.empty())
-        usage(argv[0]);  // exactly one input
-    if (!o.connect_socket.empty() &&
-        (o.do_trace || !o.trace_out.empty() || o.isolate_workers ||
-         !o.journal_dir.empty())) {
-        std::fprintf(stderr,
-                     "--connect is incompatible with --trace/"
-                     "--trace-out (the daemon cannot stream trace "
-                     "events) and with --isolate-workers/--journal "
-                     "(the daemon owns isolation and durability)\n");
-        std::exit(1);
-    }
-    return o;
+    return true;
 }
 
 } // namespace
@@ -311,7 +179,13 @@ int
 main(int argc, char** argv)
 try {
     exp::runWorkerIfRequested(argc, argv);
-    const Options o = parseArgs(argc, argv);
+    Options o;
+    exp::HarnessOptions h = exp::HarnessOptions::parse(
+        argc, argv, [&](exp::Args& a) { return o.take(a); }, usage);
+    if (o.source_file.empty() == o.benchmark.empty())
+        usage(argv[0]);  // exactly one input
+    // One run, so --stats-json is pcsim's own document, not a bundle.
+    const std::string stats_json = std::exchange(h.statsJsonPath, {});
 
     const std::string source =
         !o.benchmark.empty()
@@ -328,8 +202,8 @@ try {
     }
 
     exp::CompileCache cache;
-    if (!o.disk_cache_dir.empty())
-        cache.setDiskDir(o.disk_cache_dir);
+    if (!h.runner.diskCacheDir.empty())
+        cache.setDiskDir(h.runner.diskCacheDir);
     // Compile once for the dump output; the runner's own compile of the
     // same point is then a cache hit, never a second compilation.
     const auto compiled =
@@ -342,6 +216,7 @@ try {
                         sched::formatSchedule(t, o.machine).c_str());
     if (o.diag)
         std::printf("%s\n", sched::formatDiagnostics(*compiled).c_str());
+    h.runner.cache = &cache;
 
     exp::ExperimentPlan plan("pcsim");
     exp::SweepPoint& point = plan.addSource(
@@ -351,24 +226,8 @@ try {
             : strCat(o.source_file, "/", core::simModeName(o.mode), "@",
                      o.machine.name),
         o.machine, source, o.mode);
-
-    if (o.fault_intensity > 0.0)
-        point.simOptions.faults =
-            fault::FaultPlan::atIntensity(o.fault_intensity,
-                                          o.fault_seed);
-    point.simOptions.sanitizeEveryCycles = o.sanitize_every;
     point.simOptions.limits.maxCycles = o.cycle_cap;
     point.simOptions.limits.wallClockDeadlineMs = o.deadline_ms;
-
-    exp::RunnerOptions ropts;
-    ropts.jobs = o.jobs;
-    ropts.cache = &cache;
-    ropts.failSafe = o.fail_safe;
-    ropts.retryPolicy.maxAttempts = o.retries + 1;
-    ropts.journalDir = o.journal_dir;
-    ropts.diskCacheDir = o.disk_cache_dir;
-    ropts.isolateWorkers = o.isolate_workers;
-    ropts.workerTimeoutMs = o.worker_timeout_ms;
 
     long traced = 0;
     std::vector<sim::TraceEvent> collected;
@@ -382,92 +241,59 @@ try {
         point.traceStalls = o.trace_stalls;
     }
 
-    exp::SweepResult sweep;
-    if (!o.connect_socket.empty()) {
-        exp::ClientOptions copts;
-        copts.socketPath = o.connect_socket;
-        sweep = exp::runPlanOverSocket(plan, ropts, copts);
-    } else {
-        exp::SweepRunner runner(ropts);
-        sweep = runner.run(plan);
-    }
-    const exp::RunOutcome& outcome = sweep.outcomes.front();
+    return exp::runHarness(plan, h, [&](const exp::SweepResult& sweep) {
+        const exp::RunOutcome& outcome = sweep.outcomes.front();
+        if (outcome.failed) {
+            // Fail-safe: the failure is a structured record, not an
+            // abort; runHarness reports its message on stderr.
+            if (!stats_json.empty())
+                exp::writeOutput(
+                    stats_json,
+                    strCat("{\n  \"schema\": \"procoup-stats/2\",\n"
+                           "  \"error\": {\"kind\": ",
+                           jsonQuote(simErrorKindName(outcome.errorKind)),
+                           ", \"cycle\": ", outcome.errorCycle,
+                           ", \"message\": ", jsonQuote(outcome.error),
+                           "}\n}\n"));
+            std::printf("simulation FAILED (%s at cycle %llu)\n",
+                        simErrorKindName(outcome.errorKind).c_str(),
+                        static_cast<unsigned long long>(
+                            outcome.errorCycle));
+            return;
+        }
 
-    if (outcome.failed) {
-        // Fail-safe: the failure is a structured record, not an abort.
-        if (!o.stats_json.empty()) {
-            const std::string json = strCat(
-                "{\n  \"schema\": \"procoup-stats/2\",\n"
-                "  \"error\": {\"kind\": ",
-                jsonQuote(simErrorKindName(outcome.errorKind)),
-                ", \"cycle\": ", outcome.errorCycle,
-                ", \"message\": ", jsonQuote(outcome.error), "}\n}\n");
-            if (o.stats_json == "-") {
-                std::fputs(json.c_str(), stdout);
-            } else {
-                std::ofstream out(o.stats_json);
-                if (!out)
-                    throw CompileError(
-                        strCat("cannot write ", o.stats_json));
-                out << json;
+        const core::RunResult& rr = outcome.result;
+        if (o.do_trace && traced > o.max_trace)
+            std::printf("... %ld further events suppressed\n",
+                        traced - o.max_trace);
+        if (!o.trace_out.empty())
+            exp::writeOutput(o.trace_out, sim::chromeTraceJson(collected));
+        if (!stats_json.empty())
+            exp::writeOutput(stats_json,
+                             sched::formatStatsJson(rr.stats, o.machine));
+
+        std::printf("%s", rr.stats.summary().c_str());
+        std::printf("peak registers/cluster: %u\n",
+                    rr.compiled.peakRegistersPerCluster());
+
+        for (const auto& name : o.symbols) {
+            const auto& sym = rr.compiled.program.symbol(name);
+            std::printf("%s:", name.c_str());
+            for (std::uint32_t k = 0; k < sym.size && k < 16; ++k)
+                std::printf(" %s",
+                            rr.memory.at(sym.base + k).toString().c_str());
+            std::printf(sym.size > 16 ? " ...\n" : "\n");
+        }
+
+        if (o.verify && !o.benchmark.empty()) {
+            std::string why;
+            if (!benchmarks::verify(o.benchmark, rr, &why)) {
+                std::fprintf(stderr, "VERIFY FAILED: %s\n", why.c_str());
+                std::exit(1);
             }
+            std::printf("verify: OK\n");
         }
-        std::printf("simulation FAILED (%s at cycle %llu)\n",
-                    simErrorKindName(outcome.errorKind).c_str(),
-                    static_cast<unsigned long long>(
-                        outcome.errorCycle));
-        std::fprintf(stderr, "error: %s\n", outcome.error.c_str());
-        return 0;
-    }
-
-    const core::RunResult& rr = outcome.result;
-    const sim::RunStats& stats = rr.stats;
-
-    if (o.do_trace && traced > o.max_trace)
-        std::printf("... %ld further events suppressed\n",
-                    traced - o.max_trace);
-    if (!o.trace_out.empty()) {
-        std::ofstream out(o.trace_out);
-        if (!out)
-            throw CompileError(strCat("cannot write ", o.trace_out));
-        out << sim::chromeTraceJson(collected);
-    }
-    if (!o.stats_json.empty()) {
-        const std::string json =
-            sched::formatStatsJson(stats, o.machine);
-        if (o.stats_json == "-") {
-            std::fputs(json.c_str(), stdout);
-        } else {
-            std::ofstream out(o.stats_json);
-            if (!out)
-                throw CompileError(
-                    strCat("cannot write ", o.stats_json));
-            out << json;
-        }
-    }
-
-    std::printf("%s", stats.summary().c_str());
-    std::printf("peak registers/cluster: %u\n",
-                rr.compiled.peakRegistersPerCluster());
-
-    for (const auto& name : o.symbols) {
-        const auto& sym = rr.compiled.program.symbol(name);
-        std::printf("%s:", name.c_str());
-        for (std::uint32_t k = 0; k < sym.size && k < 16; ++k)
-            std::printf(" %s",
-                        rr.memory.at(sym.base + k).toString().c_str());
-        std::printf(sym.size > 16 ? " ...\n" : "\n");
-    }
-
-    if (o.verify && !o.benchmark.empty()) {
-        std::string why;
-        if (!benchmarks::verify(o.benchmark, rr, &why)) {
-            std::fprintf(stderr, "VERIFY FAILED: %s\n", why.c_str());
-            return 1;
-        }
-        std::printf("verify: OK\n");
-    }
-    return 0;
+    });
 } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

@@ -2,7 +2,7 @@
  * @file
  * procoupd — the long-lived sweep daemon (exp/daemon.hh).
  *
- * Usage:
+ * Usage (a valued flag also as --flag=X):
  *   procoupd --socket PATH [--state DIR] [--jobs N] [--retries N]
  *            [--lease-ms N] [--heartbeat-ms N] [--disk-cache DIR]
  *            [--no-workers]
@@ -18,11 +18,13 @@
  * processes; see exp/worker.hh. It is never typed.)
  */
 
+#include <cfloat>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
-#include <string>
 
 #include "procoup/exp/daemon.hh"
+#include "procoup/exp/harness.hh"
 #include "procoup/exp/service.hh"
 #include "procoup/exp/worker.hh"
 
@@ -41,20 +43,6 @@ usage(const char* argv0)
     std::exit(2);
 }
 
-double
-parseNum(const char* argv0, const std::string& flag,
-         const std::string& value)
-{
-    char* end = nullptr;
-    const double v = std::strtod(value.c_str(), &end);
-    if (!end || *end != '\0' || v < 0) {
-        std::fprintf(stderr, "%s: bad value for %s: '%s'\n", argv0,
-                     flag.c_str(), value.c_str());
-        std::exit(2);
-    }
-    return v;
-}
-
 } // namespace
 
 int
@@ -66,45 +54,19 @@ main(int argc, char** argv)
 
     DaemonOptions opts;
     bool stop = false;
-
-    auto value = [&](int& i, const std::string& flag) -> std::string {
-        if (i + 1 >= argc) {
-            std::fprintf(stderr, "%s: %s needs a value\n", argv[0],
-                         flag.c_str());
-            std::exit(2);
-        }
-        return argv[++i];
-    };
-
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        if (a == "--socket") {
-            opts.socketPath = value(i, a);
-        } else if (a == "--state") {
-            opts.stateDir = value(i, a);
-        } else if (a == "--jobs") {
-            opts.jobs =
-                static_cast<int>(parseNum(argv[0], a, value(i, a)));
-        } else if (a == "--retries") {
-            opts.retries =
-                static_cast<int>(parseNum(argv[0], a, value(i, a)));
-        } else if (a == "--lease-ms") {
-            opts.leaseMs = parseNum(argv[0], a, value(i, a));
-        } else if (a == "--heartbeat-ms") {
-            opts.heartbeatMs = parseNum(argv[0], a, value(i, a));
-        } else if (a == "--disk-cache") {
-            opts.diskCacheDir = value(i, a);
-        } else if (a == "--no-workers") {
-            opts.inProcess = true;
-        } else if (a == "--stop") {
-            stop = true;
-        } else if (a == "--help" || a == "-h") {
+    for (Args a(argc, argv, usage); a.next();) {
+        if (a.arg() == "--help" || a.arg() == "-h")
             usage(argv[0]);
-        } else {
-            std::fprintf(stderr, "%s: unknown option '%s'\n", argv[0],
-                         a.c_str());
-            usage(argv[0]);
-        }
+        if (!(a.value("--socket", &opts.socketPath) ||
+              a.value("--state", &opts.stateDir) ||
+              a.number("--jobs", 0, INT_MAX, &opts.jobs) ||
+              a.number("--retries", 0, INT_MAX - 1, &opts.retries) ||
+              a.number("--lease-ms", 0.0, DBL_MAX, &opts.leaseMs) ||
+              a.number("--heartbeat-ms", 0.0, DBL_MAX, &opts.heartbeatMs) ||
+              a.value("--disk-cache", &opts.diskCacheDir) ||
+              a.set("--no-workers", &opts.inProcess) ||
+              a.set("--stop", &stop)))
+            a.bad();
     }
 
     if (opts.socketPath.empty())
