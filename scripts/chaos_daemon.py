@@ -11,8 +11,8 @@ run, and journaled points are never recompiled or re-executed.
 Scenarios (--scenarios picks a comma-separated subset; default all):
 
   clean       daemon run vs local run: byte-identical bundle, report
-              identical after dropping timing/daemon keys, leases
-              issued for every point;
+              identical after dropping timing/daemon keys, exactly one
+              lease issued per point and none reassigned;
   no-workers  in-process degradation (--no-workers): identical bundle;
   kill-worker SIGKILL a worker child mid-sweep: the broken lease is
               reassigned and the bundle still converges;
@@ -32,7 +32,17 @@ Scenarios (--scenarios picks a comma-separated subset; default all):
               under --isolate-workers it becomes a worker-crash or
               worker-timeout record, under the daemon worker-lost,
               each with its attempt count, while every other point
-              stays identical to the local run.
+              stays identical to the local run;
+  heartbeat   procoupd serves Table 2 (--table2) with a lease shorter
+              than its slowest points (--lease-ms 30 --heartbeat-ms 2,
+              or four worker start-ups if longer): heartbeats renew
+              the head's lease while the next lease waits behind it,
+              so the bundle matches the local run, no point is lost,
+              and every reassignment is an expiry.
+
+The daemons' and harnesses' stderr, which the workers inherit, is
+logged in the scratch directory; a sanitizer report in any log fails
+the run, since a worker that dies of one shows only as a retried lease.
 
 Exit status 0 on success; 1 with a FAIL line per violation.
 """
@@ -55,6 +65,11 @@ FRAME_HEADER = 4 + 4 + 8 + 8
 FIRST_SEED = 7000
 
 FAILURES = []
+
+# Where run_harness() and Daemon log stderr (set by Chaos).
+LOG_DIR = None
+SANITIZER_MARKERS = ("WARNING: ThreadSanitizer", "ERROR: AddressSanitizer",
+                     "runtime error:")
 
 
 def check(cond, message):
@@ -153,11 +168,11 @@ class Daemon:
         self.proc = None
 
     def start(self):
-        self.proc = subprocess.Popen(
-            [self.procoupd, "--socket", self.sock, "--state",
-             self.state, "--jobs", "2"] + self.extra,
-            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-            env=self.env)
+        with open(self.sock + ".log", "a") as log:
+            self.proc = subprocess.Popen(
+                [self.procoupd, "--socket", self.sock, "--state",
+                 self.state, "--jobs", "2"] + self.extra,
+                stdout=subprocess.DEVNULL, stderr=log, env=self.env)
         deadline = time.monotonic() + 10.0
         while not os.path.exists(self.sock):
             if time.monotonic() > deadline:
@@ -183,9 +198,10 @@ class Daemon:
 
 def run_harness(harness, flags, env, stdout=subprocess.DEVNULL):
     """Exit status of one --jobs 2 harness run."""
-    return subprocess.run([harness, "--jobs", "2"] + flags,
-                          stdout=stdout, stderr=subprocess.DEVNULL,
-                          env=env, timeout=300).returncode
+    with open(os.path.join(LOG_DIR, "harness.log"), "a") as log:
+        return subprocess.run([harness, "--jobs", "2"] + flags,
+                              stdout=stdout, stderr=log, env=env,
+                              timeout=300).returncode
 
 
 def untimed_stdout(path):
@@ -205,10 +221,13 @@ class Chaos:
     converge to."""
 
     def __init__(self, args):
+        global LOG_DIR
         self.harness = args.harness
         self.procoupd = args.procoupd
+        self.table2 = args.table2
         self.max_tries = args.max_tries
         self.work = tempfile.mkdtemp(prefix="procoup_chaosd_")
+        LOG_DIR = self.work
         self.env = dict(os.environ,
                         PROCOUP_FUZZ_PROGRAMS=str(args.programs),
                         PROCOUP_FUZZ_FIRST_SEED=str(FIRST_SEED))
@@ -258,9 +277,13 @@ def clean(c):
               "clean: daemon bundle differs from local bundle")
         check(normalized_report(report) == ref[1],
               "clean: daemon report differs beyond timing/daemon keys")
-        daemon_block = json.load(open(report)).get("daemon", {})
-        check(daemon_block.get("leases_issued", 0) > 0,
-              "clean: daemon report shows no leases issued")
+        doc = json.load(open(report))
+        daemon_block = doc.get("daemon", {})
+        check(daemon_block.get("leases_issued") == doc.get("points"),
+              f"clean: {daemon_block.get('leases_issued')} leases "
+              f"issued for {doc.get('points')} points (want one each)")
+        check(daemon_block.get("leases_reassigned") == 0,
+              "clean: daemon reassigned leases on an undisturbed run")
         check(daemon_block.get("worker_lost", 0) == 0,
               "clean: daemon lost workers on an undisturbed run")
 
@@ -497,6 +520,59 @@ def poisoned(c):
                        "worker-lost", 2)
 
 
+def worker_start_ms(procoupd):
+    """Fastest of three starts of a worker without a lease pipe, which
+    exits as soon as it looks for its first lease."""
+    best = float("inf")
+    for _ in range(3):
+        start = time.monotonic()
+        subprocess.run([procoupd, "--worker"], stdout=subprocess.DEVNULL,
+                       stderr=subprocess.DEVNULL, timeout=60)
+        best = min(best, (time.monotonic() - start) * 1000.0)
+    return best
+
+
+def heartbeat(c):
+    """Heartbeats renew the head's lease with a lease queued behind."""
+    if not check(c.table2, "heartbeat: needs --table2"):
+        return
+    ref = c.path("t2_ref.json")
+    rc = run_harness(c.table2, ["--stats-json", ref], c.env)
+    if not check(rc == 0, f"heartbeat: local Table 2 failed rc={rc}"):
+        return
+    # A fresh worker's start-up counts against its first lease, so the
+    # lease outlasts it: 30 ms in an optimized build, longer under a
+    # sanitizer, where the LUD points that need renewals slow down more.
+    lease_ms = max(30, round(4 * worker_start_ms(c.procoupd)))
+    d = Daemon(c.procoupd, c.path("hb.sock"), c.path("hb.state"),
+               extra=["--lease-ms", str(lease_ms),
+                      "--heartbeat-ms", "2"]).start()
+    bundle, report = c.path("hb_bundle.json"), c.path("hb_rep.json")
+    rc = run_client(c.table2, d.sock, c.env, bundle, report)
+    d.stop()
+    if not check(rc == 0, f"heartbeat: client failed rc={rc}"):
+        return
+    check(open(bundle, "rb").read() == open(ref, "rb").read(),
+          "heartbeat: daemon bundle differs from local bundle")
+    block = json.load(open(report)).get("daemon", {})
+    check(block.get("heartbeats", 0) > 0,
+          "heartbeat: no heartbeat reached the supervisor")
+    check(block.get("worker_lost") == 0,
+          f"heartbeat: {block.get('worker_lost')} points lost")
+    check(block.get("leases_reassigned") == block.get("leases_expired"),
+          f"heartbeat: {block.get('leases_reassigned')} reassigned but "
+          f"{block.get('leases_expired')} expired")
+
+
+def check_logs(c):
+    """No sanitizer report in any daemon, harness or worker stderr."""
+    for log in glob.glob(os.path.join(c.work, "*.log")):
+        text = open(log, errors="replace").read()
+        for marker in SANITIZER_MARKERS:
+            check(marker not in text,
+                  f"{os.path.basename(log)} holds a '{marker}' report")
+
+
 def check_schema(c):
     """The daemon-mode sweep reports — and the survived state dir —
     must satisfy the schema contract."""
@@ -524,6 +600,7 @@ SCENARIOS = {
     "kill-client": kill_client,
     "isolate-journal": isolate_journal,
     "poisoned": poisoned,
+    "heartbeat": heartbeat,
 }
 
 
@@ -533,6 +610,8 @@ def main():
                     help="path to the fuzz_soak binary")
     ap.add_argument("--procoupd", required=True,
                     help="path to the procoupd binary")
+    ap.add_argument("--table2",
+                    help="path to the table2_baseline binary (heartbeat)")
     ap.add_argument("--scenarios", default=",".join(SCENARIOS),
                     help="comma-separated subset of: " +
                          ", ".join(SCENARIOS))
@@ -552,6 +631,7 @@ def main():
         if name in selected:
             scenario(c)
     check_schema(c)
+    check_logs(c)
     return finish(selected)
 
 

@@ -1,5 +1,7 @@
 #include "procoup/config/parse.hh"
 
+#include <limits>
+
 #include "procoup/config/validate.hh"
 #include "procoup/lang/parser.hh"
 #include "procoup/support/error.hh"
@@ -17,6 +19,17 @@ fail(const Sexpr& at, const std::string& what)
 {
     throw CompileError(strCat("machine description: ", what, " (at ",
                               at.loc().toString(), ")"));
+}
+
+/** The integer @p at holds; an error unless it fits an int. */
+int
+intOf(const Sexpr& at)
+{
+    const std::int64_t v = at.intValue();
+    if (v < std::numeric_limits<int>::min() ||
+        v > std::numeric_limits<int>::max())
+        fail(at, strCat("integer ", v, " is out of range"));
+    return static_cast<int>(v);
 }
 
 isa::UnitType
@@ -59,9 +72,7 @@ parseCluster(const Sexpr& form)
             fail(u, "expected (unit-type [latency])");
         FuConfig fu;
         fu.type = unitTypeFromName(u, u.at(0).symbol());
-        fu.latency = u.size() > 1
-            ? static_cast<int>(u.at(1).intValue())
-            : 1;
+        fu.latency = u.size() > 1 ? intOf(u.at(1)) : 1;
         c.units.push_back(fu);
     }
     return c;
@@ -76,16 +87,14 @@ parseMemory(const Sexpr& form, MemoryConfig& mem)
             fail(kw, "expected a :keyword");
         const std::string& k = kw.symbol();
         if (k == ":hit") {
-            mem.hitLatency = static_cast<int>(form.at(++i).intValue());
+            mem.hitLatency = intOf(form.at(++i));
         } else if (k == ":miss-rate") {
             mem.missRate = form.at(++i).numberValue();
         } else if (k == ":penalty") {
-            mem.missPenaltyMin =
-                static_cast<int>(form.at(++i).intValue());
-            mem.missPenaltyMax =
-                static_cast<int>(form.at(++i).intValue());
+            mem.missPenaltyMin = intOf(form.at(++i));
+            mem.missPenaltyMax = intOf(form.at(++i));
         } else if (k == ":banks") {
-            mem.numBanks = static_cast<int>(form.at(++i).intValue());
+            mem.numBanks = intOf(form.at(++i));
         } else if (k == ":seed") {
             mem.seed = static_cast<std::uint64_t>(
                 form.at(++i).intValue());
@@ -137,23 +146,18 @@ parseMachine(const std::string& text)
                     fail(kw, "expected a :keyword");
                 const std::string& key = kw.symbol();
                 if (key == ":lines")
-                    m.opCache.linesPerUnit =
-                        static_cast<int>(f.at(++k).intValue());
+                    m.opCache.linesPerUnit = intOf(f.at(++k));
                 else if (key == ":rows-per-line")
-                    m.opCache.rowsPerLine =
-                        static_cast<int>(f.at(++k).intValue());
+                    m.opCache.rowsPerLine = intOf(f.at(++k));
                 else if (key == ":penalty")
-                    m.opCache.missPenalty =
-                        static_cast<int>(f.at(++k).intValue());
+                    m.opCache.missPenalty = intOf(f.at(++k));
                 else
                     fail(kw, strCat("unknown opcache option ", key));
             }
         } else if (f.isCall("max-active-threads")) {
-            m.maxActiveThreads =
-                static_cast<int>(f.at(1).intValue());
+            m.maxActiveThreads = intOf(f.at(1));
         } else if (f.isCall("swap-out-idle")) {
-            m.swapOutIdleCycles =
-                static_cast<int>(f.at(1).intValue());
+            m.swapOutIdleCycles = intOf(f.at(1));
         } else {
             fail(f, strCat("unknown machine section ", f.toString()));
         }

@@ -13,8 +13,9 @@
  *
  * Execution runs on the lease-based worker supervisor of exp/worker.hh
  * (the same one --isolate-workers uses): each pending point is leased
- * to a worker process with a deadline (--lease-ms) that the worker's
- * heartbeats (--heartbeat-ms) renew. A lease that expires — hung
+ * to a worker process, two leases in flight per worker, with a
+ * deadline (--lease-ms) that the worker's heartbeats (--heartbeat-ms)
+ * renew. A lease that expires — hung
  * worker, missed heartbeats — or breaks — dead worker — is reassigned
  * under the exp/backoff.hh RetryPolicy (--retries); after the bounded
  * reassignment budget the point becomes a structured

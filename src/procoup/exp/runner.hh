@@ -153,9 +153,14 @@ struct DaemonStats
 {
     bool active = false;
     std::uint32_t jobs = 0;            ///< daemon worker-pool size
-    std::uint64_t leasesIssued = 0;    ///< point assignments handed out
+    /** Leases written to a worker or run in-process: one per point on
+     *  a clean run; a queued lease reissued after its worker died
+     *  counts again here. */
+    std::uint64_t leasesIssued = 0;
     std::uint64_t leasesExpired = 0;   ///< deadlines missed (no heartbeat)
-    std::uint64_t leasesReassigned = 0;///< retries after a lost lease
+    /** Attempts charged after a lost worker: only the lease it was
+     *  executing, never the ones queued behind it. */
+    std::uint64_t leasesReassigned = 0;
     std::uint64_t heartbeats = 0;      ///< worker heartbeats received
     std::uint64_t workerLost = 0;      ///< points that became worker-lost
     std::uint64_t resultsStreamed = 0; ///< point-result frames sent

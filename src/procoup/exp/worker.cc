@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <deque>
 #include <mutex>
 #include <thread>
 
@@ -119,31 +120,80 @@ namespace {
 constexpr int kWorkerCmdFd = 3;
 constexpr int kWorkerResFd = 4;
 
-/** While alive, emits a heartbeat frame on fd 4 every @p cadence_ms. */
-std::jthread
-heartbeatPump(double cadence_ms)
+/** Leases written to each worker at once: the next point's lease waits
+ *  in the worker's pipe while the head executes, so the worker never
+ *  idles through the supervisor's round trip and commit. */
+constexpr std::size_t kLeasesInFlight = 2;
+
+double
+nowMs()
 {
-    if (cadence_ms <= 0.0)
-        return {};
-    return std::jthread([cadence_ms](std::stop_token stop) {
-        std::mutex mu;
-        std::condition_variable_any cv;
-        std::unique_lock<std::mutex> lock(mu);
-        for (std::uint64_t seq = 1;; ++seq) {
-            cv.wait_for(lock, stop,
-                        std::chrono::duration<double, std::milli>(
-                            cadence_ms),
-                        [] { return false; });
-            if (stop.stop_requested())
-                return;
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now().time_since_epoch())
+        .count();
+}
+
+/** A worker's fd 4. One heartbeat thread, started by the first lease
+ *  that asks for heartbeats, beats every cadence between begin() and
+ *  end(); a mutex keeps its frames out of a result frame, which is
+ *  larger than PIPE_BUF. */
+class WorkerOutput
+{
+  public:
+    WorkerOutput() = default;
+    WorkerOutput(const WorkerOutput&) = delete;  // the thread holds this
+    WorkerOutput& operator=(const WorkerOutput&) = delete;
+
+    /** A point starts executing; beat every @p cadence_ms (0: never). */
+    void begin(double cadence_ms)
+    {
+        std::lock_guard<std::mutex> lock(_mu);
+        _cadenceMs = cadence_ms;
+        _executing = cadence_ms > 0.0;
+        if (_executing && !_thread.joinable())
+            _thread = std::jthread([this](std::stop_token s) { beat(s); });
+        else if (_executing && _idle)
+            _cv.notify_one();
+    }
+
+    /** The point finished: send its @p result, and no heartbeat until
+     *  the next begin(). */
+    bool end(const std::string& result)
+    {
+        std::lock_guard<std::mutex> lock(_mu);
+        _executing = false;
+        return writeAllFd(kWorkerResFd, result.data(), result.size());
+    }
+
+  private:
+    void beat(std::stop_token stop)
+    {
+        std::unique_lock<std::mutex> lock(_mu);
+        for (std::uint64_t seq = 1; !stop.stop_requested();) {
+            _idle = true;
+            _cv.wait(lock, stop, [this] { return _executing; });
+            _idle = false;
+            _cv.wait_for(lock, stop,
+                         std::chrono::duration<double, std::milli>(
+                             _cadenceMs),
+                         [] { return false; });
+            if (!_executing || stop.stop_requested())
+                continue;
             ByteWriter w;
-            w.u64(seq);
+            w.u64(seq++);
             const std::string f =
                 kindFrame(FrameKind::Heartbeat, w.take());
             writeAllFd(kWorkerResFd, f.data(), f.size());
         }
-    });
-}
+    }
+
+    std::mutex _mu;
+    std::condition_variable_any _cv;
+    double _cadenceMs = 0.0;
+    bool _executing = false;
+    bool _idle = false;  ///< the thread waits for begin(), not a tick
+    std::jthread _thread;  ///< last: stopped and joined first
+};
 
 std::string
 describeExit(int status)
@@ -177,8 +227,9 @@ installFd(int fd, int target)
 struct WorkerProcess
 {
     pid_t pid = -1;
-    int cmdFd = -1;  ///< parent's write end (leases)
+    int cmdFd = -1;  ///< parent's write end (leases), non-blocking
     int resFd = -1;  ///< parent's read end (heartbeats, results)
+    std::string outbox;  ///< lease bytes the pipe has not taken yet
 
     WorkerProcess() = default;
     WorkerProcess(const WorkerProcess&) = delete;
@@ -187,6 +238,24 @@ struct WorkerProcess
 
     bool alive() const { return pid > 0; }
 
+    /** Write what the lease pipe takes of the outbox without blocking,
+     *  so a hung worker cannot wedge its supervisor. A dead reader
+     *  drops the rest; the result pipe then reports the death. */
+    void flush()
+    {
+        while (!outbox.empty()) {
+            const ssize_t n = ::write(cmdFd, outbox.data(), outbox.size());
+            if (n < 0 && errno == EINTR)
+                continue;
+            if (n < 0) {
+                if (errno != EAGAIN)
+                    outbox.clear();
+                return;
+            }
+            outbox.erase(0, static_cast<std::size_t>(n));
+        }
+    }
+
     void closeFds()
     {
         if (cmdFd >= 0)
@@ -194,6 +263,7 @@ struct WorkerProcess
         if (resFd >= 0)
             ::close(resFd);
         cmdFd = resFd = -1;
+        outbox.clear();
     }
 
     /** SIGKILL (harmless if already dead) and reap. */
@@ -274,6 +344,7 @@ struct WorkerProcess
         ::close(cmd[0]);
         ::close(res[1]);
         ::fcntl(cmd[1], F_SETFD, FD_CLOEXEC);
+        ::fcntl(cmd[1], F_SETFL, O_NONBLOCK);
         ::fcntl(res[0], F_SETFD, FD_CLOEXEC);
         pid = child;
         cmdFd = cmd[1];
@@ -282,126 +353,204 @@ struct WorkerProcess
     }
 };
 
+/** A claimed point in one worker's queue. */
+struct Lease
+{
+    std::size_t index = 0;
+    std::string fp;
+    int attempt = 0;      ///< attempts charged to this point so far
+    bool issued = false;  ///< written to the current worker
+};
+
 /** Shared state of one superviseWorkers() call. */
 struct Supervisor
 {
     const ExperimentPlan& plan;
+    const std::vector<std::size_t>& indices;
     const RunnerOptions& ropts;
     CompileCache& cache;
     const SupervisorOptions& opts;
+    const std::function<void(std::size_t, OutcomeRecord&&)>& commit;
 
+    std::atomic<std::size_t> next{0};
     std::atomic<std::uint64_t> leasesIssued{0};
     std::atomic<std::uint64_t> leasesExpired{0};
     std::atomic<std::uint64_t> leasesReassigned{0};
     std::atomic<std::uint64_t> heartbeats{0};
     std::atomic<std::uint64_t> workerLost{0};
     std::atomic<bool> warnedSpawn{false};
+};
 
-    /** Drive point @p index through the lease state machine. */
-    OutcomeRecord supervisePoint(WorkerProcess& child, std::size_t index)
+/** One supervising thread: a worker process and the leases written to
+ *  it, head first. The worker runs them in order, so a lost worker was
+ *  executing the head: only the head is charged an attempt, and the
+ *  leases queued behind it go to the next worker uncharged. */
+struct WorkerQueue
+{
+    explicit WorkerQueue(Supervisor& s) : sup(s) {}
+
+    Supervisor& sup;
+    WorkerProcess child;
+    std::deque<Lease> leases;
+    double deadlineMs = 0.0;  ///< when the head's lease expires
+
+    void renew() { deadlineMs = nowMs() + sup.opts.leaseMs; }
+
+    /** Claim points until kLeasesInFlight are queued; none once a
+     *  graceful SIGTERM/SIGINT drain starts. */
+    void claim()
     {
-        const SweepPoint& point = plan.points()[index];
-        const std::string fp = pointFingerprint(point);
-        const std::uint64_t jitter_seed = fnv1a64(point.label);
-        const int budget = opts.retryPolicy.maxRetries();
-        std::string lease;
+        while (leases.size() < kLeasesInFlight && !sweepStopRequested()) {
+            const std::size_t n = sup.next.fetch_add(1);
+            if (n >= sup.indices.size())
+                return;
+            Lease& l = leases.emplace_back();
+            l.index = sup.indices[n];
+            l.fp = pointFingerprint(sup.plan.points()[l.index]);
+        }
+    }
 
-        SimErrorKind last_kind = SimErrorKind::WorkerCrash;
-        std::string last_desc = "never started";
-        for (int attempt = 0; attempt <= budget; ++attempt) {
-            if (attempt > 0) {
-                ++leasesReassigned;
-                std::this_thread::sleep_for(
-                    std::chrono::duration<double, std::milli>(
-                        opts.retryPolicy.delayMs(jitter_seed, attempt)));
+    /** Write every lease the worker does not hold yet. A head written
+     *  now starts its clock now. */
+    void issue()
+    {
+        for (Lease& l : leases) {
+            if (l.issued)
+                continue;
+            if (&l == &leases.front())
+                renew();
+            child.outbox += kindFrame(
+                FrameKind::PointLease,
+                encodePointLease(sup.plan, l.index, sup.ropts,
+                                 sup.opts.heartbeatMs));
+            l.issued = true;
+            ++sup.leasesIssued;
+        }
+        child.flush();
+    }
+
+    /** Wait for the head's result into @p rec, renewing its lease on
+     *  each heartbeat. If the worker is lost, set @p kind and @p desc,
+     *  kill or reap it, and return false. */
+    bool await(OutcomeRecord* rec, SimErrorKind* kind, std::string* desc)
+    {
+        for (;;) {
+            if (!child.outbox.empty()) {
+                // A lease still waits for room in the pipe: feed it as
+                // the worker drains it, and read whatever arrives.
+                struct pollfd fds[2] = {{child.resFd, POLLIN, 0},
+                                        {child.cmdFd, POLLOUT, 0}};
+                const double wait = std::min(deadlineMs - nowMs(), 1e9);
+                ::poll(fds, 2, std::max(static_cast<int>(wait), 0) + 1);
+                if (fds[1].revents != 0)
+                    child.flush();
+                if (fds[0].revents == 0 && nowMs() < deadlineMs)
+                    continue;
             }
-            ++leasesIssued;
-            if (!opts.inProcess && !child.alive() && !child.spawn() &&
-                !warnedSpawn.exchange(true))
+            std::string payload;
+            const FrameRead fr = readFrameFromFd(
+                child.resFd, std::max(deadlineMs - nowMs(), 0.0), &payload);
+            if (fr == FrameRead::Timeout) {
+                if (nowMs() < deadlineMs)
+                    continue;
+                ++sup.leasesExpired;
+                *kind = SimErrorKind::WorkerTimeout;
+                *desc = strCat("let its ", sup.opts.leaseMs,
+                               " ms lease expire and was killed");
+                child.destroy();
+                return false;
+            }
+            *kind = SimErrorKind::WorkerCrash;
+            if (fr == FrameRead::Closed) {
+                *desc = child.reap();
+                return false;
+            }
+            FrameKind fk{};
+            std::string body;
+            const bool tagged = splitKindPayload(payload, &fk, &body);
+            if (tagged && fk == FrameKind::Heartbeat) {
+                ++sup.heartbeats;
+                renew();
+                continue;
+            }
+            if (tagged && fk == FrameKind::PointResult &&
+                decodeOutcomeRecord(body, rec) &&
+                rec->pointFingerprint == leases.front().fp)
+                return true;
+            *desc = "sent a garbled or unexpected frame";
+            child.destroy();
+            return false;
+        }
+    }
+
+    /** Pop the head, write the next lease, then commit the head's
+     *  record: the worker runs the next point during the commit. The
+     *  new head's clock starts now, with its predecessor's result. */
+    void complete(OutcomeRecord&& rec)
+    {
+        const std::size_t index = leases.front().index;
+        rec.retries += static_cast<std::uint32_t>(leases.front().attempt);
+        leases.pop_front();
+        renew();
+        claim();
+        if (child.alive())
+            issue();
+        sup.commit(index, std::move(rec));
+    }
+
+    /** Drive every claimed point through the lease state machine. */
+    void run()
+    {
+        const int budget = sup.opts.retryPolicy.maxRetries();
+        claim();
+        while (!leases.empty()) {
+            Lease& head = leases.front();
+            const SweepPoint& point = sup.plan.points()[head.index];
+            if (!sup.opts.inProcess && !child.alive() && !child.spawn() &&
+                !sup.warnedSpawn.exchange(true))
                 std::fprintf(stderr,
                              "warning: cannot spawn a worker process; "
                              "executing points in-process\n");
             if (!child.alive()) {
-                OutcomeRecord rec =
-                    executePointToRecord(point, fp, cache, ropts);
-                rec.retries += static_cast<std::uint32_t>(attempt);
-                return rec;
-            }
-
-            if (lease.empty())
-                lease = kindFrame(FrameKind::PointLease,
-                                  encodePointLease(plan, index, ropts,
-                                                   opts.heartbeatMs));
-            if (!writeAllFd(child.cmdFd, lease.data(), lease.size())) {
-                last_kind = SimErrorKind::WorkerCrash;
-                last_desc = child.reap();
+                ++sup.leasesIssued;
+                complete(executePointToRecord(point, head.fp, sup.cache,
+                                              sup.ropts));
                 continue;
             }
-
-            auto deadline = std::chrono::steady_clock::now() +
-                            std::chrono::duration<double, std::milli>(
-                                opts.leaseMs);
-            for (;;) {
-                const double remaining =
-                    std::chrono::duration<double, std::milli>(
-                        deadline - std::chrono::steady_clock::now())
-                        .count();
-                std::string payload;
-                const FrameRead fr = readFrameFromFd(
-                    child.resFd, std::max(remaining, 0.0), &payload);
-                if (fr == FrameRead::Timeout) {
-                    if (std::chrono::steady_clock::now() < deadline)
-                        continue;
-                    ++leasesExpired;
-                    last_kind = SimErrorKind::WorkerTimeout;
-                    last_desc = strCat("let its ", opts.leaseMs,
-                                       " ms lease expire and was killed");
-                    child.destroy();
-                    break;
-                }
-                last_kind = SimErrorKind::WorkerCrash;
-                if (fr == FrameRead::Closed) {
-                    last_desc = child.reap();
-                    break;
-                }
-                FrameKind kind{};
-                std::string body;
-                const bool tagged =
-                    splitKindPayload(payload, &kind, &body);
-                if (tagged && kind == FrameKind::Heartbeat) {
-                    ++heartbeats;
-                    deadline = std::chrono::steady_clock::now() +
-                               std::chrono::duration<double, std::milli>(
-                                   opts.leaseMs);
-                    continue;
-                }
-                OutcomeRecord rec;
-                if (tagged && kind == FrameKind::PointResult &&
-                    decodeOutcomeRecord(body, &rec) &&
-                    rec.pointFingerprint == fp) {
-                    rec.retries += static_cast<std::uint32_t>(attempt);
-                    return rec;
-                }
-                last_desc = "sent a garbled or unexpected frame";
-                child.destroy();
-                break;
+            issue();
+            OutcomeRecord rec;
+            SimErrorKind kind{};
+            std::string desc;
+            if (await(&rec, &kind, &desc)) {
+                complete(std::move(rec));
+                continue;
             }
+            for (Lease& l : leases)
+                l.issued = false;
+            if (head.attempt < budget) {
+                ++head.attempt;
+                ++sup.leasesReassigned;
+                std::this_thread::sleep_for(
+                    std::chrono::duration<double, std::milli>(
+                        sup.opts.retryPolicy.delayMs(fnv1a64(point.label),
+                                                     head.attempt)));
+                continue;
+            }
+            // Attempts exhausted: the point becomes a structured error
+            // record (even without fail-safe — turning a dead process
+            // into data is what supervision is for). complete() adds
+            // the whole budget as its retries.
+            ++sup.workerLost;
+            rec = OutcomeRecord{};
+            rec.label = point.label;
+            rec.pointFingerprint = head.fp;
+            rec.failed = true;
+            rec.errorKind = static_cast<std::uint8_t>(
+                sup.opts.reportLost ? SimErrorKind::WorkerLost : kind);
+            rec.error = strCat("worker executing '", point.label, "' ",
+                               desc, " (", budget + 1, " attempts)");
+            complete(std::move(rec));
         }
-
-        // Attempts exhausted: the point becomes a structured error
-        // record (even without fail-safe — turning a dead process into
-        // data is what supervision is for).
-        ++workerLost;
-        OutcomeRecord rec;
-        rec.label = point.label;
-        rec.pointFingerprint = fp;
-        rec.failed = true;
-        rec.errorKind = static_cast<std::uint8_t>(
-            opts.reportLost ? SimErrorKind::WorkerLost : last_kind);
-        rec.retries = static_cast<std::uint32_t>(budget);
-        rec.error = strCat("worker executing '", point.label, "' ",
-                           last_desc, " (", budget + 1, " attempts)");
-        return rec;
     }
 };
 
@@ -429,6 +578,7 @@ runWorkerIfRequested(int argc, char** argv)
     }
 
     CompileCache cache;
+    WorkerOutput out;
     for (;;) {
         std::string payload;
         if (readFrameFromFd(kWorkerCmdFd, -1.0, &payload) !=
@@ -457,15 +607,11 @@ runWorkerIfRequested(int argc, char** argv)
         if (cache.diskDir() != disk_dir)
             cache.setDiskDir(disk_dir);
 
-        OutcomeRecord rec;
-        {
-            std::jthread pump = heartbeatPump(heartbeat_ms);
-            rec = executePointToRecord(point, pointFingerprint(point),
-                                       cache, ropts);
-        }
-        const std::string framed =
-            kindFrame(FrameKind::PointResult, encodeOutcomeRecord(rec));
-        if (!writeAllFd(kWorkerResFd, framed.data(), framed.size()))
+        out.begin(heartbeat_ms);
+        const OutcomeRecord rec = executePointToRecord(
+            point, pointFingerprint(point), cache, ropts);
+        if (!out.end(kindFrame(FrameKind::PointResult,
+                               encodeOutcomeRecord(rec))))
             _exit(125);  // the supervisor is gone
     }
 }
@@ -482,17 +628,8 @@ superviseWorkers(const ExperimentPlan& plan,
     // supervisor with SIGPIPE on the next lease write.
     ::signal(SIGPIPE, SIG_IGN);
 
-    Supervisor sup{plan, ropts, cache, opts};
-    std::atomic<std::size_t> next{0};
-    auto drive = [&] {
-        WorkerProcess child;
-        for (std::size_t n = next.fetch_add(1); n < indices.size();
-             n = next.fetch_add(1)) {
-            if (sweepStopRequested())
-                break;  // graceful SIGTERM/SIGINT drain
-            commit(indices[n], sup.supervisePoint(child, indices[n]));
-        }
-    };
+    Supervisor sup{plan, indices, ropts, cache, opts, commit};
+    auto drive = [&] { WorkerQueue(sup).run(); };
     const int workers = static_cast<int>(std::min<std::size_t>(
         std::max(opts.workers, 1), indices.size()));
     if (workers <= 1) {

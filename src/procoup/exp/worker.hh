@@ -14,32 +14,45 @@
  *
  *     fd 3 (supervisor -> worker): point-lease — one serialized point
  *                                  plus the knobs that change its result
- *     fd 4 (worker -> supervisor): heartbeat frames while the point
+ *     fd 4 (worker -> supervisor): heartbeat frames while a point
  *                                  executes, then one point-result
  *                                  carrying its OutcomeRecord
  *
- * — until the supervisor hangs up. The worker runs the same
- * executeSweepPoint() path as in-process execution and ships bit-exact
- * RunStats/memory back, so healthy points are byte-identical.
+ * — until the supervisor hangs up. The worker runs its leases in
+ * order through the same executeSweepPoint() path as in-process
+ * execution and ships bit-exact RunStats/memory back, so healthy
+ * points are byte-identical. One heartbeat thread per worker process,
+ * started by the first lease that asks for heartbeats, beats every
+ * cadence while a point executes; a mutex keeps its frames out of the
+ * result frames.
  *
- * The supervisor drives every point through one lease state machine:
+ * Each supervising thread keeps two leases written to its worker, the
+ * head and one queued behind it, and drives them through one lease
+ * state machine:
  *
- *     issue lease ── point-result ──> commit
- *          ^     │
- *          │     ├─ heartbeat: deadline renewed
+ *     issue head + queued ── head's point-result ──> pop head, issue
+ *          ^     │                         the next lease, commit head
+ *          │     ├─ heartbeat: head's deadline renewed
  *          │     ├─ deadline passes: worker killed (lease expired)
  *          │     └─ worker EOF / crash / garbage: worker reaped
- *          └── reissue (RetryPolicy backoff, bounded) ──┘
- *                    │
- *                    └─ budget exhausted -> structured error record
+ *          │                   │
+ *          │     head charged one attempt; queued leases uncharged
+ *          └── reissue all (RetryPolicy backoff, bounded) ──┘
+ *                              │
+ *                              └─ head's budget exhausted ->
+ *                                 structured error record
  *
- * A lease whose worker runs without heartbeats (heartbeatMs = 0) is a
- * hard per-point budget — that is --worker-timeout-ms. An exhausted
- * point becomes worker-timeout (last attempt expired) or worker-crash
- * (anything else); the daemon reports every exhausted lease as
- * worker-lost instead. If a worker cannot be spawned, the point runs
- * in-process against the supervisor's compile cache, with identical
- * results.
+ * The head's deadline starts when its predecessor's result arrives
+ * (or when it is written to a fresh worker); each heartbeat renews
+ * it. A lease whose worker runs without heartbeats (heartbeatMs = 0)
+ * is thus a hard per-point budget — that is --worker-timeout-ms. A
+ * lost worker was executing the head, so only the head is charged:
+ * the queued leases are reissued to the next worker without a charge
+ * and count as issued, not reassigned. An exhausted point becomes
+ * worker-timeout (last attempt expired) or worker-crash (anything
+ * else); the daemon reports every exhausted lease as worker-lost
+ * instead. If a worker cannot be spawned, the head runs in-process
+ * against the supervisor's compile cache, with identical results.
  *
  * Every binary that supervises workers must call runWorkerIfRequested
  * first thing in main() (harnessMain, pcsim and procoupd do).
@@ -104,8 +117,8 @@ struct SupervisorOptions
  * supervised workers. @p commit runs once per index (from supervising
  * threads, distinct indices) with the finished record; records whose
  * threw class is set carry an exception for the caller to rethrow.
- * Points not yet claimed when sweepStopRequested() turns true are
- * skipped. @p ropts carries the knobs shipped with every lease;
+ * Claimed points (up to two per worker) finish; points not yet
+ * claimed when sweepStopRequested() turns true are skipped. @p ropts carries the knobs shipped with every lease;
  * @p cache serves in-process execution. @return the lease accounting
  * (the lease, heartbeat and workerLost counters of DaemonStats).
  */

@@ -89,8 +89,7 @@ evalAlu(Opcode op, std::span<const Value> srcs)
       case Opcode::ITOF:
         return Value::makeFloat(static_cast<double>(arg(0).asInt()));
       case Opcode::FTOI:
-        return Value::makeInt(static_cast<std::int64_t>(
-            arg(0).asFloat()));
+        return Value::makeInt(truncToInt(arg(0).asFloat()));
       case Opcode::MOV:
       case Opcode::FMOV:
         return arg(0);

@@ -10,7 +10,9 @@
  * exactly, and timing is handled by the surrounding pipeline model.
  *
  * Integer arithmetic wraps modulo 2^64, so INT64_MIN / -1 is INT64_MIN
- * and INT64_MIN mod -1 is 0. Only a zero divisor traps.
+ * and INT64_MIN mod -1 is 0. Only a zero divisor traps. FTOI truncates
+ * toward zero, and NaN or a double outside int64 range gives INT64_MIN
+ * (isa::truncToInt).
  */
 
 #include <initializer_list>

@@ -1,10 +1,21 @@
 #include "procoup/isa/value.hh"
 
+#include <limits>
+
 #include "procoup/support/error.hh"
 #include "procoup/support/strings.hh"
 
 namespace procoup {
 namespace isa {
+
+std::int64_t
+truncToInt(double d)
+{
+    // Both bounds are exact doubles; NaN fails both comparisons.
+    return d >= -0x1p63 && d < 0x1p63
+               ? static_cast<std::int64_t>(d)
+               : std::numeric_limits<std::int64_t>::min();
+}
 
 Value
 Value::makeInt(std::int64_t v)
@@ -27,7 +38,7 @@ Value::makeFloat(double v)
 std::int64_t
 Value::asInt() const
 {
-    return floatTag ? static_cast<std::int64_t>(fval) : ival;
+    return floatTag ? truncToInt(fval) : ival;
 }
 
 double

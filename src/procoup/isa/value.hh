@@ -27,7 +27,7 @@ class Value
 
     bool isFloat() const { return floatTag; }
 
-    /** Integer view; converts (truncates) if the word holds a float. */
+    /** Integer view; converts (truncToInt) if the word holds a float. */
     std::int64_t asInt() const;
 
     /** Float view; converts if the word holds an integer. */
@@ -50,6 +50,10 @@ class Value
     std::int64_t ival;
     double fval;
 };
+
+/** @p d truncated toward zero. NaN and values outside int64 range
+ *  give INT64_MIN, the value x86-64's cvttsd2si returns for them. */
+std::int64_t truncToInt(double d);
 
 } // namespace isa
 } // namespace procoup

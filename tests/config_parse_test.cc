@@ -93,6 +93,31 @@ TEST(ConfigParse, Rejections)
     EXPECT_THROW(parseMachine(
         "(machine (cluster (iu) (mem)) (cluster (br)) (bogus))"),
         CompileError);
+    // Integers outside int range, each of which a narrowing cast
+    // would wrap to a valid value (2^32 + 1 to 1, 2^32 to 0).
+    const std::string base = "(machine (cluster (iu) (mem)) (cluster (br))";
+    for (const char* tail :
+         {" (cluster (iu 4294967297)))", " (cluster (iu -4294967295)))",
+          " (memory :hit 4294967296))",
+          " (memory :penalty 4294967316 100))",
+          " (memory :penalty 20 4294967396))",
+          " (memory :banks 4294967297))",
+          " (opcache :lines 4294967297))",
+          " (opcache :rows-per-line 4294967297))",
+          " (opcache :penalty 4294967296))",
+          " (max-active-threads 4294967297))",
+          " (swap-out-idle 4294967297))"}) {
+        SCOPED_TRACE(tail);
+        try {
+            parseMachine(base + tail);
+            ADD_FAILURE() << "accepted";
+        } catch (const CompileError& e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          "out of range (at line 1, column "),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST(ConfigParse, ValidateMachineChecksBuiltMachines)

@@ -177,6 +177,26 @@ TEST(LanguageCorners, Int64MinOverMinusOneWraps)
     }
 }
 
+TEST(LanguageCorners, FloatToIntOffRangeIsInt64Min)
+{
+    // (int x) of NaN or of a double outside int64 range is INT64_MIN,
+    // whether the frontend folds it or the ALU runs it.
+    const std::int64_t min = std::numeric_limits<std::int64_t>::min();
+    const auto folded = run(
+        "(defvar out 7)(defun main () (set out (int 1.0e300)))");
+    EXPECT_EQ(folded.intValue("out"), min);
+    for (const std::string x :
+         {"(aref d 0)", "(- 0.0 (aref d 0))",
+          "(- (* (aref d 0) 1.0e300) (* (aref d 0) 1.0e300))"}) {
+        const auto runtime = run(strCat(
+            "(defarray d (1))(defvar out 7)"
+            "(defun main ()"
+            "  (aset d 0 1.0e300)"
+            "  (set out (int ", x, ")))"));
+        EXPECT_EQ(runtime.intValue("out"), min) << x;
+    }
+}
+
 TEST(LanguageCorners, GlobalScalarsReadAndWrite)
 {
     const auto r = run(

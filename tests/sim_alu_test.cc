@@ -76,6 +76,48 @@ INSTANTIATE_TEST_SUITE_P(
         return i.param.name;
     });
 
+// --- FTOI: truncation toward zero, INT64_MIN off int64's range -------
+
+struct FtoiCase
+{
+    const char* name;
+    double in;
+    std::int64_t expect;
+};
+
+class FtoiTest : public ::testing::TestWithParam<FtoiCase> {};
+
+TEST_P(FtoiTest, Truncates)
+{
+    const auto& p = GetParam();
+    const Value r = evalAlu(Opcode::FTOI, {Value::makeFloat(p.in)});
+    EXPECT_FALSE(r.isFloat());
+    EXPECT_EQ(r.rawInt(), p.expect);
+    // The integer units' view of a float word agrees.
+    EXPECT_EQ(Value::makeFloat(p.in).asInt(), p.expect);
+}
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+INSTANTIATE_TEST_SUITE_P(
+    Values, FtoiTest,
+    ::testing::Values(
+        FtoiCase{"positive", 2.9, 2},
+        FtoiCase{"negative", -2.9, -2},
+        FtoiCase{"largest_below_2_63", 0x1.fffffffffffffp62,
+                 kMax - 1023},
+        FtoiCase{"min", -0x1p63, kMin},
+        FtoiCase{"two_to_63", 0x1p63, kMin},
+        FtoiCase{"below_min", -0x1.0000000000001p63, kMin},
+        FtoiCase{"huge", 1.0e300, kMin},
+        FtoiCase{"negative_huge", -1.0e300, kMin},
+        FtoiCase{"infinity", kInf, kMin},
+        FtoiCase{"negative_infinity", -kInf, kMin},
+        FtoiCase{"nan", std::numeric_limits<double>::quiet_NaN(), kMin}),
+    [](const ::testing::TestParamInfo<FtoiCase>& i) {
+        return i.param.name;
+    });
+
 // --- Float binary operations -----------------------------------------
 
 struct FloatBinCase
