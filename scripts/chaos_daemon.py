@@ -224,7 +224,8 @@ class Chaos:
         global LOG_DIR
         self.harness = args.harness
         self.procoupd = args.procoupd
-        self.table2 = args.table2
+        self.table2 = args.table2 or os.path.join(
+            os.path.dirname(args.harness), "table2_baseline")
         self.max_tries = args.max_tries
         self.work = tempfile.mkdtemp(prefix="procoup_chaosd_")
         LOG_DIR = self.work
@@ -534,7 +535,8 @@ def worker_start_ms(procoupd):
 
 def heartbeat(c):
     """Heartbeats renew the head's lease with a lease queued behind."""
-    if not check(c.table2, "heartbeat: needs --table2"):
+    if not check(os.path.exists(c.table2),
+                 f"heartbeat: no Table 2 harness at {c.table2}"):
         return
     ref = c.path("t2_ref.json")
     rc = run_harness(c.table2, ["--stats-json", ref], c.env)
@@ -611,7 +613,8 @@ def main():
     ap.add_argument("--procoupd", required=True,
                     help="path to the procoupd binary")
     ap.add_argument("--table2",
-                    help="path to the table2_baseline binary (heartbeat)")
+                    help="path to the table2_baseline binary (heartbeat; "
+                         "default: beside --harness)")
     ap.add_argument("--scenarios", default=",".join(SCENARIOS),
                     help="comma-separated subset of: " +
                          ", ".join(SCENARIOS))
