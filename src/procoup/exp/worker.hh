@@ -30,17 +30,16 @@
  * head and one queued behind it, and drives them through one lease
  * state machine:
  *
- *     issue head + queued ── head's point-result ──> pop head, issue
- *          ^     │                         the next lease, commit head
+ *     issue leases ── head's point-result ──> pop head, issue the
+ *          ^     │                            next lease, commit head
  *          │     ├─ heartbeat: head's deadline renewed
  *          │     ├─ deadline passes: worker killed (lease expired)
  *          │     └─ worker EOF / crash / garbage: worker reaped
- *          │                   │
- *          │     head charged one attempt; queued leases uncharged
- *          └── reissue all (RetryPolicy backoff, bounded) ──┘
- *                              │
- *                              └─ head's budget exhausted ->
- *                                 structured error record
+ *          │                 │ (head charged one attempt)
+ *          └── respawn, reissue all (RetryPolicy backoff, bounded)
+ *                            │
+ *                            └─ head's budget exhausted -> structured
+ *                               error record; the rest are reissued
  *
  * The head's deadline starts when its predecessor's result arrives
  * (or when it is written to a fresh worker); each heartbeat renews
