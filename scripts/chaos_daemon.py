@@ -34,11 +34,10 @@ Scenarios (--scenarios picks a comma-separated subset; default all):
               each with its attempt count, while every other point
               stays identical to the local run;
   heartbeat   procoupd serves Table 2 (--table2) with a lease shorter
-              than its slowest points (--lease-ms 30 --heartbeat-ms 2,
-              or four worker start-ups if longer): heartbeats renew
-              the head's lease while the next lease waits behind it,
-              so the bundle matches the local run, no point is lost,
-              and every reassignment is an expiry.
+              than its slowest points (--lease-ms 30 --heartbeat-ms 2):
+              heartbeats renew the head's lease while the next lease
+              waits behind it, so the bundle matches the local run,
+              no point is lost, and every reassignment is an expiry.
 
 The daemons' and harnesses' stderr, which the workers inherit, is
 logged in the scratch directory; a sanitizer report in any log fails
@@ -521,18 +520,6 @@ def poisoned(c):
                        "worker-lost", 2)
 
 
-def worker_start_ms(procoupd):
-    """Fastest of three starts of a worker without a lease pipe, which
-    exits as soon as it looks for its first lease."""
-    best = float("inf")
-    for _ in range(3):
-        start = time.monotonic()
-        subprocess.run([procoupd, "--worker"], stdout=subprocess.DEVNULL,
-                       stderr=subprocess.DEVNULL, timeout=60)
-        best = min(best, (time.monotonic() - start) * 1000.0)
-    return best
-
-
 def heartbeat(c):
     """Heartbeats renew the head's lease with a lease queued behind."""
     if not check(os.path.exists(c.table2),
@@ -542,13 +529,8 @@ def heartbeat(c):
     rc = run_harness(c.table2, ["--stats-json", ref], c.env)
     if not check(rc == 0, f"heartbeat: local Table 2 failed rc={rc}"):
         return
-    # A fresh worker's start-up counts against its first lease, so the
-    # lease outlasts it: 30 ms in an optimized build, longer under a
-    # sanitizer, where the LUD points that need renewals slow down more.
-    lease_ms = max(30, round(4 * worker_start_ms(c.procoupd)))
     d = Daemon(c.procoupd, c.path("hb.sock"), c.path("hb.state"),
-               extra=["--lease-ms", str(lease_ms),
-                      "--heartbeat-ms", "2"]).start()
+               extra=["--lease-ms", "30", "--heartbeat-ms", "2"]).start()
     bundle, report = c.path("hb_bundle.json"), c.path("hb_rep.json")
     rc = run_client(c.table2, d.sock, c.env, bundle, report)
     d.stop()

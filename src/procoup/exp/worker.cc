@@ -125,6 +125,10 @@ constexpr int kWorkerResFd = 4;
  *  idles through the supervisor's round trip and commit. */
 constexpr std::size_t kLeasesInFlight = 2;
 
+/** A fresh worker has this long, or its lease if longer, to send its
+ *  ready heartbeat: start-up is not charged to a short lease. */
+constexpr double kWorkerStartMs = 10000.0;
+
 double
 nowMs()
 {
@@ -230,6 +234,7 @@ struct WorkerProcess
     int cmdFd = -1;  ///< parent's write end (leases), non-blocking
     int resFd = -1;  ///< parent's read end (heartbeats, results)
     std::string outbox;  ///< lease bytes the pipe has not taken yet
+    bool ready = false;  ///< sent its ready heartbeat
 
     WorkerProcess() = default;
     WorkerProcess(const WorkerProcess&) = delete;
@@ -347,6 +352,7 @@ struct WorkerProcess
         ::fcntl(cmd[1], F_SETFL, O_NONBLOCK);
         ::fcntl(res[0], F_SETFD, FD_CLOEXEC);
         pid = child;
+        ready = false;
         cmdFd = cmd[1];
         resFd = res[0];
         return true;
@@ -394,7 +400,14 @@ struct WorkerQueue
     std::deque<Lease> leases;
     double deadlineMs = 0.0;  ///< when the head's lease expires
 
-    void renew() { deadlineMs = nowMs() + sup.opts.leaseMs; }
+    /** The head's lease; a worker not ready yet also gets to start. */
+    double leaseMs() const
+    {
+        return child.ready ? sup.opts.leaseMs
+                           : std::max(sup.opts.leaseMs, kWorkerStartMs);
+    }
+
+    void renew() { deadlineMs = nowMs() + leaseMs(); }
 
     /** Claim points until kLeasesInFlight are queued; none once a
      *  graceful SIGTERM/SIGINT drain starts. */
@@ -455,7 +468,7 @@ struct WorkerQueue
                     continue;
                 ++sup.leasesExpired;
                 *kind = SimErrorKind::WorkerTimeout;
-                *desc = strCat("let its ", sup.opts.leaseMs,
+                *desc = strCat("let its ", leaseMs(),
                                " ms lease expire and was killed");
                 child.destroy();
                 return false;
@@ -469,7 +482,9 @@ struct WorkerQueue
             std::string body;
             const bool tagged = splitKindPayload(payload, &fk, &body);
             if (tagged && fk == FrameKind::Heartbeat) {
-                ++sup.heartbeats;
+                if (child.ready)  // the first one reports ready
+                    ++sup.heartbeats;
+                child.ready = true;
                 renew();
                 continue;
             }
@@ -576,6 +591,14 @@ runWorkerIfRequested(int argc, char** argv)
             std::fclose(f);
         }
     }
+
+    // Report ready: a fresh worker's first lease clock restarts here,
+    // so start-up is not charged to that point.
+    ByteWriter ready;
+    ready.u64(0);
+    const std::string ready_frame =
+        kindFrame(FrameKind::Heartbeat, ready.take());
+    writeAllFd(kWorkerResFd, ready_frame.data(), ready_frame.size());
 
     CompileCache cache;
     WorkerOutput out;

@@ -14,9 +14,11 @@
  *
  *     fd 3 (supervisor -> worker): point-lease — one serialized point
  *                                  plus the knobs that change its result
- *     fd 4 (worker -> supervisor): heartbeat frames while a point
- *                                  executes, then one point-result
- *                                  carrying its OutcomeRecord
+ *     fd 4 (worker -> supervisor): one ready heartbeat at start; per
+ *                                  lease, heartbeat frames while the
+ *                                  point executes, then one
+ *                                  point-result carrying its
+ *                                  OutcomeRecord
  *
  * — until the supervisor hangs up. The worker runs its leases in
  * order through the same executeSweepPoint() path as in-process
@@ -41,10 +43,12 @@
  *                            └─ head's budget exhausted -> structured
  *                               error record; the rest are reissued
  *
- * The head's deadline starts when its predecessor's result arrives
- * (or when it is written to a fresh worker); each heartbeat renews
- * it. A lease whose worker runs without heartbeats (heartbeatMs = 0)
- * is thus a hard per-point budget — that is --worker-timeout-ms. A
+ * The head's deadline starts when its predecessor's result arrives,
+ * or on a fresh worker when the worker's first frame, a heartbeat,
+ * reports it ready (it has the lease or 10 s, whichever is longer, to
+ * start); each heartbeat renews it. A lease whose worker sends no
+ * periodic heartbeats (heartbeatMs = 0) is thus a hard per-point
+ * budget that excludes start-up — that is --worker-timeout-ms. A
  * lost worker was executing the head, so only the head is charged:
  * the queued leases are reissued to the next worker without a charge
  * and count as issued, not reassigned. An exhausted point becomes
