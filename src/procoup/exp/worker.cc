@@ -129,6 +129,16 @@ constexpr std::size_t kLeasesInFlight = 2;
  *  ready heartbeat: start-up is not charged to a short lease. */
 constexpr double kWorkerStartMs = 10000.0;
 
+/** Write heartbeat number @p seq on fd 4. */
+void
+sendHeartbeat(std::uint64_t seq)
+{
+    ByteWriter w;
+    w.u64(seq);
+    const std::string f = kindFrame(FrameKind::Heartbeat, w.take());
+    writeAllFd(kWorkerResFd, f.data(), f.size());
+}
+
 double
 nowMs()
 {
@@ -181,13 +191,8 @@ class WorkerOutput
                          std::chrono::duration<double, std::milli>(
                              _cadenceMs),
                          [] { return false; });
-            if (!_executing || stop.stop_requested())
-                continue;
-            ByteWriter w;
-            w.u64(seq++);
-            const std::string f =
-                kindFrame(FrameKind::Heartbeat, w.take());
-            writeAllFd(kWorkerResFd, f.data(), f.size());
+            if (_executing && !stop.stop_requested())
+                sendHeartbeat(seq++);
         }
     }
 
@@ -594,11 +599,7 @@ runWorkerIfRequested(int argc, char** argv)
 
     // Report ready: a fresh worker's first lease clock restarts here,
     // so start-up is not charged to that point.
-    ByteWriter ready;
-    ready.u64(0);
-    const std::string ready_frame =
-        kindFrame(FrameKind::Heartbeat, ready.take());
-    writeAllFd(kWorkerResFd, ready_frame.data(), ready_frame.size());
+    sendHeartbeat(0);
 
     CompileCache cache;
     WorkerOutput out;
