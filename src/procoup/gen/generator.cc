@@ -183,7 +183,8 @@ class Gen
                 return strCat("(h ", intExpr(c, depth - 1), ")");
             return intLeaf(c);
           case 5:
-            // Only bounded float forms may face FTOI (plain cast).
+            // Only bounded float forms face FTOI, so it truncates them
+            // to small integers rather than saturating to INT64_MIN.
             if (floats)
                 return strCat("(int ", smallFloat(), ")");
             return intLeaf(c);
@@ -194,8 +195,8 @@ class Gen
 
     /** Float atom with magnitude <= ~5: constant or `fin` element.
      *  No locals — this is the building block of forms that must stay
-     *  small enough for FTOI (a plain static_cast in the ALU, so an
-     *  out-of-int64-range operand would be undefined behavior). */
+     *  small enough for FTOI to truncate (isa::truncToInt gives
+     *  INT64_MIN for an out-of-int64-range operand). */
     std::string
     floatAtom()
     {
