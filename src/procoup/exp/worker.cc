@@ -148,26 +148,21 @@ nowMs()
 }
 
 /** A worker's fd 4. One heartbeat thread, started by the first lease
- *  that asks for heartbeats, beats every cadence between begin() and
- *  end(); a mutex keeps its frames out of a result frame, which is
- *  larger than PIPE_BUF. */
+ *  that asks for heartbeats, ticks every cadence and beats on each
+ *  tick between begin() and end(); a mutex keeps its frames out of a
+ *  result frame, which is larger than PIPE_BUF. */
 class WorkerOutput
 {
   public:
-    WorkerOutput() = default;
-    WorkerOutput(const WorkerOutput&) = delete;  // the thread holds this
-    WorkerOutput& operator=(const WorkerOutput&) = delete;
-
     /** A point starts executing; beat every @p cadence_ms (0: never). */
     void begin(double cadence_ms)
     {
         std::lock_guard<std::mutex> lock(_mu);
-        _cadenceMs = cadence_ms;
         _executing = cadence_ms > 0.0;
+        if (_executing)
+            _cadenceMs = cadence_ms;
         if (_executing && !_thread.joinable())
             _thread = std::jthread([this](std::stop_token s) { beat(s); });
-        else if (_executing && _idle)
-            _cv.notify_one();
     }
 
     /** The point finished: send its @p result, and no heartbeat until
@@ -184,9 +179,6 @@ class WorkerOutput
     {
         std::unique_lock<std::mutex> lock(_mu);
         for (std::uint64_t seq = 1; !stop.stop_requested();) {
-            _idle = true;
-            _cv.wait(lock, stop, [this] { return _executing; });
-            _idle = false;
             _cv.wait_for(lock, stop,
                          std::chrono::duration<double, std::milli>(
                              _cadenceMs),
@@ -200,7 +192,6 @@ class WorkerOutput
     std::condition_variable_any _cv;
     double _cadenceMs = 0.0;
     bool _executing = false;
-    bool _idle = false;  ///< the thread waits for begin(), not a tick
     std::jthread _thread;  ///< last: stopped and joined first
 };
 
@@ -382,6 +373,7 @@ struct Supervisor
     CompileCache& cache;
     const SupervisorOptions& opts;
     const std::function<void(std::size_t, OutcomeRecord&&)>& commit;
+    const std::size_t workers;  ///< supervising threads
 
     std::atomic<std::size_t> next{0};
     std::atomic<std::uint64_t> leasesIssued{0};
@@ -415,10 +407,15 @@ struct WorkerQueue
     void renew() { deadlineMs = nowMs() + leaseMs(); }
 
     /** Claim points until kLeasesInFlight are queued; none once a
-     *  graceful SIGTERM/SIGINT drain starts. */
+     *  graceful SIGTERM/SIGINT drain starts. A second lease is queued
+     *  only while more points wait unclaimed than there are threads,
+     *  so a plan of few points spreads over every worker. */
     void claim()
     {
         while (leases.size() < kLeasesInFlight && !sweepStopRequested()) {
+            if (!leases.empty() &&
+                sup.next.load() + sup.workers >= sup.indices.size())
+                return;
             const std::size_t n = sup.next.fetch_add(1);
             if (n >= sup.indices.size())
                 return;
@@ -652,16 +649,16 @@ superviseWorkers(const ExperimentPlan& plan,
     // supervisor with SIGPIPE on the next lease write.
     ::signal(SIGPIPE, SIG_IGN);
 
-    Supervisor sup{plan, indices, ropts, cache, opts, commit};
+    const std::size_t workers = std::min<std::size_t>(
+        std::max(opts.workers, 1), indices.size());
+    Supervisor sup{plan, indices, ropts, cache, opts, commit, workers};
     auto drive = [&] { WorkerQueue(sup).run(); };
-    const int workers = static_cast<int>(std::min<std::size_t>(
-        std::max(opts.workers, 1), indices.size()));
     if (workers <= 1) {
         drive();
     } else {
         std::vector<std::thread> pool;
         pool.reserve(workers);
-        for (int w = 0; w < workers; ++w)
+        for (std::size_t w = 0; w < workers; ++w)
             pool.emplace_back(drive);
         for (auto& t : pool)
             t.join();

@@ -29,8 +29,10 @@
  * result frames.
  *
  * Each supervising thread keeps two leases written to its worker, the
- * head and one queued behind it, and drives them through one lease
- * state machine:
+ * head and one queued behind it, while more points wait unclaimed
+ * than there are supervising threads (after that, one, so a plan of
+ * few points spreads over every worker), and drives them through one
+ * lease state machine:
  *
  *     issue leases ── head's point-result ──> pop head, issue the
  *          ^     │                            next lease, commit head
@@ -121,9 +123,10 @@ struct SupervisorOptions
  * threads, distinct indices) with the finished record; records whose
  * threw class is set carry an exception for the caller to rethrow.
  * Claimed points (up to two per worker) finish; points not yet
- * claimed when sweepStopRequested() turns true are skipped. @p ropts carries the knobs shipped with every lease;
- * @p cache serves in-process execution. @return the lease accounting
- * (the lease, heartbeat and workerLost counters of DaemonStats).
+ * claimed when sweepStopRequested() turns true are skipped. @p ropts
+ * carries the knobs shipped with every lease; @p cache serves
+ * in-process execution. @return the lease accounting (the lease,
+ * heartbeat and workerLost counters of DaemonStats).
  */
 DaemonStats
 superviseWorkers(const ExperimentPlan& plan,

@@ -1,12 +1,14 @@
 /** @file The supervisor's per-worker lease queue (exp/worker.hh): a
- *  lost worker charges only the head it was executing, and a hung head
- *  expires even when the lease queued behind it overflows the pipe.
+ *  lost worker charges only the head it was executing, a hung head
+ *  expires even when the lease queued behind it overflows the pipe,
+ *  and a plan of no more points than workers gives each worker one.
  *  The binary is its own worker: main() serves `--worker` first. */
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <map>
+#include <mutex>
 #include <numeric>
 
 #include "procoup/config/presets.hh"
@@ -21,15 +23,17 @@ const std::string kSource = "(defvar out 0)(defun main () (set out 42))";
 struct Supervised
 {
     std::map<std::string, exp::OutcomeRecord> records;
+    std::vector<std::string> committed;  ///< labels in commit order
     exp::DaemonStats stats;
 };
 
 /** Supervise @p labels' points (source kSource plus the padding in
- *  @p pad) under one worker and the given lease and retry budget. */
+ *  @p pad) under @p workers workers and the given lease and retry
+ *  budget. */
 Supervised
 supervise(const std::vector<std::string>& labels,
           const std::map<std::string, std::string>& pad, double leaseMs,
-          int retries)
+          int retries, int workers = 1)
 {
     exp::ExperimentPlan plan("queue");
     for (const std::string& label : labels) {
@@ -45,11 +49,15 @@ supervise(const std::vector<std::string>& labels,
     exp::SupervisorOptions sopts;
     sopts.leaseMs = leaseMs;
     sopts.retryPolicy.maxAttempts = retries + 1;
+    sopts.workers = workers;
     Supervised s;
+    std::mutex mu;  // commit runs on every supervising thread
     s.stats = exp::superviseWorkers(
         plan, indices, ropts, cache, sopts,
         [&](std::size_t i, exp::OutcomeRecord&& rec) {
-            s.records[plan.points()[i].label] = std::move(rec);
+            std::lock_guard<std::mutex> lock(mu);
+            s.committed.push_back(plan.points()[i].label);
+            s.records[s.committed.back()] = std::move(rec);
         });
     return s;
 }
@@ -109,6 +117,31 @@ TEST(WorkerQueue, HungHeadExpiresWithAnOversizedLeaseQueued)
     EXPECT_EQ(s.stats.leasesExpired, 1u);
     EXPECT_EQ(s.stats.leasesReassigned, 0u);
     EXPECT_EQ(s.stats.workerLost, 1u);
+}
+
+TEST(WorkerQueue, FewPointsSpreadOverEveryWorker)
+{
+    // As many points as workers: each worker takes one lease, so no
+    // point waits in a pipe behind the hung one, wherever it sits.
+    const std::vector<std::string> names = {"a", "b", "c", "d",
+                                            "e", "f", "g", "h"};
+    for (std::size_t pos = 0; pos < names.size(); ++pos) {
+        std::vector<std::string> labels = names;
+        labels[pos] = "hang";
+        ::setenv("PROCOUP_TEST_WORKER_HANG_LABEL", "hang", 1);
+        const Supervised s = supervise(labels, {}, 300.0, 0, 8);
+        ::unsetenv("PROCOUP_TEST_WORKER_HANG_LABEL");
+
+        EXPECT_TRUE(s.records.at("hang").failed) << pos;
+        for (const std::string& label : labels)
+            if (label != "hang")
+                expectHealthy(s, label);
+        ASSERT_EQ(s.committed.size(), names.size()) << pos;
+        EXPECT_EQ(s.committed.back(), "hang") << pos;
+        EXPECT_EQ(s.stats.leasesIssued, names.size()) << pos;
+        EXPECT_EQ(s.stats.leasesExpired, 1u) << pos;
+        EXPECT_EQ(s.stats.leasesReassigned, 0u) << pos;
+    }
 }
 
 } // namespace
