@@ -18,7 +18,8 @@ Scenarios (--scenarios picks a comma-separated subset; default all):
               reassigned and the bundle still converges;
   kill-daemon SIGKILL the daemon mid-sweep, restart it on the same
               state dir: the client reconnects, journaled points
-              replay, and the bundle still converges;
+              replay, the bundle still converges, and every worker of
+              the killed daemon exits;
   kill-client SIGKILL the client mid-sweep: the daemon finishes and
               finalizes its journal anyway; a second client replays
               the whole plan with ZERO recompiles and an identical
@@ -109,6 +110,24 @@ def child_pids(pid):
         except (OSError, ValueError):
             pass
     return pids
+
+
+def still_running(pids, timeout_s=10.0):
+    """The pids in @p pids that have not exited (zombies count as
+    exited) after waiting up to @p timeout_s."""
+    deadline = time.monotonic() + timeout_s
+    while True:
+        live = []
+        for pid in pids:
+            try:
+                stat = open(f"/proc/{pid}/stat").read()
+            except OSError:
+                continue
+            if stat.rsplit(")", 1)[-1].split()[0] != "Z":
+                live.append(pid)
+        if not live or time.monotonic() > deadline:
+            return live
+        time.sleep(0.05)
 
 
 def spawn_count(path):
@@ -364,7 +383,9 @@ def kill_daemon(c):
         while (wal_records(state) < 1 and client.poll() is None and
                time.monotonic() < deadline):
             time.sleep(0.005)
+        orphans = []
         if client.poll() is None:
+            orphans = child_pids(d.proc.pid)
             d.kill()
             landed = True
             d = Daemon(c.procoupd, sock, state).start()
@@ -379,6 +400,9 @@ def kill_daemon(c):
             check(daemon_block.get("replayed", 0) >= 1,
                   "kill-daemon: restarted daemon replayed nothing "
                   "from its journal")
+            live = still_running(orphans)
+            check(not live, f"kill-daemon: workers {live} outlived "
+                            "their killed daemon")
             break
     check(landed, "kill-daemon: no kill ever landed mid-sweep; "
                   "raise --chaos-programs")

@@ -260,7 +260,7 @@ SweepDaemon::serve()
             break;
         if (pr <= 0)
             continue;
-        const int fd = ::accept(listen_fd, nullptr, nullptr);
+        const int fd = ::accept4(listen_fd, nullptr, nullptr, SOCK_CLOEXEC);
         if (fd < 0)
             continue;
 

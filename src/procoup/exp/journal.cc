@@ -80,7 +80,7 @@ ResultsJournal::open(const std::string& dir, const ExperimentPlan& plan)
     loadFrom(_walPath, /*cut_torn_tail=*/true);
     _loadedFromWal = _records.size() > afterJournal;
 
-    _wal = std::fopen(_walPath.c_str(), "ab");
+    _wal = std::fopen(_walPath.c_str(), "abe");  // e: O_CLOEXEC
     if (!_wal) {
         _records.clear();
         return false;

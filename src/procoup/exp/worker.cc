@@ -304,11 +304,14 @@ struct WorkerProcess
      *  on fds 3/4; false if the child cannot be spawned. */
     bool spawn()
     {
+        // Close-on-exec from the start: a worker another supervising
+        // thread forks meanwhile must not inherit these ends, or a
+        // worker whose supervisor dies never sees EOF on its leases.
         int cmd[2] = {-1, -1};
         int res[2] = {-1, -1};
-        if (::pipe(cmd) != 0)
+        if (::pipe2(cmd, O_CLOEXEC) != 0)
             return false;
-        if (::pipe(res) != 0) {
+        if (::pipe2(res, O_CLOEXEC) != 0) {
             ::close(cmd[0]);
             ::close(cmd[1]);
             return false;
@@ -344,9 +347,7 @@ struct WorkerProcess
 
         ::close(cmd[0]);
         ::close(res[1]);
-        ::fcntl(cmd[1], F_SETFD, FD_CLOEXEC);
         ::fcntl(cmd[1], F_SETFL, O_NONBLOCK);
-        ::fcntl(res[0], F_SETFD, FD_CLOEXEC);
         pid = child;
         ready = false;
         cmdFd = cmd[1];
