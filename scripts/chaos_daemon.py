@@ -113,8 +113,8 @@ def child_pids(pid):
 
 
 def still_running(pids, timeout_s=10.0):
-    """The pids in @p pids that have not exited (zombies count as
-    exited) after waiting up to @p timeout_s."""
+    """Those of pids that have not exited (a zombie has) within
+    timeout_s seconds."""
     deadline = time.monotonic() + timeout_s
     while True:
         live = []
