@@ -123,6 +123,8 @@ TEST(WorkerQueue, FewPointsSpreadOverEveryWorker)
 {
     // As many points as workers: each worker takes one lease, so no
     // point waits in a pipe behind the hung one, wherever it sits.
+    // Eight threads start one after another slowly enough that,
+    // queueing two leases each, the first ones would take them all.
     const std::vector<std::string> names = {"a", "b", "c", "d",
                                             "e", "f", "g", "h"};
     for (std::size_t pos = 0; pos < names.size(); ++pos) {
