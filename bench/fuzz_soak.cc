@@ -18,21 +18,24 @@
  * printed as a ready-to-commit corpus witness. The summary is stable
  * "key: value" lines consumed by scripts/collect_fuzz.py.
  *
- * Seed range and program count come from the environment (the
- * harness flag set is closed): PROCOUP_FUZZ_FIRST_SEED and
- * PROCOUP_FUZZ_PROGRAMS, defaulting to 1 and 200.
+ * On top of every harness flag it takes its seed range:
  *
- * PROCOUP_SOAK_JOURNAL=DIR makes the soak durable: it appends
- * "--journal DIR" to the harness flags, so a killed soak resumes from
+ *   --programs N        generated programs (default 200)
+ *   --first-seed S      seed of the first program (default 1)
+ *
+ * With --journal DIR the soak is durable: a killed soak resumes from
  * its write-ahead journal instead of starting over, and the summary
  * gains points_replayed / points_executed lines reporting how much of
  * the sweep was restored versus actually run.
  */
 
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 
 #include "procoup/exp/harness.hh"
+#include "procoup/exp/worker.hh"
 #include "procoup/gen/soak.hh"
 #include "procoup/support/strings.hh"
 
@@ -40,13 +43,15 @@ using namespace procoup;
 
 namespace {
 
-std::uint64_t
-envU64(const char* name, std::uint64_t fallback)
+[[noreturn]] void
+usage(const char* argv0)
 {
-    const char* v = std::getenv(name);
-    if (v == nullptr || *v == '\0')
-        return fallback;
-    return std::strtoull(v, nullptr, 10);
+    std::fprintf(stderr,
+                 "usage: %s [--programs N] [--first-seed S] "
+                 "[harness flags]\n"
+                 "see bench/fuzz_soak.cc and src/procoup/exp/harness.hh\n",
+                 argv0);
+    std::exit(1);
 }
 
 } // namespace
@@ -54,27 +59,24 @@ envU64(const char* name, std::uint64_t fallback)
 int
 main(int argc, char** argv)
 {
+    exp::runWorkerIfRequested(argc, argv);
     gen::SoakOptions opts;
-    opts.firstSeed = envU64("PROCOUP_FUZZ_FIRST_SEED", 1);
-    opts.programs =
-        static_cast<int>(envU64("PROCOUP_FUZZ_PROGRAMS", 200));
+    opts.programs = 200;
+    const exp::HarnessOptions options = exp::HarnessOptions::parse(
+        argc, argv,
+        [&](exp::Args& a) {
+            return a.number("--programs", 1, INT_MAX, &opts.programs) ||
+                   a.number("--first-seed", std::uint64_t{0},
+                            UINT64_MAX, &opts.firstSeed);
+        },
+        usage);
+    const bool journaled = !options.runner.journalDir.empty();
 
     gen::SoakPlan sp = gen::buildSoakPlan(opts);
 
-    // Durable soak: PROCOUP_SOAK_JOURNAL=DIR injects --journal DIR
-    // without widening the closed harness flag set.
-    std::vector<char*> args(argv, argv + argc);
-    std::string jflag;
-    const char* jdir = std::getenv("PROCOUP_SOAK_JOURNAL");
-    if (jdir != nullptr && *jdir != '\0') {
-        jflag = strCat("--journal=", jdir);
-        args.push_back(jflag.data());
-    }
-
     bool bad = false;
-    const int rc = exp::harnessMain(
-        sp.plan, static_cast<int>(args.size()), args.data(),
-        [&](const exp::SweepResult& sweep) {
+    const int rc = exp::runHarness(
+        sp.plan, options, [&](const exp::SweepResult& sweep) {
             std::vector<gen::SoakMismatch> mm =
                 gen::analyzeSoak(sp, sweep);
             int modeBad = 0, faultBad = 0, simBad = 0;
@@ -93,7 +95,7 @@ main(int argc, char** argv)
                             opts.firstSeed + opts.programs - 1));
             std::printf("programs: %d\n", opts.programs);
             std::printf("points: %zu\n", sweep.outcomes.size());
-            if (jdir != nullptr && *jdir != '\0') {
+            if (journaled) {
                 std::printf("points_replayed: %zu\n",
                             sweep.replayedPoints);
                 std::printf("points_executed: %zu\n",

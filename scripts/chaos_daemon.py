@@ -43,6 +43,8 @@ Scenarios (--scenarios picks a comma-separated subset; default all):
 The daemons' and harnesses' stderr, which the workers inherit, is
 logged in the scratch directory; a sanitizer report in any log fails
 the run, since a worker that dies of one shows only as a retried lease.
+A passing run removes the scratch directory; a failing one keeps it
+and prints its path.
 
 Exit status 0 on success; 1 with a FAIL line per violation.
 """
@@ -51,6 +53,7 @@ import argparse
 import glob
 import json
 import os
+import shutil
 import signal
 import struct
 import subprocess
@@ -214,48 +217,50 @@ class Daemon:
                 self.kill()
 
 
-def run_harness(harness, flags, env, stdout=subprocess.DEVNULL):
-    """Exit status of one --jobs 2 harness run."""
+def run_harness(cmd, flags, env, stdout=subprocess.DEVNULL):
+    """Exit status of one --jobs 2 run of the harness command cmd."""
     with open(os.path.join(LOG_DIR, "harness.log"), "a") as log:
-        return subprocess.run([harness, "--jobs", "2"] + flags,
+        return subprocess.run(cmd + ["--jobs", "2"] + flags,
                               stdout=stdout, stderr=log, env=env,
                               timeout=300).returncode
 
 
 def untimed_stdout(path):
-    """fuzz_soak stdout minus its wall-clock lines."""
+    """fuzz_soak stdout minus its wall-clock lines and the journal
+    lines a --journal run adds."""
     return [line for line in open(path)
-            if not line.startswith(("wall_ms:", "programs_per_sec:"))]
+            if not line.startswith(("wall_ms:", "programs_per_sec:",
+                                    "points_replayed:",
+                                    "points_executed:"))]
 
 
-def run_client(harness, sock, env, bundle, report):
-    return run_harness(harness, ["--connect", sock, "--stats-json",
-                                 bundle, "--sweep-report", report], env)
+def run_client(cmd, sock, env, bundle, report):
+    return run_harness(cmd, ["--connect", sock, "--stats-json",
+                             bundle, "--sweep-report", report], env)
 
 
 class Chaos:
     """What the scenarios share: binaries, a scratch directory, the
-    two sweep sizes, and the local reference runs every scenario must
-    converge to."""
+    fuzz_soak commands of the two sweep sizes, and the local reference
+    runs every scenario must converge to."""
 
     def __init__(self, args):
         global LOG_DIR
-        self.harness = args.harness
+        self.soak = [args.harness, "--programs", str(args.programs),
+                     "--first-seed", str(FIRST_SEED)]
+        self.chaos_soak = [args.harness,
+                           "--programs", str(args.chaos_programs),
+                           "--first-seed", str(FIRST_SEED)]
         self.procoupd = args.procoupd
         self.table2 = args.table2 or os.path.join(
             os.path.dirname(args.harness), "table2_baseline")
         self.max_tries = args.max_tries
         self.work = tempfile.mkdtemp(prefix="procoup_chaosd_")
         LOG_DIR = self.work
-        self.env = dict(os.environ,
-                        PROCOUP_FUZZ_PROGRAMS=str(args.programs),
-                        PROCOUP_FUZZ_FIRST_SEED=str(FIRST_SEED))
-        for hook in ("PROCOUP_SOAK_JOURNAL",
-                     "PROCOUP_TEST_WORKER_CRASH_LABEL",
+        self.env = dict(os.environ)
+        for hook in ("PROCOUP_TEST_WORKER_CRASH_LABEL",
                      "PROCOUP_TEST_WORKER_HANG_LABEL"):
             self.env.pop(hook, None)
-        self.chaos_env = dict(
-            self.env, PROCOUP_FUZZ_PROGRAMS=str(args.chaos_programs))
         self.refs = {}
         self.kc_state = None
 
@@ -267,13 +272,14 @@ class Chaos:
         size 'small' or 'big' (the kill scenarios' size); None if the
         local run failed."""
         if tag not in self.refs:
-            e = self.env if tag == "small" else self.chaos_env
+            cmd = self.soak if tag == "small" else self.chaos_soak
             bundle = self.path(f"ref_{tag}.json")
             report = self.path(f"refrep_{tag}.json")
             with open(self.path(f"ref_{tag}.out"), "w") as out:
-                rc = run_harness(self.harness,
+                rc = run_harness(cmd,
                                  ["--stats-json", bundle,
-                                  "--sweep-report", report], e, out)
+                                  "--sweep-report", report], self.env,
+                                 out)
             self.refs[tag] = None
             if check(rc == 0, f"local reference ({tag}) failed rc={rc}"):
                 self.refs[tag] = (open(bundle, "rb").read(),
@@ -289,7 +295,7 @@ def clean(c):
     d = Daemon(c.procoupd, c.path("clean.sock"), c.path("clean.state"))
     d.start()
     bundle, report = c.path("clean_bundle.json"), c.path("clean_rep.json")
-    rc = run_client(c.harness, d.sock, c.env, bundle, report)
+    rc = run_client(c.soak, d.sock, c.env, bundle, report)
     d.stop()
     if check(rc == 0, f"clean daemon client failed rc={rc}"):
         check(open(bundle, "rb").read() == ref[0],
@@ -316,7 +322,7 @@ def no_workers(c):
                c.path("noworkers.state"), extra=["--no-workers"])
     d.start()
     bundle, report = c.path("nw_bundle.json"), c.path("nw_rep.json")
-    rc = run_client(c.harness, d.sock, c.env, bundle, report)
+    rc = run_client(c.soak, d.sock, c.env, bundle, report)
     d.stop()
     if check(rc == 0, f"no-workers client failed rc={rc}"):
         check(open(bundle, "rb").read() == ref[0],
@@ -335,10 +341,11 @@ def kill_worker(c):
         d.start()
         bundle, report = c.path("kw_bundle.json"), c.path("kw_rep.json")
         client = subprocess.Popen(
-            [c.harness, "--jobs", "2", "--connect", d.sock,
-             "--stats-json", bundle, "--sweep-report", report],
+            c.chaos_soak + ["--jobs", "2", "--connect", d.sock,
+                            "--stats-json", bundle,
+                            "--sweep-report", report],
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-            env=c.chaos_env)
+            env=c.env)
         deadline = time.monotonic() + 300.0
         while (wal_records(state) < 1 and client.poll() is None and
                time.monotonic() < deadline):
@@ -375,10 +382,11 @@ def kill_daemon(c):
         d.start()
         bundle, report = c.path("kd_bundle.json"), c.path("kd_rep.json")
         client = subprocess.Popen(
-            [c.harness, "--jobs", "2", "--connect", sock,
-             "--stats-json", bundle, "--sweep-report", report],
+            c.chaos_soak + ["--jobs", "2", "--connect", sock,
+                            "--stats-json", bundle,
+                            "--sweep-report", report],
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-            env=c.chaos_env)
+            env=c.env)
         deadline = time.monotonic() + 300.0
         while (wal_records(state) < 1 and client.poll() is None and
                time.monotonic() < deadline):
@@ -419,10 +427,10 @@ def kill_client(c):
         d = Daemon(c.procoupd, c.path(f"kc{attempt}.sock"), state)
         d.start()
         client = subprocess.Popen(
-            [c.harness, "--jobs", "2", "--connect", d.sock,
-             "--stats-json", c.path("kc_dead.json")],
+            c.chaos_soak + ["--jobs", "2", "--connect", d.sock,
+                            "--stats-json", c.path("kc_dead.json")],
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-            env=c.chaos_env)
+            env=c.env)
         deadline = time.monotonic() + 300.0
         while (wal_records(state) < 1 and client.poll() is None and
                time.monotonic() < deadline):
@@ -446,7 +454,7 @@ def kill_client(c):
             d.stop()
             return
         bundle, report = c.path("kc_bundle.json"), c.path("kc_rep.json")
-        rc = run_client(c.harness, d.sock, c.chaos_env, bundle, report)
+        rc = run_client(c.chaos_soak, d.sock, c.env, bundle, report)
         d.stop()
         if not check(rc == 0, f"kill-client second client failed rc={rc}"):
             return
@@ -476,7 +484,7 @@ def isolate_journal(c):
         report = c.path(f"iso_{tag}_rep.json")
         with open(c.path(f"iso_{tag}.out"), "w") as out:
             rc = run_harness(
-                c.harness,
+                c.soak,
                 ["--isolate-workers", "--journal", jdir, "--stats-json",
                  bundle, "--sweep-report", report],
                 dict(c.env,
@@ -509,9 +517,9 @@ def poisoned(c):
     prefix = f"s{FIRST_SEED}/"
     only = ["--filter", prefix]
     ref = c.path("ref_filtered.json")
-    rc = run_harness(c.harness, only + ["--stats-json", ref], c.env)
+    rc = run_harness(c.soak, only + ["--stats-json", ref], c.env)
     victims = [l for l in subprocess.run(
-                   [c.harness, "--list"], env=c.env, capture_output=True,
+                   c.soak + ["--list"], env=c.env, capture_output=True,
                    text=True, timeout=60).stdout.split()
                if l.startswith(prefix)]
     if not check(rc == 0 and len(victims) >= 2,
@@ -529,15 +537,15 @@ def poisoned(c):
             ("isolate-hang", ["--retries=0", "--worker-timeout-ms=10000"],
              hang, victims[1], "worker-timeout", 1)):
         bundle = c.path(f"{name}.json")
-        rc = run_harness(c.harness, only + ["--isolate-workers"] +
+        rc = run_harness(c.soak, only + ["--isolate-workers"] +
                          flags + ["--stats-json", bundle], e)
         if check(rc == 0, f"{name}: harness failed rc={rc}"):
             check_poisoned(name, bundle, ref_runs, victim, kind, attempts)
     d = Daemon(c.procoupd, c.path("lost.sock"), c.path("lost.state"),
                extra=["--retries", "1"], env=crash).start()
     bundle = c.path("daemon-crash.json")
-    rc = run_harness(c.harness, only + ["--connect", d.sock,
-                                        "--stats-json", bundle], c.env)
+    rc = run_harness(c.soak, only + ["--connect", d.sock,
+                                     "--stats-json", bundle], c.env)
     d.stop()
     if check(rc == 0, f"daemon-crash: client failed rc={rc}"):
         check_poisoned("daemon-crash", bundle, ref_runs, victims[0],
@@ -550,13 +558,13 @@ def heartbeat(c):
                  f"heartbeat: no Table 2 harness at {c.table2}"):
         return
     ref = c.path("t2_ref.json")
-    rc = run_harness(c.table2, ["--stats-json", ref], c.env)
+    rc = run_harness([c.table2], ["--stats-json", ref], c.env)
     if not check(rc == 0, f"heartbeat: local Table 2 failed rc={rc}"):
         return
     d = Daemon(c.procoupd, c.path("hb.sock"), c.path("hb.state"),
                extra=["--lease-ms", "30", "--heartbeat-ms", "2"]).start()
     bundle, report = c.path("hb_bundle.json"), c.path("hb_rep.json")
-    rc = run_client(c.table2, d.sock, c.env, bundle, report)
+    rc = run_client([c.table2], d.sock, c.env, bundle, report)
     d.stop()
     if not check(rc == 0, f"heartbeat: client failed rc={rc}"):
         return
@@ -636,11 +644,20 @@ def main():
         ap.error(f"unknown scenario(s): {', '.join(unknown)}")
 
     c = Chaos(args)
-    for name, scenario in SCENARIOS.items():
-        if name in selected:
-            scenario(c)
-    check_schema(c)
-    check_logs(c)
+    passed = False
+    try:
+        for name, scenario in SCENARIOS.items():
+            if name in selected:
+                scenario(c)
+        check_schema(c)
+        check_logs(c)
+        passed = not FAILURES
+    finally:
+        if passed:
+            shutil.rmtree(c.work, ignore_errors=True)
+        else:
+            print(f"chaos_daemon: scratch kept in {c.work}",
+                  file=sys.stderr)
     return finish(selected)
 
 

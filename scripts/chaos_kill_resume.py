@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Kill/resume chaos test for the write-ahead results journal.
 
-Runs a journaled fuzz_soak sweep (PROCOUP_SOAK_JOURNAL), kills the
+Runs a journaled fuzz_soak sweep (--journal DIR), kills the
 process after a seeded-random number of points has been committed to
 the write-ahead file (observed by counting its framed records), then
 resumes — repeatedly, until a run survives to completion — and
@@ -22,6 +22,9 @@ finishes in-flight points, flushes the WAL, and exits 143:
   * the journal directory passes scripts/check_stats_schema.py
     --journal-dir validation.
 
+A passing run removes its scratch directory; a failing one keeps it
+and prints its path.
+
 Exit status 0 on success; 1 with a FAIL line per violation otherwise.
 """
 
@@ -30,6 +33,7 @@ import glob
 import json
 import os
 import random
+import shutil
 import signal
 import struct
 import subprocess
@@ -76,11 +80,11 @@ def journal_records(jdir):
                glob.glob(os.path.join(jdir, "*.journal")))
 
 
-def run_soak(harness, jobs, extra, env, out_path):
-    cmd = [harness, "--jobs", str(jobs)] + extra
+def run_soak(soak, jobs, extra, out_path):
+    cmd = soak + ["--jobs", str(jobs)] + extra
     with open(out_path, "w") as out:
         return subprocess.run(cmd, stdout=out,
-                              stderr=subprocess.DEVNULL, env=env)
+                              stderr=subprocess.DEVNULL)
 
 
 def filtered_stdout(path, drop_prefixes):
@@ -114,26 +118,37 @@ def main():
     chaos_signal = (signal.SIGKILL if args.signal == "kill"
                     else signal.SIGTERM)
 
-    rng = random.Random(args.seed)
     work = tempfile.mkdtemp(prefix="procoup_chaos_")
+    rc = 1
+    try:
+        rc = chaos(args, chaos_signal, work)
+    finally:
+        if rc == 0:
+            shutil.rmtree(work, ignore_errors=True)
+        else:
+            print(f"chaos_kill_resume: scratch kept in {work}",
+                  file=sys.stderr)
+    return rc
+
+
+def chaos(args, chaos_signal, work):
+    rng = random.Random(args.seed)
     jdir = os.path.join(work, "journal")
-    base_env = dict(os.environ,
-                    PROCOUP_FUZZ_PROGRAMS=str(args.programs),
-                    PROCOUP_FUZZ_FIRST_SEED="7000")
-    base_env.pop("PROCOUP_SOAK_JOURNAL", None)
+    soak = [args.harness, "--programs", str(args.programs),
+            "--first-seed", "7000"]
 
     # Uninterrupted, never-journaled reference sweep.
     ref_bundle = os.path.join(work, "ref_bundle.json")
     ref_out = os.path.join(work, "ref.out")
-    proc = run_soak(args.harness, args.jobs,
-                    ["--stats-json", ref_bundle], base_env, ref_out)
+    proc = run_soak(soak, args.jobs, ["--stats-json", ref_bundle],
+                    ref_out)
     if not check(proc.returncode == 0,
                  f"reference soak failed rc={proc.returncode}"):
         return finish()
 
     # Chaos loop: journaled runs, SIGKILLed after a random number of
     # newly committed points, until one survives to the finish line.
-    env = dict(base_env, PROCOUP_SOAK_JOURNAL=jdir)
+    journaled = soak + ["--journal", jdir]
     got_bundle = os.path.join(work, "got_bundle.json")
     got_out = os.path.join(work, "got.out")
     kills = 0
@@ -145,9 +160,9 @@ def main():
         threshold = start + rng.randint(1, 10)
         with open(got_out, "w") as out:
             child = subprocess.Popen(
-                [args.harness, "--jobs", str(args.jobs),
-                 "--stats-json", got_bundle],
-                stdout=out, stderr=subprocess.DEVNULL, env=env)
+                journaled + ["--jobs", str(args.jobs),
+                             "--stats-json", got_bundle],
+                stdout=out, stderr=subprocess.DEVNULL)
             deadline = time.monotonic() + 300.0
             while child.poll() is None:
                 if journal_records(jdir) >= threshold:
@@ -193,8 +208,8 @@ def main():
                 break
     if not survived:
         # Kill budget exhausted: one clean run to the finish line.
-        proc = run_soak(args.harness, args.jobs,
-                        ["--stats-json", got_bundle], env, got_out)
+        proc = run_soak(journaled, args.jobs,
+                        ["--stats-json", got_bundle], got_out)
         if not check(proc.returncode == 0,
                      f"final resume failed rc={proc.returncode}"):
             return finish()
@@ -230,8 +245,7 @@ def main():
     # Full replay over the finalized journal: everything restored,
     # nothing recompiled.
     rep = os.path.join(work, "replay_report.json")
-    proc = run_soak(args.harness, args.jobs,
-                    ["--sweep-report", rep], env,
+    proc = run_soak(journaled, args.jobs, ["--sweep-report", rep],
                     os.path.join(work, "replay.out"))
     check(proc.returncode == 0,
           f"full-replay soak failed rc={proc.returncode}")

@@ -12,13 +12,14 @@ binaries:
    --fault-seed) must also change it, so a value that is silently
    dropped fails.
 2. A malformed value ends in usage. Each bad value exits 1 with the
-   usage text on pcsim and the harness (2 on procoupd) instead of
-   running a different experiment.
+   usage text on pcsim, the harness and fuzz_soak (2 on procoupd)
+   instead of running a different experiment.
 
 --connect is left out: it needs a running daemon (chaos_daemon.py
 covers it).
 
 Usage: check_cli_args.py --pcsim BIN --harness BIN --procoupd BIN
+                         --fuzz-soak BIN
 """
 
 import argparse
@@ -58,14 +59,19 @@ BAD_PCSIM = [
     ["--mem", "bogus"],
 ]
 
+BAD_FUZZ_SOAK = [
+    ["--programs", "abc"],
+    ["--programs", "2x"],
+    ["--first-seed", "-1"],
+]
+
 
 def fail(what):
     FAILURES.append(what)
 
 
 def run(cmd, cwd):
-    return subprocess.run(cmd, cwd=cwd, capture_output=True, text=True,
-                          env=dict(os.environ, PROCOUP_DISK_CACHE=""))
+    return subprocess.run(cmd, cwd=cwd, capture_output=True, text=True)
 
 
 def outputs(base, flag_args, work):
@@ -122,6 +128,7 @@ def main():
                     help="table2_baseline (or any harness with a "
                          "Matrix/Coupled point)")
     ap.add_argument("--procoupd", required=True)
+    ap.add_argument("--fuzz-soak", required=True)
     args = ap.parse_args()
 
     pcsim = [os.path.abspath(args.pcsim), "--benchmark", "Matrix",
@@ -142,6 +149,9 @@ def main():
             check_rejected("harness", harness + bad, 1, work)
         for bad in BAD_PCSIM:
             check_rejected("pcsim", pcsim + bad, 1, work)
+        for bad in BAD_FUZZ_SOAK:
+            check_rejected("fuzz_soak",
+                           [os.path.abspath(args.fuzz_soak)] + bad, 1, work)
         check_rejected("procoupd",
                        [os.path.abspath(args.procoupd), "--socket",
                         os.path.join(work, "d.sock"), "--jobs=abc"],
@@ -151,10 +161,9 @@ def main():
         for f in FAILURES:
             print(f"FAIL {f}", file=sys.stderr)
         return 1
+    bad = 2 * len(BAD_SHARED) + len(BAD_PCSIM) + len(BAD_FUZZ_SOAK) + 1
     print(f"ok: {len(VALUED)} valued flags agree in both spellings on "
-          f"pcsim and the harness; "
-          f"{2 * len(BAD_SHARED) + len(BAD_PCSIM) + 1} malformed "
-          "values end in usage")
+          f"pcsim and the harness; {bad} malformed values end in usage")
     return 0
 
 

@@ -71,15 +71,14 @@ def count_corpus(corpus_dir):
 
 
 def run_harness(args):
-    env = dict(os.environ)
-    if args.programs:
-        env["PROCOUP_FUZZ_PROGRAMS"] = str(args.programs)
-    if args.first_seed:
-        env["PROCOUP_FUZZ_FIRST_SEED"] = str(args.first_seed)
     cmd = [args.harness]
+    if args.programs:
+        cmd += ["--programs", str(args.programs)]
+    if args.first_seed:
+        cmd += ["--first-seed", str(args.first_seed)]
     if args.jobs:
         cmd += ["--jobs", str(args.jobs)]
-    proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
+    proc = subprocess.run(cmd, capture_output=True, text=True)
     summary = parse_summary(proc.stdout)
     if proc.returncode != 0:
         sys.stderr.write(proc.stdout)

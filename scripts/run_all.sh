@@ -67,13 +67,13 @@ python3 scripts/collect_fuzz.py --harness build/bench/fuzz_soak \
     --jobs "$JOBS" --programs 500 --out BENCH_fuzz.json
 python3 scripts/check_stats_schema.py --fuzz BENCH_fuzz.json
 
-# Durable soak: the same fuzz farm under a write-ahead results
-# journal (PROCOUP_SOAK_JOURNAL). A killed run of this step resumes
-# from build/soak_journal on the next invocation instead of starting
-# over; the journal directory is then validated record by record.
+# Durable soak: the fuzz farm under a write-ahead results journal
+# (--journal DIR). A killed run of this step resumes from
+# build/soak_journal on the next invocation instead of starting over;
+# the journal directory is then validated record by record.
 mkdir -p build/soak_journal
-PROCOUP_SOAK_JOURNAL=build/soak_journal \
-    build/bench/fuzz_soak --jobs "$JOBS" > build/soak_journal.out
+build/bench/fuzz_soak --jobs "$JOBS" --journal build/soak_journal \
+    > build/soak_journal.out
 python3 scripts/check_stats_schema.py --journal-dir build/soak_journal
 
 # Simulator-core throughput: the google-benchmark microbenchmarks,

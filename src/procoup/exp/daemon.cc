@@ -8,6 +8,7 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <cstring>
 #include <mutex>
@@ -154,16 +155,16 @@ SweepDaemon::servePlan(int fd, PlanEnvelope&& env)
     DaemonStats stats;
     if (!pending.empty()) {
         // Progress heartbeats keep a slow plan's client connection
-        // alive and observable.
-        std::atomic<bool> ticking{true};
-        std::thread ticker([&] {
-            int slept = 0;
-            while (ticking.load()) {
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(50));
-                if ((slept += 50) < 1000)
-                    continue;
-                slept = 0;
+        // alive and observable, one a second until the end of this
+        // block stops the ticker; the stop wakes its wait at once.
+        // The mutex guards nothing: the wait takes one.
+        std::jthread ticker([&](std::stop_token stop) {
+            std::mutex mu;
+            std::condition_variable_any tick;
+            std::unique_lock<std::mutex> lock(mu);
+            while (!tick.wait_for(lock, stop, std::chrono::seconds(1),
+                                  [] { return false; }) &&
+                   !stop.stop_requested()) {
                 ByteWriter w;
                 w.u64(s.doneCount.load());
                 w.u64(plan.size());
@@ -190,8 +191,6 @@ SweepDaemon::servePlan(int fd, PlanEnvelope&& env)
             [&](std::size_t i, OutcomeRecord&& rec) {
                 s.commitRecord(i, rec, /*freshly_executed=*/true);
             });
-        ticking.store(false);
-        ticker.join();
     }
 
     // Publish the finalized journal only when every journalable point

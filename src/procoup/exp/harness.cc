@@ -30,7 +30,7 @@ usage(const char* argv0)
         "       [--no-compile-cache] [--sanitize[=N]]\n"
         "       [--faults X] [--fault-seed S]\n"
         "       [--fail-safe] [--retry-faulted] [--retries N]\n"
-        "       [--journal DIR] [--disk-cache DIR] [--no-disk-cache]\n"
+        "       [--journal DIR] [--disk-cache DIR]\n"
         "       [--isolate-workers] [--worker-timeout-ms N]\n"
         "       [--connect SOCK]\n"
         "valued flags also take --flag=X; see src/procoup/exp/harness.hh\n",
@@ -101,10 +101,7 @@ HarnessOptions::parse(int argc, char** argv,
 {
     HarnessOptions o;
     RunnerOptions& r = o.runner;
-    if (const char* env = std::getenv("PROCOUP_DISK_CACHE"))
-        r.diskCacheDir = env;
     bool no_compile_cache = false;
-    bool no_disk_cache = false;
     int retries = r.retryPolicy.maxRetries();
     for (Args a(argc, argv, usage_fn ? usage_fn : usage); a.next();) {
         if (own && own(a))
@@ -130,7 +127,6 @@ HarnessOptions::parse(int argc, char** argv,
               a.number("--retries", 0, INT_MAX - 1, &retries) ||
               a.value("--journal", &r.journalDir) ||
               a.value("--disk-cache", &r.diskCacheDir) ||
-              a.set("--no-disk-cache", &no_disk_cache) ||
               a.set("--isolate-workers", &r.isolateWorkers) ||
               a.number("--worker-timeout-ms", DBL_TRUE_MIN, DBL_MAX,
                        &r.workerTimeoutMs) ||
@@ -139,8 +135,6 @@ HarnessOptions::parse(int argc, char** argv,
     }
     r.cacheEnabled = !no_compile_cache;
     r.retryPolicy.maxAttempts = retries + 1;
-    if (no_disk_cache)
-        r.diskCacheDir.clear();
     return o;
 }
 

@@ -8,8 +8,10 @@
  * harnessMain(); everything else — flag parsing, the worker pool, the
  * compile cache, stats bundles, sweep reports — is implemented once
  * here. pcsim runs as a harness over a one-point plan and inherits
- * every flag below. A valued flag takes `--flag X` or `--flag=X`; a
- * value that does not parse in full or is out of range ends in usage.
+ * every flag below; a tool adds its own flags through parse()'s
+ * handler, as fuzz_soak adds --programs N and --first-seed S. A
+ * valued flag takes `--flag X` or `--flag=X`; a value that does not
+ * parse in full or is out of range ends in usage.
  *
  *   --jobs N            worker threads (default: hardware concurrency;
  *                       1 = legacy serial execution)
@@ -46,9 +48,7 @@
  *                       after a crash replays recorded points
  *                       bit-identically and executes only the rest
  *   --disk-cache DIR    persistent compile cache shared across
- *                       processes and runs (default: the
- *                       PROCOUP_DISK_CACHE environment variable)
- *   --no-disk-cache     ignore --disk-cache and PROCOUP_DISK_CACHE
+ *                       processes and runs
  *   --isolate-workers   shard points across supervised child
  *                       processes; a crashed or hung child becomes a
  *                       worker-crash / worker-timeout error record
@@ -162,7 +162,7 @@ struct HarnessOptions
      *  local execution). */
     std::string connectSocket;
 
-    /** Every other flag, and $PROCOUP_DISK_CACHE. */
+    /** Every other flag. */
     RunnerOptions runner;
 
     /**

@@ -374,7 +374,8 @@ class Gen
         }
         // `work` values feed back into later expressions, so keep
         // them range-reduced: bounded leaves keep every intermediate
-        // well inside int64 (signed overflow would be UB in the ALU).
+        // well inside int64, so no value depends on the ALU's
+        // wrap-around.
         return strCat("(aset work ", idx(kWorkSize, c, 1), " (mod ",
                       intExpr(c, o.maxExprDepth), " 9973))");
     }

@@ -3,10 +3,12 @@
 #include <cmath>
 #include <map>
 #include <set>
+#include <string_view>
 
 #include "procoup/isa/alu.hh"
 #include "procoup/lang/parser.hh"
 #include "procoup/support/error.hh"
+#include "procoup/support/inline_vector.hh"
 #include "procoup/support/strings.hh"
 
 namespace procoup {
@@ -28,6 +30,82 @@ IrValue
 fold(Opcode op, std::initializer_list<isa::Value> srcs)
 {
     return IrValue::makeConst(isa::evalAlu(op, srcs));
+}
+
+/** How a binary operator lowers: arithmetic keeps the promoted operand
+ *  type, comparisons and logic give int 0/1. */
+enum class OpKind { Arith, Compare, Logic };
+
+/** A binary PCL operator and its opcodes over integer and over float
+ *  operands; NOP marks an operand type the operator rejects. */
+struct BinOp
+{
+    std::string_view name;
+    OpKind kind;
+    Opcode intOp;
+    Opcode floatOp;
+};
+
+/** Every binary operator, for lowering and constants alike. */
+constexpr BinOp kBinOps[] = {
+    {"+", OpKind::Arith, Opcode::IADD, Opcode::FADD},
+    {"-", OpKind::Arith, Opcode::ISUB, Opcode::FSUB},
+    {"*", OpKind::Arith, Opcode::IMUL, Opcode::FMUL},
+    {"/", OpKind::Arith, Opcode::IDIV, Opcode::FDIV},
+    {"mod", OpKind::Arith, Opcode::IMOD, Opcode::NOP},
+    {"<", OpKind::Compare, Opcode::ILT, Opcode::FLT},
+    {"<=", OpKind::Compare, Opcode::ILE, Opcode::FLE},
+    {"=", OpKind::Compare, Opcode::IEQ, Opcode::FEQ},
+    {"!=", OpKind::Compare, Opcode::INE, Opcode::FNE},
+    {">", OpKind::Compare, Opcode::IGT, Opcode::FGT},
+    {">=", OpKind::Compare, Opcode::IGE, Opcode::FGE},
+    {"and", OpKind::Logic, Opcode::IAND, Opcode::NOP},
+    {"or", OpKind::Logic, Opcode::IOR, Opcode::NOP},
+};
+
+const BinOp*
+findBinOp(std::string_view name)
+{
+    for (const BinOp& op : kBinOps)
+        if (op.name == name)
+            return &op;
+    return nullptr;
+}
+
+/** @p e must have @p n operands, or at least @p n when @p or_more. */
+void
+needOperands(const Sexpr& e, std::size_t n, bool or_more = false)
+{
+    if (e.size() - 1 == n || (or_more && e.size() - 1 > n))
+        return;
+    err(e, strCat(e.at(0).symbol(), or_more ? " needs " : " takes ", n,
+                  or_more ? "+" : "", n == 1 ? " operand" : " operands"));
+}
+
+/** @p e's opcode over operands promoted to float (@p is_float) or
+ *  not; NOP is a located error. */
+Opcode
+opcodeFor(const Sexpr& e, Opcode int_op, Opcode float_op, bool is_float)
+{
+    const Opcode op = is_float ? float_op : int_op;
+    if (op == Opcode::NOP)
+        err(e, strCat(e.at(0).symbol(), " requires integer operands"));
+    return op;
+}
+
+/** An integer zero divisor: not folded, so it traps at run time. */
+bool
+zeroDivisor(Opcode op, const isa::Value& rhs)
+{
+    return (op == Opcode::IDIV || op == Opcode::IMOD) && rhs.asInt() == 0;
+}
+
+/** @p v as an operand of an op over floats (@p to_float) or over
+ *  integers; ITOF is the only implicit conversion. */
+isa::Value
+promote(const isa::Value& v, bool to_float)
+{
+    return to_float && !v.isFloat() ? isa::evalAlu(Opcode::ITOF, {v}) : v;
 }
 
 /** A typed expression result; isVoid marks statement-only forms. */
@@ -66,19 +144,6 @@ struct Binding
     Type type = Type::Int;
     isa::Value constVal;
 };
-
-bool
-isComparison(const std::string& s)
-{
-    return s == "<" || s == "<=" || s == "=" || s == "!=" || s == ">" ||
-           s == ">=";
-}
-
-bool
-isArith(const std::string& s)
-{
-    return s == "+" || s == "-" || s == "*" || s == "/" || s == "mod";
-}
 
 class Frontend;
 
@@ -129,9 +194,7 @@ class FuncBuilder
     // --- expression lowering ----------------------------------------
     TV genExpr(const Sexpr& e);
     TV genBody(const std::vector<Sexpr>& forms, std::size_t from);
-    TV genArith(const Sexpr& e);
-    TV genCompare(const Sexpr& e);
-    TV genLogic(const Sexpr& e);
+    TV genBinOp(const Sexpr& e, const BinOp& op);
     TV genLet(const Sexpr& e);
     TV genSet(const Sexpr& e);
     TV genIf(const Sexpr& e);
@@ -147,6 +210,7 @@ class FuncBuilder
     IrValue requireValue(const TV& tv, const Sexpr& at) const;
     IrValue coerce(const TV& tv, Type want, const Sexpr& at);
     std::uint32_t materialize(const TV& tv);
+    IrValue emitUnary(Opcode op, IrValue a, Type result);
     IrValue emitBin(Opcode op, IrValue a, IrValue b, Type result);
 
     struct MemRef
@@ -531,18 +595,8 @@ FuncBuilder::coerce(const TV& tv, Type want, const Sexpr& at)
         err(at, "expression has no value");
     if (tv.type == want)
         return tv.val;
-    if (want == Type::Float) {
-        // int -> float: fold constants, else ITOF on an FPU.
-        if (tv.val.isConst())
-            return fold(Opcode::ITOF, {tv.val.constant()});
-        IrInstr i;
-        i.op = Opcode::ITOF;
-        i.dst = fn().newReg(Type::Float);
-        i.srcs = {tv.val};
-        const std::uint32_t d = i.dst;
-        emit(std::move(i));
-        return IrValue::makeReg(d);
-    }
+    if (want == Type::Float)
+        return emitUnary(Opcode::ITOF, tv.val, Type::Float);
     err(at, "implicit float->int conversion; use (int ...)");
 }
 
@@ -556,6 +610,21 @@ FuncBuilder::materialize(const TV& tv)
     const std::uint32_t d = i.dst;
     emit(std::move(i));
     return d;
+}
+
+/** Emit a unary op, folding a constant operand. */
+IrValue
+FuncBuilder::emitUnary(Opcode op, IrValue a, Type result)
+{
+    if (a.isConst())
+        return fold(op, {a.constant()});
+    IrInstr i;
+    i.op = op;
+    i.dst = fn().newReg(result);
+    i.srcs = {a};
+    const std::uint32_t d = i.dst;
+    emit(std::move(i));
+    return IrValue::makeReg(d);
 }
 
 /** Emit a binary op with local constant folding. */
@@ -604,145 +673,37 @@ FuncBuilder::genBody(const std::vector<Sexpr>& forms, std::size_t from)
 }
 
 TV
-FuncBuilder::genArith(const Sexpr& e)
+FuncBuilder::genBinOp(const Sexpr& e, const BinOp& op)
 {
-    const std::string& opname = e.at(0).symbol();
-
-    // Unary minus.
-    if (opname == "-" && e.size() == 2) {
+    if (op.name == "-" && e.size() == 2) {
         TV a = genExpr(e.at(1));
-        if (a.val.isConst()) {
-            const auto& c = a.val.constant();
-            return c.isFloat()
-                ? TV::make(fold(Opcode::FNEG, {c}), Type::Float)
-                : TV::make(fold(Opcode::INEG, {c}), Type::Int);
-        }
-        IrInstr i;
-        i.op = a.type == Type::Float ? Opcode::FNEG : Opcode::INEG;
-        i.dst = fn().newReg(a.type);
-        i.srcs = {a.val};
-        const std::uint32_t d = i.dst;
-        emit(std::move(i));
-        return TV::make(IrValue::makeReg(d), a.type);
+        const IrValue v = requireValue(a, e);
+        return TV::make(emitUnary(a.type == Type::Float ? Opcode::FNEG
+                                                        : Opcode::INEG,
+                                  v, a.type),
+                        a.type);
     }
-
-    if (e.size() < 3)
-        err(e, strCat("operator ", opname, " needs 2+ operands"));
+    needOperands(e, 2, op.kind != OpKind::Compare);
 
     std::vector<TV> args;
-    for (std::size_t i = 1; i < e.size(); ++i)
+    bool is_float = false;
+    for (std::size_t i = 1; i < e.size(); ++i) {
         args.push_back(genExpr(e.at(i)));
-
-    Type t = Type::Int;
-    for (const auto& a : args)
-        if (!a.isVoid && a.type == Type::Float)
-            t = Type::Float;
-
-    Opcode opc;
-    if (opname == "+")
-        opc = t == Type::Float ? Opcode::FADD : Opcode::IADD;
-    else if (opname == "-")
-        opc = t == Type::Float ? Opcode::FSUB : Opcode::ISUB;
-    else if (opname == "*")
-        opc = t == Type::Float ? Opcode::FMUL : Opcode::IMUL;
-    else if (opname == "/")
-        opc = t == Type::Float ? Opcode::FDIV : Opcode::IDIV;
-    else if (opname == "mod") {
-        if (t == Type::Float)
-            err(e, "mod requires integer operands");
-        opc = Opcode::IMOD;
-    } else {
-        err(e, strCat("unknown operator ", opname));
+        is_float |= args.back().type == Type::Float;
     }
+    const Opcode opc = opcodeFor(e, op.intOp, op.floatOp, is_float);
+    const Type t = is_float ? Type::Float : Type::Int;
+    const Type result = op.kind == OpKind::Arith ? t : Type::Int;
 
-    // Constant fold division/modulo up front (emitBin folds the rest);
-    // an integer zero divisor is left to trap at run time.
-    const bool divides = opc == Opcode::IDIV || opc == Opcode::IMOD ||
-                         opc == Opcode::FDIV;
     IrValue acc = coerce(args[0], t, e);
     for (std::size_t i = 1; i < args.size(); ++i) {
-        IrValue rhs = coerce(args[i], t, e);
-        if (divides && acc.isConst() && rhs.isConst() &&
-            (opc == Opcode::FDIV || rhs.constant().asInt() != 0))
-            acc = fold(opc, {acc.constant(), rhs.constant()});
-        else
-            acc = emitBin(opc, acc, rhs, t);
-    }
-    return TV::make(acc, t);
-}
-
-TV
-FuncBuilder::genCompare(const Sexpr& e)
-{
-    if (e.size() != 3)
-        err(e, "comparisons take exactly 2 operands");
-    TV a = genExpr(e.at(1));
-    TV b = genExpr(e.at(2));
-    const Type t =
-        (a.type == Type::Float || b.type == Type::Float) ? Type::Float
-                                                         : Type::Int;
-    const std::string& s = e.at(0).symbol();
-    Opcode opc;
-    if (s == "<")
-        opc = t == Type::Float ? Opcode::FLT : Opcode::ILT;
-    else if (s == "<=")
-        opc = t == Type::Float ? Opcode::FLE : Opcode::ILE;
-    else if (s == "=")
-        opc = t == Type::Float ? Opcode::FEQ : Opcode::IEQ;
-    else if (s == "!=")
-        opc = t == Type::Float ? Opcode::FNE : Opcode::INE;
-    else if (s == ">")
-        opc = t == Type::Float ? Opcode::FGT : Opcode::IGT;
-    else
-        opc = t == Type::Float ? Opcode::FGE : Opcode::IGE;
-
-    IrValue va = coerce(a, t, e);
-    IrValue vb = coerce(b, t, e);
-    if (va.isConst() && vb.isConst())
-        return TV::make(fold(opc, {va.constant(), vb.constant()}),
-                        Type::Int);
-
-    IrInstr i;
-    i.op = opc;
-    i.dst = fn().newReg(Type::Int);
-    i.srcs = {va, vb};
-    const std::uint32_t d = i.dst;
-    emit(std::move(i));
-    return TV::make(IrValue::makeReg(d), Type::Int);
-}
-
-TV
-FuncBuilder::genLogic(const Sexpr& e)
-{
-    const std::string& s = e.at(0).symbol();
-    if (s == "not") {
-        if (e.size() != 2)
-            err(e, "not takes 1 operand");
-        TV a = genExpr(e.at(1));
-        IrValue v = coerce(a, Type::Int, e);
-        if (v.isConst())
-            return TV::make(fold(Opcode::INOT, {v.constant()}), Type::Int);
-        IrInstr i;
-        i.op = Opcode::INOT;
-        i.dst = fn().newReg(Type::Int);
-        i.srcs = {v};
-        const std::uint32_t d = i.dst;
-        emit(std::move(i));
-        return TV::make(IrValue::makeReg(d), Type::Int);
-    }
-
-    // Non-short-circuit and/or over 0/1 values.
-    if (e.size() < 3)
-        err(e, strCat(s, " needs 2+ operands"));
-    const Opcode opc = s == "and" ? Opcode::IAND : Opcode::IOR;
-    IrValue acc = coerce(genExpr(e.at(1)), Type::Int, e);
-    for (std::size_t i = 2; i < e.size(); ++i) {
-        IrValue rhs = coerce(genExpr(e.at(i)), Type::Int, e);
-        acc = acc.isConst() && rhs.isConst()
+        const IrValue rhs = coerce(args[i], t, e);
+        acc = acc.isConst() && rhs.isConst() &&
+                  !zeroDivisor(opc, rhs.constant())
             ? fold(opc, {acc.constant(), rhs.constant()})
-            : emitBin(opc, acc, rhs, Type::Int);
+            : emitBin(opc, acc, rhs, result);
     }
-    return TV::make(acc, Type::Int);
+    return TV::make(acc, result);
 }
 
 TV
@@ -1505,29 +1466,22 @@ FuncBuilder::genExpr(const Sexpr& e)
         err(e, strCat("cannot compile form ", e.toString()));
 
     const std::string& head = e.at(0).symbol();
-    if (isArith(head))
-        return genArith(e);
-    if (isComparison(head))
-        return genCompare(e);
-    if (head == "and" || head == "or" || head == "not")
-        return genLogic(e);
-    if (head == "float")
-        return TV::make(coerce(genExpr(e.at(1)), Type::Float, e),
-                        Type::Float);
-    if (head == "int") {
+    if (const BinOp* op = findBinOp(head))
+        return genBinOp(e, *op);
+    if (head == "not" || head == "float" || head == "int") {
+        needOperands(e, 1);
         TV a = genExpr(e.at(1));
-        if (a.type == Type::Int)
-            return a;
-        if (a.val.isConst())
-            return TV::make(fold(Opcode::FTOI, {a.val.constant()}),
-                            Type::Int);
-        IrInstr i;
-        i.op = Opcode::FTOI;
-        i.dst = fn().newReg(Type::Int);
-        i.srcs = {a.val};
-        const std::uint32_t d = i.dst;
-        emit(std::move(i));
-        return TV::make(IrValue::makeReg(d), Type::Int);
+        if (head == "float")
+            return TV::make(coerce(a, Type::Float, e), Type::Float);
+        if (head == "int")
+            return a.type == Type::Int
+                ? a
+                : TV::make(emitUnary(Opcode::FTOI, a.val, Type::Int),
+                           Type::Int);
+        const Opcode opc = opcodeFor(e, Opcode::INOT, Opcode::NOP,
+                                     a.type == Type::Float);
+        return TV::make(emitUnary(opc, requireValue(a, e), Type::Int),
+                        Type::Int);
     }
     if (head == "let")
         return genLet(e);
@@ -1670,121 +1624,71 @@ evalConstExpr(const Sexpr& e,
         err(e, strCat("not a compile-time constant: ", e.toString()));
 
     const std::string& head = e.at(0).symbol();
+    auto arg = [&](std::size_t i) { return evalConstExpr(e.at(i), env); };
 
-    // Short-circuit forms evaluate lazily.
-    if (head == "if") {
-        const isa::Value c = evalConstExpr(e.at(1), env);
-        if (c.truthy())
-            return evalConstExpr(e.at(2), env);
-        if (e.size() >= 4)
-            return evalConstExpr(e.at(3), env);
-        return isa::Value::makeInt(0);
-    }
-    if (head == "and") {
-        for (std::size_t i = 1; i < e.size(); ++i)
-            if (!evalConstExpr(e.at(i), env).truthy())
-                return isa::Value::makeInt(0);
-        return isa::Value::makeInt(1);
-    }
-    if (head == "or") {
-        for (std::size_t i = 1; i < e.size(); ++i)
-            if (evalConstExpr(e.at(i), env).truthy())
-                return isa::Value::makeInt(1);
-        return isa::Value::makeInt(0);
-    }
-
-    std::vector<isa::Value> args;
-    for (std::size_t i = 1; i < e.size(); ++i)
-        args.push_back(evalConstExpr(e.at(i), env));
-
-    auto all_int = [&] {
-        for (const auto& a : args)
-            if (a.isFloat())
-                return false;
-        return true;
-    };
-
-    auto fold_int = [&](auto f) {
-        std::int64_t acc = args.at(0).asInt();
-        for (std::size_t i = 1; i < args.size(); ++i)
-            acc = f(acc, args[i].asInt());
-        return isa::Value::makeInt(acc);
-    };
-    auto fold_float = [&](auto f) {
-        double acc = args.at(0).asFloat();
-        for (std::size_t i = 1; i < args.size(); ++i)
-            acc = f(acc, args[i].asFloat());
-        return isa::Value::makeFloat(acc);
-    };
-
-    if (head == "-" && args.size() == 1)
-        return args[0].isFloat()
-            ? isa::Value::makeFloat(-args[0].asFloat())
-            : isa::Value::makeInt(-args[0].asInt());
-    if (head == "+")
-        return all_int() ? fold_int([](auto a, auto b) { return a + b; })
-                         : fold_float([](auto a, auto b) { return a + b; });
-    if (head == "-")
-        return all_int() ? fold_int([](auto a, auto b) { return a - b; })
-                         : fold_float([](auto a, auto b) { return a - b; });
-    if (head == "*")
-        return all_int() ? fold_int([](auto a, auto b) { return a * b; })
-                         : fold_float([](auto a, auto b) { return a * b; });
-    if (head == "/") {
-        if (all_int()) {
-            if (args.at(1).asInt() == 0)
-                err(e, "constant division by zero");
-            return fold_int([](auto a, auto b) { return a / b; });
+    // Binary operators fold left over operands promoted as lowering
+    // promotes them; min and max fold < and > keeping the winner.
+    const bool pick = head == "min" || head == "max";
+    const BinOp* op = findBinOp(pick ? (head == "min" ? "<" : ">")
+                                     : std::string_view(head));
+    if (op != nullptr && !(op->name == "-" && e.size() == 2)) {
+        needOperands(e, 2, pick || op->kind != OpKind::Compare);
+        support::InlineVec<isa::Value, 4> args;
+        bool is_float = false;
+        for (std::size_t i = 1; i < e.size(); ++i) {
+            args.push_back(arg(i));
+            is_float |= args.back().isFloat();
         }
-        return fold_float([](auto a, auto b) { return a / b; });
+        const Opcode opc = opcodeFor(e, op->intOp, op->floatOp, is_float);
+        isa::Value acc = promote(args[0], is_float);
+        for (std::size_t i = 1; i < args.size(); ++i) {
+            const isa::Value rhs = promote(args[i], is_float);
+            if (zeroDivisor(opc, rhs))
+                err(e, "constant division by zero");
+            const isa::Value r = isa::evalAlu(opc, {acc, rhs});
+            acc = !pick ? r : r.truthy() ? acc : rhs;
+        }
+        return acc;
     }
-    if (head == "mod") {
-        if (!all_int() || args.at(1).asInt() == 0)
-            err(e, "mod needs nonzero integer constants");
-        return fold_int([](auto a, auto b) { return a % b; });
+
+    // The arms of if evaluate lazily.
+    if (head == "if") {
+        if (e.size() != 3 && e.size() != 4)
+            err(e, "if takes a condition and 1 or 2 arms");
+        if (arg(1).truthy())
+            return arg(2);
+        return e.size() == 4 ? arg(3) : isa::Value::makeInt(0);
     }
-    if (head == "float")
-        return isa::Value::makeFloat(args.at(0).asFloat());
-    if (head == "int")
-        return isa::Value::makeInt(args.at(0).asInt());
-    if (head == "sin")
-        return isa::Value::makeFloat(std::sin(args.at(0).asFloat()));
-    if (head == "cos")
-        return isa::Value::makeFloat(std::cos(args.at(0).asFloat()));
-    if (head == "sqrt")
-        return isa::Value::makeFloat(std::sqrt(args.at(0).asFloat()));
-    if (head == "exp")
-        return isa::Value::makeFloat(std::exp(args.at(0).asFloat()));
-    if (head == "abs")
-        return args.at(0).isFloat()
-            ? isa::Value::makeFloat(std::fabs(args.at(0).asFloat()))
-            : isa::Value::makeInt(std::llabs(args.at(0).asInt()));
-    auto cmp = [&](auto f) {
-        return isa::Value::makeInt(
-            f(args.at(0).asFloat(), args.at(1).asFloat()) ? 1 : 0);
-    };
-    if (head == "<")
-        return cmp([](double a, double b) { return a < b; });
-    if (head == "<=")
-        return cmp([](double a, double b) { return a <= b; });
-    if (head == "=")
-        return cmp([](double a, double b) { return a == b; });
-    if (head == "!=")
-        return cmp([](double a, double b) { return a != b; });
-    if (head == ">")
-        return cmp([](double a, double b) { return a > b; });
-    if (head == ">=")
-        return cmp([](double a, double b) { return a >= b; });
-    if (head == "not")
-        return isa::Value::makeInt(args.at(0).truthy() ? 0 : 1);
-    if (head == "min")
-        return all_int()
-            ? fold_int([](auto a, auto b) { return a < b ? a : b; })
-            : fold_float([](auto a, auto b) { return a < b ? a : b; });
-    if (head == "max")
-        return all_int()
-            ? fold_int([](auto a, auto b) { return a > b ? a : b; })
-            : fold_float([](auto a, auto b) { return a > b ? a : b; });
+
+    // Unary forms, typed as lowering types them.
+    if (op != nullptr) {  // (- x)
+        const isa::Value a = arg(1);
+        return isa::evalAlu(a.isFloat() ? Opcode::FNEG : Opcode::INEG, {a});
+    }
+    if (head == "not" || head == "float" || head == "int" ||
+        head == "abs" || head == "sin" || head == "cos" ||
+        head == "sqrt" || head == "exp") {
+        needOperands(e, 1);
+        const isa::Value a = arg(1);
+        if (head == "not")
+            return isa::evalAlu(
+                opcodeFor(e, Opcode::INOT, Opcode::NOP, a.isFloat()), {a});
+        if (head == "float")
+            return promote(a, true);
+        if (head == "int")
+            return a.isFloat() ? isa::evalAlu(Opcode::FTOI, {a}) : a;
+        // fabs keeps a signed zero's bits; INEG wraps INT64_MIN.
+        if (head == "abs") {
+            if (a.isFloat())
+                return isa::Value::makeFloat(std::fabs(a.asFloat()));
+            return a.asInt() < 0 ? isa::evalAlu(Opcode::INEG, {a}) : a;
+        }
+        const double x = a.asFloat();
+        return isa::Value::makeFloat(head == "sin"    ? std::sin(x)
+                                     : head == "cos"  ? std::cos(x)
+                                     : head == "sqrt" ? std::sqrt(x)
+                                                      : std::exp(x));
+    }
     err(e, strCat("not a compile-time constant function: ", head));
 }
 

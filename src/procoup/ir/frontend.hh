@@ -64,11 +64,16 @@ Module buildModule(const std::string& source,
                    const FrontendOptions& opts = {});
 
 /**
- * Evaluate a compile-time constant expression (used for array
- * initializers and unrolled loop bounds). Supports arithmetic,
- * comparisons, float/int casts, and sin/cos/sqrt/exp/abs/min/max.
+ * Evaluate a compile-time constant expression (defvar and defarray
+ * initializers, array dimensions, unrolled loop bounds). Operators,
+ * unary -, not, int and float mean what they mean in code: operands
+ * promote as lowering promotes them and isa::evalAlu computes the
+ * result. Adds the constant-only if, sin, cos, sqrt, exp, abs, min
+ * and max.
  *
  * @param env constant bindings visible to the expression
+ * @throws CompileError, located, on a malformed expression, a wrong
+ *         operand count or type, or an integer zero divisor
  */
 isa::Value evalConstExpr(
     const lang::Sexpr& e,

@@ -1,7 +1,7 @@
 /** @file Persistent compile cache: cross-instance reuse with zero
  *  recompiles, silent recovery from truncated and bit-flipped
  *  entries (identical RunStats, corruption counted), atomic
- *  publication, and the --no-disk-cache / disabled escape hatches. */
+ *  publication, and the runs that leave the disk cache off. */
 
 #include <gtest/gtest.h>
 
@@ -270,7 +270,7 @@ TEST(DiskCache, RunnerWithoutDiskDirWritesNothing)
 {
     const std::string dir = tempDir();
     Workload w;
-    // diskCacheDir stays empty (the --no-disk-cache path): no entry
+    // diskCacheDir stays empty (no --disk-cache flag): no entry
     // may appear even though the directory exists.
     exp::ExperimentPlan plan("no-disk");
     plan.addBenchmark(w.machine, benchmarks::byName("Matrix"),

@@ -71,8 +71,9 @@ TEST(Serialize, FrameRoundTripAndCorruptionDetection)
         std::string evil = bytes;
         evil[i] = static_cast<char>(evil[i] ^ 0x20);
         std::size_t off = 0;
-        if (exp::readFrame(evil, off, &got))
+        if (exp::readFrame(evil, off, &got)) {
             EXPECT_EQ(got, payload) << "flip at byte " << i;
+        }
     }
 
     // Two frames back to back parse in sequence.

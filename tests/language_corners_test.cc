@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <limits>
 
 #include "procoup/config/presets.hh"
@@ -174,6 +175,109 @@ TEST(LanguageCorners, Int64MinOverMinusOneWraps)
             "  (aset d 0 -1.0)"
             "  (set out (", op, " ", min, " (int (aref d 0)))))"));
         EXPECT_EQ(runtime.intValue("out"), want) << op;
+    }
+}
+
+/** A word's tag and bits, so that -0.0 and 0.0 differ. */
+std::pair<bool, std::uint64_t>
+bits(const isa::Value& v)
+{
+    return {v.isFloat(), v.isFloat()
+                             ? std::bit_cast<std::uint64_t>(v.rawFloat())
+                             : static_cast<std::uint64_t>(v.rawInt())};
+}
+
+isa::Value
+word(const core::RunResult& r, const std::string& symbol)
+{
+    return r.memory.at(r.compiled.program.symbol(symbol).base);
+}
+
+TEST(LanguageCorners, ConstantsFoldAndAluAgree)
+{
+    // Every operator over every operand (pair), three ways: as a
+    // defvar initializer, inline in main on literals (the frontend's
+    // fold) and in main on operands loaded from memory (the ALU). The
+    // results agree bit for bit, and an operand type an operator
+    // rejects is a CompileError all three ways. An integer zero
+    // divisor alone differs: a constant has no run time to trap in.
+    const std::vector<std::string> lits = {
+        "0", "1", "-1", "2", "-9223372036854775808",
+        "9223372036854775807", "9007199254740993", "2.5", "-0.5"};
+    const std::vector<std::pair<std::string, int>> ops = {
+        {"+", 2}, {"-", 2}, {"*", 2}, {"/", 2}, {"mod", 2},
+        {"<", 2}, {"<=", 2}, {"=", 2}, {"!=", 2}, {">", 2}, {">=", 2},
+        {"and", 2}, {"or", 2},
+        {"-", 1}, {"not", 1}, {"int", 1}, {"float", 1}};
+    std::vector<std::string> loads;
+    std::string operands;
+    for (std::size_t i = 0; i < lits.size(); ++i) {
+        loads.push_back(strCat("a", i));
+        operands += strCat("(defvar a", i, " ", lits[i], ")");
+    }
+    auto is_float = [&](std::size_t i) {
+        return lits[i].find('.') != std::string::npos;
+    };
+
+    for (const auto& [op, arity] : ops) {
+        // Operators whose result keeps the promoted operand type.
+        const bool arith =
+            op == "+" || op == "-" || op == "*" || op == "/";
+        std::string cells, body;
+        std::vector<std::string> batched;
+        for (std::size_t i = 0; i < lits.size(); ++i) {
+            for (std::size_t j = 0; j < (arity == 2 ? lits.size() : 1);
+                 ++j) {
+                auto expr = [&](const std::vector<std::string>& names) {
+                    return arity == 2
+                        ? strCat("(", op, " ", names[i], " ", names[j], ")")
+                        : strCat("(", op, " ", names[i], ")");
+                };
+                const std::string lit = expr(lits), loaded = expr(loads);
+                const bool any_float =
+                    is_float(i) || (arity == 2 && is_float(j));
+                const bool rejected =
+                    any_float && (op == "mod" || op == "and" ||
+                                  op == "or" || op == "not");
+                const bool traps = (op == "/" || op == "mod") &&
+                                   arity == 2 && !any_float &&
+                                   lits[j] == "0";
+                if (rejected || traps) {
+                    EXPECT_THROW(run(strCat("(defvar c ", lit, ")"
+                                            "(defun main () 0)")),
+                                 CompileError) << lit;
+                    for (const std::string& code :
+                         {strCat("(defvar f 0)(defun main () (set f ",
+                                 lit, "))"),
+                          strCat(operands, "(defvar l 0)"
+                                 "(defun main () (set l ", loaded,
+                                 "))")}) {
+                        if (rejected) {
+                            EXPECT_THROW(run(code), CompileError) << code;
+                        } else {
+                            EXPECT_THROW(run(code), SimError) << code;
+                        }
+                    }
+                    continue;
+                }
+                const std::size_t k = batched.size();
+                const char* zero =
+                    op == "float" || (arith && any_float) ? "0.0" : "0";
+                cells += strCat("(defvar c", k, " ", lit, ")(defvar f", k,
+                                " ", zero, ")(defvar l", k, " ", zero,
+                                ")");
+                body += strCat("(set f", k, " ", lit, ")(set l", k, " ",
+                               loaded, ")");
+                batched.push_back(lit);
+            }
+        }
+        const auto r =
+            run(strCat(operands, cells, "(defun main () ", body, ")"));
+        for (std::size_t k = 0; k < batched.size(); ++k) {
+            const auto c = bits(word(r, strCat("c", k)));
+            EXPECT_EQ(c, bits(word(r, strCat("f", k)))) << batched[k];
+            EXPECT_EQ(c, bits(word(r, strCat("l", k)))) << batched[k];
+        }
     }
 }
 

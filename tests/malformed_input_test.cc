@@ -34,6 +34,10 @@ TEST(MalformedInput, BrokenProgramsRaiseCompileError)
         "(defun main () (undefined-op 1))",  // unknown operator
         "(1 2 3)",                           // list head not a symbol
         "(defun main () (aref))",            // arity underflow
+        "(defvar x (sin))(defun main () 0)", // constant arity underflow
+        "(defvar x (+ 1))(defun main () 0)",
+        "(defarray a (2) :init-each (min))(defun main () 0)",
+        "(defarray a (1))(defun main () (- (aset a 0 1.0)))", // void
     };
     core::CoupledNode node(config::baseline());
     for (const auto& src : sources)

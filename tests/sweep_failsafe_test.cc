@@ -32,6 +32,15 @@ constexpr const char* kEndlessSource =
     "(defun main ()"
     "  (for (i 0 1000000000) (set out (+ out 1))))";
 
+/** Options of a serial sweep. */
+exp::RunnerOptions
+serial()
+{
+    exp::RunnerOptions o;
+    o.jobs = 1;
+    return o;
+}
+
 config::MachineConfig
 testMachine()
 {
@@ -61,7 +70,7 @@ hazardPlan()
 TEST(SweepFailSafe, WithoutFailSafeTheSweepThrows)
 {
     const auto plan = hazardPlan();
-    exp::SweepRunner runner({.jobs = 1});
+    exp::SweepRunner runner(serial());
     EXPECT_THROW(runner.run(plan), SimError);
 }
 
@@ -100,7 +109,7 @@ TEST(SweepFailSafe, HazardousPointsBecomeErrorRecords)
                        core::SimMode::Coupled);
     clean.addBenchmark(testMachine(), benchmarks::byName("LUD"),
                        core::SimMode::Coupled);
-    exp::SweepRunner clean_runner({.jobs = 1});
+    exp::SweepRunner clean_runner(serial());
     const exp::SweepResult ref = clean_runner.run(clean);
     for (const auto& o : ref.outcomes) {
         const exp::RunOutcome& got = result.at(o.point->label);
