@@ -4,8 +4,10 @@
  * simulator throughput, plus ablations of simulator features (bank
  * conflict modeling, interconnect schemes) and the experiment-plan
  * sweep engine itself (exp::SweepRunner at several worker counts,
- * exp::CompileCache hit and miss paths). These are not paper figures;
- * they characterize the reproduction itself.
+ * exp::CompileCache hit and miss paths), and the per-point host work
+ * around it (keys, fingerprints, generated programs, LUD's frontend).
+ * These are not paper figures; they characterize the reproduction
+ * itself.
  */
 
 #include <benchmark/benchmark.h>
@@ -14,8 +16,12 @@
 #include "procoup/config/presets.hh"
 #include "procoup/core/node.hh"
 #include "procoup/exp/cache.hh"
+#include "procoup/exp/journal.hh"
 #include "procoup/exp/runner.hh"
 #include "procoup/exp/suites.hh"
+#include "procoup/gen/soak.hh"
+#include "procoup/ir/frontend.hh"
+#include "procoup/lang/parser.hh"
 #include "procoup/sim/simulator.hh"
 #include "procoup/support/strings.hh"
 
@@ -76,6 +82,71 @@ BM_CompileCacheHitMatrix(benchmark::State& state)
         static_cast<double>(cache.stats().hits);
 }
 BENCHMARK(BM_CompileCacheHitMatrix)->Unit(benchmark::kMicrosecond);
+
+/** The first point of a one-program soak plan (seed 1): a generated
+ *  program with its machine and options, as the daemon receives it. */
+const exp::SweepPoint&
+soakPoint()
+{
+    static const gen::SoakPlan sp = [] {
+        gen::SoakOptions opts;
+        opts.programs = 1;
+        return gen::buildSoakPlan(opts);
+    }();
+    return sp.plan.points().front();
+}
+
+/** The journal identity of one point, computed several times for each
+ *  point a daemon serves. */
+void
+BM_PointFingerprint(benchmark::State& state)
+{
+    const exp::SweepPoint& point = soakPoint();
+    for (auto _ : state)
+        benchmark::DoNotOptimize(exp::pointFingerprint(point));
+    state.counters["source_bytes"] =
+        static_cast<double>(point.source.size());
+}
+BENCHMARK(BM_PointFingerprint)->Unit(benchmark::kMicrosecond);
+
+/** The compile cache's key, rebuilt on every lookup. */
+void
+BM_CompileCacheKey(benchmark::State& state)
+{
+    const exp::SweepPoint& point = soakPoint();
+    for (auto _ : state)
+        benchmark::DoNotOptimize(exp::CompileCache::key(
+            point.source, point.machine, point.options));
+}
+BENCHMARK(BM_CompileCacheKey)->Unit(benchmark::kMicrosecond);
+
+/** One generated program, over 64 seeds in turn. */
+void
+BM_GenerateProgram(benchmark::State& state)
+{
+    std::uint64_t n = 0;
+    for (auto _ : state) {
+        auto program = gen::generate(1 + n++ % 64);
+        benchmark::DoNotOptimize(program.source.data());
+    }
+}
+BENCHMARK(BM_GenerateProgram)->Unit(benchmark::kMicrosecond);
+
+/** LUD's frontend (parsed once): its 64x64 :init-each initializer is
+ *  most of it. */
+void
+BM_FrontendLud(benchmark::State& state)
+{
+    const auto machine = config::baseline();
+    const auto forms = lang::parse(benchmarks::lud().threaded);
+    ir::FrontendOptions opts;
+    opts.forkClones = static_cast<int>(machine.arithClusters().size());
+    for (auto _ : state) {
+        auto mod = ir::buildModule(forms, opts);
+        benchmark::DoNotOptimize(mod.funcs.size());
+    }
+}
+BENCHMARK(BM_FrontendLud)->Unit(benchmark::kMillisecond);
 
 void
 simulateBenchmark(benchmark::State& state,

@@ -1,11 +1,14 @@
 #include "procoup/exp/serialize.hh"
 
+#include <cerrno>
 #include <concepts>
 #include <cstdio>
 #include <cstring>
+#include <fcntl.h>
 #include <fstream>
 #include <set>
 #include <string_view>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include "procoup/config/validate.hh"
@@ -678,12 +681,40 @@ atomicWriteFile(const std::string& path, const std::string& bytes)
 bool
 readWholeFile(const std::string& path, std::string* out)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
+    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0)
         return false;
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    *out = ss.str();
+    struct Closer
+    {
+        int fd;
+        ~Closer() { ::close(fd); }
+    } closer{fd};
+
+    // The size only sizes the buffer: the read runs to EOF, so a file
+    // that grows meanwhile, or reports no size, is still read whole.
+    // One byte of slack lets a file of the stated size end in one read
+    // plus the read that sees EOF.
+    struct stat st {};
+    const bool sized = ::fstat(fd, &st) == 0 && st.st_size > 0;
+    std::string bytes(sized ? static_cast<std::size_t>(st.st_size) + 1
+                            : std::size_t{4096},
+                      '\0');
+    std::size_t len = 0;
+    for (;;) {
+        if (len == bytes.size())
+            bytes.resize(2 * len);
+        const ssize_t n = ::read(fd, bytes.data() + len, bytes.size() - len);
+        if (n == 0)
+            break;
+        if (n < 0) {
+            if (errno == EINTR)
+                continue;
+            return false;
+        }
+        len += static_cast<std::size_t>(n);
+    }
+    bytes.resize(len);
+    *out = std::move(bytes);
     return true;
 }
 

@@ -308,7 +308,8 @@ bool decodeOutcomeRecord(const std::string& payload, OutcomeRecord* rec);
  *  returns false (and cleans up) on any I/O error. */
 bool atomicWriteFile(const std::string& path, const std::string& bytes);
 
-/** Read a whole file; returns false if it cannot be opened. */
+/** Read a whole file; returns false if it cannot be opened or read
+ *  (an absent file is false). */
 bool readWholeFile(const std::string& path, std::string* out);
 
 } // namespace exp

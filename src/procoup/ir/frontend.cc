@@ -1,8 +1,10 @@
 #include "procoup/ir/frontend.hh"
 
 #include <cmath>
+#include <exception>
 #include <map>
 #include <set>
+#include <span>
 #include <string_view>
 
 #include "procoup/isa/alu.hh"
@@ -106,6 +108,250 @@ isa::Value
 promote(const isa::Value& v, bool to_float)
 {
     return to_float && !v.isFloat() ? isa::evalAlu(Opcode::ITOF, {v}) : v;
+}
+
+/**
+ * A compile-time constant expression, resolved once and evaluated at
+ * many environments (an :init-each runs once per element). Resolution
+ * lays the forms out in postfix order as steps over a value stack:
+ * each operator names its operator-table entry or unary kind, each
+ * symbol the slot of its value, and each if becomes two jumps around
+ * its arms. Evaluation raises every error where, and only if, a walk
+ * of the forms would: a form rejected whatever the values (an unknown
+ * symbol or function, a wrong operand count) becomes a step that
+ * raises the error when reached, so an arm of if that is never taken
+ * stays silent, and a value-dependent error (a zero divisor, a float
+ * operand of mod) is raised by the evaluation that meets it.
+ */
+class ConstExpr
+{
+  public:
+    using Names = std::span<const std::string_view>;
+
+    /** Resolve @p e, whose symbols are @p names (the first match
+     *  wins). */
+    ConstExpr(const Sexpr& e, Names names) { resolve(e, names); }
+
+    /** @p e's value with each name bound to the value at its index in
+     *  @p values. */
+    isa::Value eval(std::span<const isa::Value> values) const;
+
+  private:
+    enum class Kind : std::uint8_t
+    {
+        Literal, Slot, Fold, Pick, If, Neg,
+        Not, Float, Int, Abs, Sin, Cos, Sqrt, Exp,
+        JumpUnless, Jump, Invalid
+    };
+
+    struct Step
+    {
+        Kind kind = Kind::Literal;
+        std::uint32_t n = 0;  ///< slot, operand count or jump target
+        const BinOp* op = nullptr;  ///< Fold and Pick (min, max)
+        isa::Value literal;
+        const Sexpr* form = nullptr;
+        std::exception_ptr error;  ///< Invalid: the CompileError
+    };
+
+    static std::size_t classify(Step& s, const Sexpr& e, Names names);
+    void resolve(const Sexpr& e, Names names);
+
+    std::vector<Step> steps;
+};
+
+/** Set @p s's kind for @p e and return its operand count, or raise the
+ *  error evaluating @p e raises before its operands. */
+std::size_t
+ConstExpr::classify(Step& s, const Sexpr& e, Names names)
+{
+    if (e.isInt() || e.isFloat()) {
+        s.literal = e.isInt() ? isa::Value::makeInt(e.intValue())
+                              : isa::Value::makeFloat(e.floatValue());
+        return 0;
+    }
+    if (e.isSymbol()) {
+        for (std::size_t k = 0; k < names.size(); ++k) {
+            if (names[k] == e.symbol()) {
+                s.kind = Kind::Slot;
+                s.n = static_cast<std::uint32_t>(k);
+                return 0;
+            }
+        }
+        err(e, strCat("not a compile-time constant: ", e.symbol()));
+    }
+    if (!e.isList() || e.size() == 0 || !e.at(0).isSymbol())
+        err(e, strCat("not a compile-time constant: ", e.toString()));
+
+    // Binary operators fold left over operands promoted as lowering
+    // promotes them; min and max fold < and > keeping the winner.
+    const std::string& head = e.at(0).symbol();
+    const bool pick = head == "min" || head == "max";
+    s.op = findBinOp(pick ? (head == "min" ? "<" : ">")
+                          : std::string_view(head));
+    if (s.op != nullptr && !(s.op->name == "-" && e.size() == 2)) {
+        needOperands(e, 2, pick || s.op->kind != OpKind::Compare);
+        s.kind = pick ? Kind::Pick : Kind::Fold;
+        s.n = static_cast<std::uint32_t>(e.size() - 1);
+        return e.size() - 1;
+    }
+    if (head == "if") {
+        if (e.size() != 3 && e.size() != 4)
+            err(e, "if takes a condition and 1 or 2 arms");
+        s.kind = Kind::If;
+        return e.size() - 1;
+    }
+    if (s.op != nullptr) {  // (- x)
+        s.kind = Kind::Neg;
+        return 1;
+    }
+    static constexpr std::pair<std::string_view, Kind> kUnary[] = {
+        {"not", Kind::Not}, {"float", Kind::Float}, {"int", Kind::Int},
+        {"abs", Kind::Abs}, {"sin", Kind::Sin},     {"cos", Kind::Cos},
+        {"sqrt", Kind::Sqrt}, {"exp", Kind::Exp},
+    };
+    for (const auto& [name, kind] : kUnary) {
+        if (head == name) {
+            needOperands(e, 1);
+            s.kind = kind;
+            return 1;
+        }
+    }
+    err(e, strCat("not a compile-time constant function: ", head));
+}
+
+void
+ConstExpr::resolve(const Sexpr& e, Names names)
+{
+    Step s;
+    s.form = &e;
+    std::size_t count = 0;
+    try {
+        count = classify(s, e, names);
+    } catch (const CompileError&) {
+        s.kind = Kind::Invalid;
+        s.error = std::current_exception();
+    }
+    if (s.kind != Kind::If) {
+        for (std::size_t i = 1; i <= count; ++i)
+            resolve(e.at(i), names);
+        steps.push_back(std::move(s));
+        return;
+    }
+    // The condition, then jumps past the arm it does not choose. A
+    // missing else arm is a default Step: the literal integer 0.
+    resolve(e.at(1), names);
+    const std::size_t unless = steps.size();
+    steps.emplace_back().kind = Kind::JumpUnless;
+    resolve(e.at(2), names);
+    const std::size_t skip = steps.size();
+    steps.emplace_back().kind = Kind::Jump;
+    steps[unless].n = static_cast<std::uint32_t>(steps.size());
+    if (count == 3)
+        resolve(e.at(3), names);
+    else
+        steps.emplace_back();
+    steps[skip].n = static_cast<std::uint32_t>(steps.size());
+}
+
+isa::Value
+ConstExpr::eval(std::span<const isa::Value> values) const
+{
+    support::InlineVec<isa::Value, 8> stack;
+    std::size_t pc = 0;
+    while (pc < steps.size()) {
+        const Step& s = steps[pc++];
+        switch (s.kind) {
+          case Kind::Literal:
+            stack.push_back(s.literal);
+            continue;
+          case Kind::Slot:
+            stack.push_back(values[s.n]);
+            continue;
+          case Kind::Invalid:
+            std::rethrow_exception(s.error);
+          case Kind::JumpUnless: {
+            const bool taken = stack.back().truthy();
+            stack.pop_back();
+            if (!taken)
+                pc = s.n;
+            continue;
+          }
+          case Kind::Jump:
+            pc = s.n;
+            continue;
+          case Kind::Fold:
+          case Kind::Pick: {
+            // Folded in place: args[i] becomes the fold of args[0..i].
+            isa::Value* args = stack.end() - s.n;
+            bool is_float = false;
+            for (std::uint32_t i = 0; i < s.n; ++i)
+                is_float |= args[i].isFloat();
+            const Opcode opc =
+                opcodeFor(*s.form, s.op->intOp, s.op->floatOp, is_float);
+            for (std::uint32_t i = 0; i < s.n; ++i)
+                args[i] = promote(args[i], is_float);
+            for (std::uint32_t i = 1; i < s.n; ++i) {
+                if (zeroDivisor(opc, args[i]))
+                    err(*s.form, "constant division by zero");
+                const isa::Value r = isa::evalAlu(
+                    opc, std::span<const isa::Value>(args + i - 1, 2));
+                if (s.kind == Kind::Fold)
+                    args[i] = r;
+                else if (r.truthy())  // min and max keep the winner
+                    args[i] = args[i - 1];
+            }
+            args[0] = args[s.n - 1];
+            for (std::uint32_t i = 1; i < s.n; ++i)
+                stack.pop_back();
+            continue;
+          }
+          default:
+            break;
+        }
+        // Unary forms, typed as lowering types them, in place. (An if
+        // is resolved into jumps, never a step.)
+        isa::Value& a = stack.back();
+        switch (s.kind) {
+          case Kind::Neg:
+            a = isa::evalAlu(a.isFloat() ? Opcode::FNEG : Opcode::INEG, {a});
+            break;
+          case Kind::Not:
+            a = isa::evalAlu(
+                opcodeFor(*s.form, Opcode::INOT, Opcode::NOP, a.isFloat()),
+                {a});
+            break;
+          case Kind::Float:
+            a = promote(a, true);
+            break;
+          case Kind::Int:
+            if (a.isFloat())
+                a = isa::evalAlu(Opcode::FTOI, {a});
+            break;
+          // fabs keeps a signed zero's bits; INEG wraps INT64_MIN.
+          case Kind::Abs:
+            if (a.isFloat())
+                a = isa::Value::makeFloat(std::fabs(a.asFloat()));
+            else if (a.asInt() < 0)
+                a = isa::evalAlu(Opcode::INEG, {a});
+            break;
+          case Kind::Sin:
+            a = isa::Value::makeFloat(std::sin(a.asFloat()));
+            break;
+          case Kind::Cos:
+            a = isa::Value::makeFloat(std::cos(a.asFloat()));
+            break;
+          case Kind::Sqrt:
+            a = isa::Value::makeFloat(std::sqrt(a.asFloat()));
+            break;
+          case Kind::Exp:
+            a = isa::Value::makeFloat(std::exp(a.asFloat()));
+            break;
+          default:
+            PROCOUP_PANIC("bad ConstExpr step");
+        }
+    }
+    return stack.back();
 }
 
 /** A typed expression result; isVoid marks statement-only forms. */
@@ -341,16 +587,19 @@ class Frontend
             size *= d;
 
         if (init_each != nullptr) {
+            // i is the element's index; a 2-D array also binds its row
+            // r and column c.
+            static constexpr std::string_view kIndexNames[] = {"i", "r",
+                                                               "c"};
+            const bool two_d = g.dims.size() == 2;
+            const std::uint32_t cols = two_d ? g.dims[1] : 1;
+            const ConstExpr expr(*init_each,
+                                 ConstExpr::Names(kIndexNames, two_d ? 3 : 1));
             for (std::uint32_t i = 0; i < size; ++i) {
-                std::vector<std::pair<std::string, isa::Value>> env;
-                env.emplace_back("i", isa::Value::makeInt(i));
-                if (g.dims.size() == 2) {
-                    env.emplace_back("r",
-                        isa::Value::makeInt(i / g.dims[1]));
-                    env.emplace_back("c",
-                        isa::Value::makeInt(i % g.dims[1]));
-                }
-                isa::Value v = evalConstExpr(*init_each, env);
+                const isa::Value index[] = {isa::Value::makeInt(i),
+                                            isa::Value::makeInt(i / cols),
+                                            isa::Value::makeInt(i % cols)};
+                isa::Value v = expr.eval(index);
                 if (g.elemType == Type::Float && !v.isFloat())
                     v = isa::Value::makeFloat(v.asFloat());
                 g.inits.emplace_back(i, v);
@@ -1610,86 +1859,18 @@ isa::Value
 evalConstExpr(const Sexpr& e,
               const std::vector<std::pair<std::string, isa::Value>>& env)
 {
+    // A literal, such as each entry of an :init list, allocates nothing.
     if (e.isInt())
         return isa::Value::makeInt(e.intValue());
     if (e.isFloat())
         return isa::Value::makeFloat(e.floatValue());
-    if (e.isSymbol()) {
-        for (const auto& [name, v] : env)
-            if (name == e.symbol())
-                return v;
-        err(e, strCat("not a compile-time constant: ", e.symbol()));
+    std::vector<std::string_view> names;
+    std::vector<isa::Value> values;
+    for (const auto& [name, v] : env) {
+        names.push_back(name);
+        values.push_back(v);
     }
-    if (!e.isList() || e.size() == 0 || !e.at(0).isSymbol())
-        err(e, strCat("not a compile-time constant: ", e.toString()));
-
-    const std::string& head = e.at(0).symbol();
-    auto arg = [&](std::size_t i) { return evalConstExpr(e.at(i), env); };
-
-    // Binary operators fold left over operands promoted as lowering
-    // promotes them; min and max fold < and > keeping the winner.
-    const bool pick = head == "min" || head == "max";
-    const BinOp* op = findBinOp(pick ? (head == "min" ? "<" : ">")
-                                     : std::string_view(head));
-    if (op != nullptr && !(op->name == "-" && e.size() == 2)) {
-        needOperands(e, 2, pick || op->kind != OpKind::Compare);
-        support::InlineVec<isa::Value, 4> args;
-        bool is_float = false;
-        for (std::size_t i = 1; i < e.size(); ++i) {
-            args.push_back(arg(i));
-            is_float |= args.back().isFloat();
-        }
-        const Opcode opc = opcodeFor(e, op->intOp, op->floatOp, is_float);
-        isa::Value acc = promote(args[0], is_float);
-        for (std::size_t i = 1; i < args.size(); ++i) {
-            const isa::Value rhs = promote(args[i], is_float);
-            if (zeroDivisor(opc, rhs))
-                err(e, "constant division by zero");
-            const isa::Value r = isa::evalAlu(opc, {acc, rhs});
-            acc = !pick ? r : r.truthy() ? acc : rhs;
-        }
-        return acc;
-    }
-
-    // The arms of if evaluate lazily.
-    if (head == "if") {
-        if (e.size() != 3 && e.size() != 4)
-            err(e, "if takes a condition and 1 or 2 arms");
-        if (arg(1).truthy())
-            return arg(2);
-        return e.size() == 4 ? arg(3) : isa::Value::makeInt(0);
-    }
-
-    // Unary forms, typed as lowering types them.
-    if (op != nullptr) {  // (- x)
-        const isa::Value a = arg(1);
-        return isa::evalAlu(a.isFloat() ? Opcode::FNEG : Opcode::INEG, {a});
-    }
-    if (head == "not" || head == "float" || head == "int" ||
-        head == "abs" || head == "sin" || head == "cos" ||
-        head == "sqrt" || head == "exp") {
-        needOperands(e, 1);
-        const isa::Value a = arg(1);
-        if (head == "not")
-            return isa::evalAlu(
-                opcodeFor(e, Opcode::INOT, Opcode::NOP, a.isFloat()), {a});
-        if (head == "float")
-            return promote(a, true);
-        if (head == "int")
-            return a.isFloat() ? isa::evalAlu(Opcode::FTOI, {a}) : a;
-        // fabs keeps a signed zero's bits; INEG wraps INT64_MIN.
-        if (head == "abs") {
-            if (a.isFloat())
-                return isa::Value::makeFloat(std::fabs(a.asFloat()));
-            return a.asInt() < 0 ? isa::evalAlu(Opcode::INEG, {a}) : a;
-        }
-        const double x = a.asFloat();
-        return isa::Value::makeFloat(head == "sin"    ? std::sin(x)
-                                     : head == "cos"  ? std::cos(x)
-                                     : head == "sqrt" ? std::sqrt(x)
-                                                      : std::exp(x));
-    }
-    err(e, strCat("not a compile-time constant function: ", head));
+    return ConstExpr(e, names).eval(values);
 }
 
 Module

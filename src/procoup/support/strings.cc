@@ -1,10 +1,51 @@
 #include "procoup/support/strings.hh"
 
 #include <cctype>
+#include <charconv>
 #include <cstdio>
 #include <iomanip>
+#include <sstream>
 
 namespace procoup {
+
+namespace detail {
+
+std::string_view
+StrCatPiece::printInt(long long v)
+{
+    const auto r = std::to_chars(_buf, _buf + sizeof _buf, v);
+    return {_buf, static_cast<std::size_t>(r.ptr - _buf)};
+}
+
+std::string_view
+StrCatPiece::printUnsigned(unsigned long long v)
+{
+    const auto r = std::to_chars(_buf, _buf + sizeof _buf, v);
+    return {_buf, static_cast<std::size_t>(r.ptr - _buf)};
+}
+
+std::string_view
+StrCatPiece::printDouble(double v)
+{
+    // std::ostream prints a double as printf's %g: precision 6.
+    const int n = std::snprintf(_buf, sizeof _buf, "%g", v);
+    return {_buf, static_cast<std::size_t>(n)};
+}
+
+std::string
+strCatJoin(std::span<const StrCatPiece> pieces)
+{
+    std::size_t size = 0;
+    for (const StrCatPiece& p : pieces)
+        size += p.text().size();
+    std::string out;
+    out.reserve(size);
+    for (const StrCatPiece& p : pieces)
+        out.append(p.text());
+    return out;
+}
+
+} // namespace detail
 
 std::vector<std::string>
 split(const std::string& s, char sep)

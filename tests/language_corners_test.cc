@@ -281,6 +281,39 @@ TEST(LanguageCorners, ConstantsFoldAndAluAgree)
     }
 }
 
+TEST(LanguageCorners, InitEachRaisesAtTheElementThatMeetsAnError)
+{
+    // An :init-each initializer runs once per element, the arms of if
+    // lazily: an unknown symbol or a wrong operand count that no
+    // element reaches is silent, and the first element that meets an
+    // error raises it, with the location of the form that raised it.
+    const auto r = run(
+        "(defarray a (3 4) :int :init-each"
+        "  (if (< i 100) (+ (* 10 r) c) (+ nowhere (mod))))"
+        "(defvar out 0)"
+        "(defun main () (set out (+ (aref a 2 3) (aref a 1 0))))");
+    EXPECT_EQ(r.intValue("out"), 33);
+
+    auto error = [](const std::string& init) -> std::string {
+        try {
+            run(strCat("(defarray a (8) :int :init-each ", init,
+                       ")(defun main () 0)"));
+        } catch (const CompileError& e) {
+            return e.what();
+        }
+        return "compiled";
+    };
+    // Element 5 divides by zero before element 6 names `later`.
+    EXPECT_EQ(error("(if (< i 6) (/ 12 (- i 5)) later)"),
+              "constant division by zero (at line 1, column 45)");
+    // Element 5 names `later` before element 6 divides by zero.
+    EXPECT_EQ(error("(if (< i 5) 1 (if (= i 6) (/ 1 0) later))"),
+              "not a compile-time constant: later (at line 1, column 67)");
+    // Element 4 is the first to give mod a float operand.
+    EXPECT_EQ(error("(mod (if (< i 4) 7 1.5) 2)"),
+              "mod requires integer operands (at line 1, column 33)");
+}
+
 TEST(LanguageCorners, FloatToIntOffRangeIsInt64Min)
 {
     // (int x) of NaN or of a double outside int64 range is INT64_MIN,

@@ -3,9 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <set>
+#include <sstream>
 #include <string>
+#include <string_view>
+#include <typeinfo>
 #include <utility>
 #include <vector>
 
@@ -85,10 +89,80 @@ TEST(Rng, ChanceMatchesProbability)
     EXPECT_NEAR(hits / 20000.0, 0.05, 0.01);
 }
 
+/** What std::ostream prints for @p v under default flags: the bytes
+ *  strCat() promises. */
+template <typename T>
+std::string
+streamed(const T& v)
+{
+    std::ostringstream os;
+    os << v;
+    return os.str();
+}
+
+/** strCat(v) against the stream for each of @p values of type T. */
+template <typename T>
+void
+expectStreamBytes(std::initializer_list<T> values)
+{
+    for (const T& v : values)
+        EXPECT_EQ(strCat(v), streamed(v))
+            << typeid(T).name() << " " << streamed(v);
+}
+
+template <typename T>
+void
+expectStreamBytesAtLimits()
+{
+    using L = std::numeric_limits<T>;
+    expectStreamBytes<T>({T{0}, L::min(), L::max()});
+}
+
+template <typename T>
+void
+expectStreamBytesOfFloats()
+{
+    using L = std::numeric_limits<T>;
+    expectStreamBytes<T>({T(0.0), -T(0.0), T(0.1), T(1e-5), T(1e-4),
+                          T(123456), T(1234567), T(1e21), L::denorm_min(),
+                          L::max(), L::infinity(), -L::infinity(),
+                          L::quiet_NaN(), -L::quiet_NaN()});
+}
+
 TEST(Strings, StrCat)
 {
     EXPECT_EQ(strCat("a", 1, "b", 2.5), "a1b2.5");
     EXPECT_EQ(strCat(), "");
+
+    // Keys, fingerprints and generated programs are stored and compared
+    // by their bytes: every argument type prints as the stream did.
+    expectStreamBytesAtLimits<short>();
+    expectStreamBytesAtLimits<unsigned short>();
+    expectStreamBytesAtLimits<int>();
+    expectStreamBytesAtLimits<unsigned>();
+    expectStreamBytesAtLimits<long>();
+    expectStreamBytesAtLimits<unsigned long>();
+    expectStreamBytesAtLimits<long long>();
+    expectStreamBytesAtLimits<unsigned long long>();
+
+    expectStreamBytesAtLimits<char>();
+    expectStreamBytesAtLimits<signed char>();
+    expectStreamBytesAtLimits<unsigned char>();
+    expectStreamBytes<char>({'x', '|'});
+    expectStreamBytes<bool>({false, true});
+
+    expectStreamBytesOfFloats<float>();
+    expectStreamBytesOfFloats<double>();
+
+    expectStreamBytes<std::string>({"", "abc"});
+    expectStreamBytes<std::string_view>({"", "abc"});
+    expectStreamBytes<const char*>({"", "abc"});
+
+    const std::string s = "src";
+    const std::string_view sv = "view";
+    EXPECT_EQ(strCat(s, '|', sv, 'x', -7, "|", 0.5f, true, 1e-300),
+              streamed(s) + "|" + streamed(sv) + "x-7|" + streamed(0.5f) +
+                  "1" + streamed(1e-300));
 }
 
 TEST(Strings, Split)
