@@ -65,6 +65,11 @@ BAD_FUZZ_SOAK = [
     ["--first-seed", "-1"],
 ]
 
+BAD_PROCOUPD = [
+    ["--jobs=abc"],
+    ["--retries=-1"],
+]
+
 
 def fail(what):
     FAILURES.append(what)
@@ -152,16 +157,18 @@ def main():
         for bad in BAD_FUZZ_SOAK:
             check_rejected("fuzz_soak",
                            [os.path.abspath(args.fuzz_soak)] + bad, 1, work)
-        check_rejected("procoupd",
-                       [os.path.abspath(args.procoupd), "--socket",
-                        os.path.join(work, "d.sock"), "--jobs=abc"],
-                       2, work)
+        for bad in BAD_PROCOUPD:
+            check_rejected("procoupd",
+                           [os.path.abspath(args.procoupd), "--socket",
+                            os.path.join(work, "d.sock")] + bad,
+                           2, work)
 
     if FAILURES:
         for f in FAILURES:
             print(f"FAIL {f}", file=sys.stderr)
         return 1
-    bad = 2 * len(BAD_SHARED) + len(BAD_PCSIM) + len(BAD_FUZZ_SOAK) + 1
+    bad = (2 * len(BAD_SHARED) + len(BAD_PCSIM) + len(BAD_FUZZ_SOAK) +
+           len(BAD_PROCOUPD))
     print(f"ok: {len(VALUED)} valued flags agree in both spellings on "
           f"pcsim and the harness; {bad} malformed values end in usage")
     return 0

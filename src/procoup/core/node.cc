@@ -66,21 +66,36 @@ BenchmarkSource::forMode(SimMode m) const
     PROCOUP_PANIC("bad SimMode");
 }
 
+namespace {
+
+/** Word @p offset of @p symbol in @p r's memory. A read past the
+ *  symbol's end is a CompileError, as an unknown symbol is: a program
+ *  verified as a benchmark may declare a shorter array than it has. */
+const isa::Value&
+symbolWord(const RunResult& r, const std::string& symbol,
+           std::uint32_t offset)
+{
+    const auto& sym = r.compiled.program.symbol(symbol);
+    if (offset >= sym.size)
+        throw CompileError(strCat("offset ", offset,
+                                  " out of range for symbol ", symbol,
+                                  " of size ", sym.size));
+    return r.memory.at(sym.base + offset);
+}
+
+} // namespace
+
 double
 RunResult::value(const std::string& symbol, std::uint32_t offset) const
 {
-    const auto& sym = compiled.program.symbol(symbol);
-    PROCOUP_ASSERT(offset < sym.size, "symbol offset out of range");
-    return memory.at(sym.base + offset).asFloat();
+    return symbolWord(*this, symbol, offset).asFloat();
 }
 
 std::int64_t
 RunResult::intValue(const std::string& symbol,
                     std::uint32_t offset) const
 {
-    const auto& sym = compiled.program.symbol(symbol);
-    PROCOUP_ASSERT(offset < sym.size, "symbol offset out of range");
-    return memory.at(sym.base + offset).asInt();
+    return symbolWord(*this, symbol, offset).asInt();
 }
 
 CoupledNode::CoupledNode(config::MachineConfig machine)

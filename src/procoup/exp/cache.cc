@@ -35,6 +35,14 @@ CompileCache::setDiskDir(const std::string& dir)
                                           // failures degrade to misses
 }
 
+void
+CompileCache::configure(bool enabled, const std::string& diskDir)
+{
+    _enabled = enabled;
+    if (enabled && !diskDir.empty() && diskDir != _diskDir)
+        setDiskDir(diskDir);
+}
+
 std::shared_ptr<const sched::CompileResult>
 CompileCache::diskLoad(const std::string& k)
 {

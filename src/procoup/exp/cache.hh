@@ -87,7 +87,11 @@ class CompileCache
     /** Attach the persistent tier rooted at @p dir (created if
      *  missing; "" detaches). Safe to call before any compile(). */
     void setDiskDir(const std::string& dir);
-    const std::string& diskDir() const { return _diskDir; }
+
+    /** A run's set-up in one call: caching on or off and, with caching
+     *  on, the persistent tier at @p diskDir ("" leaves the tier as it
+     *  is). Call before any compile(). */
+    void configure(bool enabled, const std::string& diskDir);
 
     Stats stats() const;
 

@@ -66,42 +66,22 @@ struct ClientConn
 struct SweepDaemon::PlanSession
 {
     ClientConn& conn;
-    ResultsJournal& journal;
-    bool journalOn;
 
     std::atomic<std::uint64_t> doneCount{0};
-    std::atomic<bool> anyThrew{false};
-    std::atomic<bool> anyVerifyFailed{false};
     std::atomic<std::uint64_t> replayed{0};
     std::atomic<std::uint64_t> executed{0};
     std::atomic<std::uint64_t> cacheHits{0};
     std::atomic<std::uint64_t> cacheMisses{0};
 
-    /** Journal (write-ahead!) then stream one completed record. */
-    void commitRecord(std::size_t index, const OutcomeRecord& rec,
-                      bool freshly_executed)
+    /** Count and stream one completed record, replayed or @p fresh. */
+    void stream(std::size_t index, const OutcomeRecord& rec, bool fresh)
     {
-        const bool verify_failure =
-            rec.threw == 0 && !rec.error.empty() && !rec.failed;
-        if (verify_failure)
-            anyVerifyFailed.store(true);
-        if (rec.threw != 0)
-            anyThrew.store(true);
-        // Verify failures and exceptions are never journaled: they
-        // must re-execute (and re-fail) on resume, mirroring
-        // SweepRunner's contract.
-        if (freshly_executed && journalOn && rec.threw == 0 &&
-            !verify_failure)
-            journal.append(rec);
-        if (freshly_executed) {
+        if (!fresh) {
+            ++replayed;
+        } else {
             ++executed;
-            if (rec.threw == 0) {
-                if (rec.compileCached)
-                    ++cacheHits;
-                else {
-                    ++cacheMisses;
-                }
-            }
+            if (rec.threw == 0)
+                ++(rec.compileCached ? cacheHits : cacheMisses);
         }
         conn.send(kindFrame(
             FrameKind::PointResult,
@@ -115,7 +95,6 @@ SweepDaemon::SweepDaemon(DaemonOptions options)
 {
     if (_options.stateDir.empty())
         _options.stateDir = _options.socketPath + ".state";
-    _options.retryPolicy.maxAttempts = _options.retries + 1;
 }
 
 void
@@ -127,29 +106,23 @@ SweepDaemon::servePlan(int fd, PlanEnvelope&& env)
     ropts.diskCacheDir = _options.diskCacheDir;
 
     ResultsJournal journal;
-    const bool journal_on = journal.open(_options.stateDir, plan);
-    if (!journal_on)
+    if (!journal.open(_options.stateDir, plan))
         std::fprintf(stderr,
                      "procoupd: cannot open results journal in %s; "
                      "serving without durability\n",
                      _options.stateDir.c_str());
 
     ClientConn conn(fd);
-    PlanSession s{conn, journal, journal_on};
+    PlanSession s{conn};
 
     // Replay journaled points first: streamed immediately, never
     // re-executed, never recompiled.
     std::vector<std::size_t> pending;
     for (std::size_t i = 0; i < plan.size(); ++i) {
-        if (journal_on) {
-            if (const OutcomeRecord* rec =
-                    journal.find(pointFingerprint(plan.points()[i]))) {
-                ++s.replayed;
-                s.commitRecord(i, *rec, /*freshly_executed=*/false);
-                continue;
-            }
-        }
-        pending.push_back(i);
+        if (const OutcomeRecord* rec = journal.replay(i))
+            s.stream(i, *rec, /*fresh=*/false);
+        else
+            pending.push_back(i);
     }
 
     DaemonStats stats;
@@ -175,9 +148,7 @@ SweepDaemon::servePlan(int fd, PlanEnvelope&& env)
         // Serves points in-process when workers are off or cannot be
         // spawned.
         CompileCache cache;
-        cache.setEnabled(ropts.cacheEnabled);
-        if (!ropts.diskCacheDir.empty() && ropts.cacheEnabled)
-            cache.setDiskDir(ropts.diskCacheDir);
+        cache.configure(ropts.cacheEnabled, ropts.diskCacheDir);
 
         SupervisorOptions sopts;
         sopts.workers = SweepRunner::resolveJobs(_options.jobs);
@@ -189,14 +160,11 @@ SweepDaemon::servePlan(int fd, PlanEnvelope&& env)
         stats = superviseWorkers(
             plan, pending, ropts, cache, sopts,
             [&](std::size_t i, OutcomeRecord&& rec) {
-                s.commitRecord(i, rec, /*freshly_executed=*/true);
+                journal.commit(i, rec);  // write-ahead: before streaming
+                s.stream(i, rec, /*fresh=*/true);
             });
     }
-
-    // Publish the finalized journal only when every journalable point
-    // holds a genuine record (mirrors SweepRunner::run).
-    if (journal_on && !s.anyThrew.load() && !s.anyVerifyFailed.load())
-        journal.finalize();
+    journal.finalize();
 
     stats.active = true;
     stats.jobs = static_cast<std::uint32_t>(

@@ -21,13 +21,14 @@
  * reassignment budget the point becomes a structured
  * SimErrorKind::WorkerLost record instead of wedging the plan.
  *
- * Durability: completed points are journaled write-ahead (exp/
- * journal.hh) in the daemon's state directory before they are
- * streamed, so SIGKILLing the daemon and restarting it resumes a
- * resubmitted plan from the journal — no recompiles, no re-runs — and
- * re-streams every completed point (at-least-once delivery; clients
- * dedup by fingerprint). A client that disconnects mid-plan does not
- * stop execution: the plan finishes and journals, and the reconnected
+ * Durability: completed points are committed write-ahead to the
+ * results journal (exp/journal.hh, whose rules SweepRunner --journal
+ * shares) in the daemon's state directory before they are streamed,
+ * so SIGKILLing the daemon and restarting it resumes a resubmitted
+ * plan from the journal — no recompiles, no re-runs — and re-streams
+ * every completed point (at-least-once delivery; clients dedup by
+ * fingerprint). A client that disconnects mid-plan does not stop
+ * execution: the plan finishes and journals, and the reconnected
  * client replays to the same bytes.
  *
  * Degradation: if a worker process cannot be spawned at all (fork or
@@ -59,11 +60,9 @@ struct DaemonOptions
     /** Worker pool size; 0 = hardware concurrency. */
     int jobs = 0;
 
-    /** Lease reassignment budget per point (attempts beyond the
-     *  first) before a worker-lost record is emitted. */
-    int retries = 2;
-
-    /** Backoff between lease reassignments. */
+    /** Attempts per point (--retries N gives N + 1) before a
+     *  worker-lost record is emitted, and the backoff between lease
+     *  reassignments. */
     RetryPolicy retryPolicy;
 
     /** Lease TTL: a point whose worker sends no frame for this long

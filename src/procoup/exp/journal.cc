@@ -26,13 +26,19 @@ pointFingerprint(const SweepPoint& point)
 }
 
 std::string
-planFingerprint(const ExperimentPlan& plan)
+planFingerprint(const ExperimentPlan& plan,
+                std::vector<std::string>* pointFps)
 {
+    std::vector<std::string> fps;
+    fps.reserve(plan.size());
     std::string material = strCat("plan=", plan.name());
     for (const auto& p : plan.points()) {
+        fps.push_back(pointFingerprint(p));
         material += '|';
-        material += pointFingerprint(p);
+        material += fps.back();
     }
+    if (pointFps)
+        *pointFps = std::move(fps);
     return fnv1a64Hex(material);
 }
 
@@ -69,7 +75,10 @@ ResultsJournal::open(const std::string& dir, const ExperimentPlan& plan)
 {
     ::mkdir(dir.c_str(), 0777);  // best effort; openability decides
 
-    const std::string fp = planFingerprint(plan);
+    const std::string fp = planFingerprint(plan, &_fps);
+    for (std::size_t i = 0; i < plan.size(); ++i)
+        if (plan.points()[i].tracer)
+            _fps[i].clear();  // never replayed or journaled
     _walPath = strCat(dir, "/", fp, ".wal");
     _journalPath = strCat(dir, "/", fp, ".journal");
 
@@ -101,6 +110,24 @@ ResultsJournal::open(const std::string& dir, const ExperimentPlan& plan)
 }
 
 const OutcomeRecord*
+ResultsJournal::replay(std::size_t i) const
+{
+    return _wal && !_fps[i].empty() ? find(_fps[i]) : nullptr;
+}
+
+void
+ResultsJournal::commit(std::size_t i, const OutcomeRecord& rec)
+{
+    if (!_wal || _fps[i].empty())
+        return;
+    // A point that threw or failed verification must re-execute (and
+    // re-fail) on resume; a fail-safe error record (failed) is data.
+    if (rec.threw != 0 || (!rec.error.empty() && !rec.failed))
+        return;
+    append(rec);
+}
+
+const OutcomeRecord*
 ResultsJournal::find(const std::string& fingerprint) const
 {
     const auto it = _records.find(fingerprint);
@@ -128,6 +155,10 @@ ResultsJournal::finalize()
     std::lock_guard<std::mutex> lock(_mu);
     if (!_wal)
         return;
+    // A point with no record yet keeps the plan resumable, not done.
+    for (const std::string& fp : _fps)
+        if (!fp.empty() && _records.find(fp) == _records.end())
+            return;
     std::fclose(_wal);
     _wal = nullptr;
 

@@ -26,14 +26,18 @@
  * options, fault plan, budgets, sanitizer cadence), so editing any
  * input of a point silently invalidates only that point's record.
  *
- * Points with a trace sink attached are never journaled or replayed:
- * tracing is an observational side effect a replay cannot reproduce.
+ * The journal owns the rules SweepRunner and procoupd share: which
+ * points replay, which fresh records it keeps, and when it publishes.
+ * A point with a trace sink is never journaled or replayed (a replay
+ * cannot reproduce tracing); one that threw or failed verification
+ * re-executes on resume.
  */
 
 #include <cstdio>
 #include <map>
 #include <mutex>
 #include <string>
+#include <vector>
 
 #include "procoup/exp/plan.hh"
 #include "procoup/exp/serialize.hh"
@@ -46,8 +50,10 @@ namespace exp {
 std::string pointFingerprint(const SweepPoint& point);
 
 /** The identity of a whole plan (keys the journal file name): the
- *  plan name plus every point fingerprint, in order. */
-std::string planFingerprint(const ExperimentPlan& plan);
+ *  plan name plus every point fingerprint, in order, which are also
+ *  stored to @p pointFps if given. */
+std::string planFingerprint(const ExperimentPlan& plan,
+                            std::vector<std::string>* pointFps = nullptr);
 
 class ResultsJournal
 {
@@ -59,30 +65,44 @@ class ResultsJournal
     ResultsJournal& operator=(const ResultsJournal&) = delete;
 
     /**
-     * Bind to @p dir (created if missing) and load every valid record
-     * for @p plan from the finalized journal and/or the write-ahead
-     * file. Returns false (journal disabled, never fatal) if the
-     * directory cannot be created or the WAL cannot be opened for
-     * appending — a sweep must still run when its journal medium is
-     * broken.
+     * Bind to @p dir (created if missing), fingerprint every point of
+     * @p plan once, and load every valid record for @p plan from the
+     * finalized journal and/or the write-ahead file. Returns false
+     * (journal disabled, never fatal) if the directory cannot be
+     * created or the WAL cannot be opened for appending — a sweep must
+     * still run when its journal medium is broken.
      */
     bool open(const std::string& dir, const ExperimentPlan& plan);
 
     bool isOpen() const { return _wal != nullptr; }
 
-    /** The loaded record for @p fingerprint, or nullptr. */
+    /** The record point @p i of the opened plan replays, or nullptr:
+     *  nothing is recorded for it, the journal is not open, or the
+     *  point has a trace sink. */
+    const OutcomeRecord* replay(std::size_t i) const;
+
+    /** Journal point @p i's fresh record (thread-safe) unless it holds
+     *  a captured exception (threw != 0) or a verification failure
+     *  (error set, failed not), or the point has a trace sink. Returns
+     *  at once when the journal is not open. */
+    void commit(std::size_t i, const OutcomeRecord& rec);
+
+    /** Point @p i's fingerprint from open(); "" if it has a trace sink. */
+    const std::string& fingerprint(std::size_t i) const { return _fps[i]; }
+
+    /** The record held for @p fingerprint, or nullptr. */
     const OutcomeRecord* find(const std::string& fingerprint) const;
 
-    /** Number of records loaded at open(). */
+    /** Records held: those loaded at open() and those appended since. */
     std::size_t loadedCount() const { return _records.size(); }
 
     /** Append + flush one completed point (thread-safe). */
     void append(const OutcomeRecord& rec);
 
     /**
-     * Publish the WAL as the finalized journal via atomic rename.
-     * Call only when every journalable point has a record; a crash
-     * before finalize leaves the WAL, which resumes identically.
+     * Publish the WAL as the finalized journal via atomic rename once
+     * every point without a trace sink holds a record; until then, and
+     * after a crash before finalize, the WAL stays to resume from.
      */
     void finalize();
 
@@ -99,6 +119,7 @@ class ResultsJournal
     void loadFrom(const std::string& path, bool cut_torn_tail);
 
     std::map<std::string, OutcomeRecord> _records;
+    std::vector<std::string> _fps;  ///< per point; "" if it has a tracer
     std::string _walPath;
     std::string _journalPath;
     std::FILE* _wal = nullptr;

@@ -102,9 +102,7 @@ SweepRunner::SweepRunner(RunnerOptions options)
         _ownedCache = std::make_unique<CompileCache>();
         _cache = _ownedCache.get();
     }
-    _cache->setEnabled(_options.cacheEnabled);
-    if (!_options.diskCacheDir.empty() && _options.cacheEnabled)
-        _cache->setDiskDir(_options.diskCacheDir);
+    _cache->configure(_options.cacheEnabled, _options.diskCacheDir);
 }
 
 int
@@ -276,6 +274,41 @@ makeRunOutcome(const OutcomeRecord& rec, const SweepPoint* point)
     return o;
 }
 
+void
+finishPlanRun(const std::vector<std::exception_ptr>& failures,
+              const std::vector<RunOutcome>& outcomes,
+              bool exitOnVerifyFailure)
+{
+    for (const std::exception_ptr& e : failures)
+        if (e)
+            std::rethrow_exception(e);
+    if (!exitOnVerifyFailure)
+        return;
+    bool verify_failed = false;
+    for (const auto& o : outcomes)
+        if (!o.error.empty() && !o.failed) {
+            verify_failed = true;
+            std::fprintf(stderr, "FATAL: %s\n", o.error.c_str());
+        }
+    if (verify_failed)
+        std::exit(1);
+}
+
+void
+runOnThreads(std::size_t threads, const std::function<void()>& body)
+{
+    if (threads <= 1) {
+        body();
+        return;
+    }
+    std::vector<std::thread> pool;
+    pool.reserve(threads);
+    for (std::size_t t = 0; t < threads; ++t)
+        pool.emplace_back(body);
+    for (auto& t : pool)
+        t.join();
+}
+
 SweepResult
 SweepRunner::run(const ExperimentPlan& plan)
 {
@@ -287,62 +320,30 @@ SweepRunner::run(const ExperimentPlan& plan)
     res.outcomes.resize(plan.size());
     std::vector<std::exception_ptr> failures(plan.size());
 
-    // ---- Journal: replay recorded points, execute the rest. A point
-    // with a tracer attached never replays (tracing is an
-    // observational side effect a replay cannot reproduce).
+    // ---- Journal: replay recorded points, execute the rest.
     ResultsJournal journal;
-    const bool journal_on = !_options.journalDir.empty() &&
-                            journal.open(_options.journalDir, plan);
-    if (!_options.journalDir.empty() && !journal_on)
+    if (!_options.journalDir.empty() &&
+        !journal.open(_options.journalDir, plan))
         std::fprintf(stderr,
                      "warning: cannot open results journal in %s; "
                      "running without one\n",
                      _options.journalDir.c_str());
 
-    std::vector<std::string> fps(plan.size());
     std::vector<std::size_t> pending;
     pending.reserve(plan.size());
     for (std::size_t i = 0; i < plan.size(); ++i) {
-        const SweepPoint& p = plan.points()[i];
-        if (journal_on && !p.tracer) {
-            fps[i] = pointFingerprint(p);
-            if (const OutcomeRecord* rec = journal.find(fps[i])) {
-                res.outcomes[i] = makeRunOutcome(*rec, &p);
-                res.outcomes[i].replayed = true;
-                ++res.replayedPoints;
-                continue;
-            }
+        if (const OutcomeRecord* rec = journal.replay(i)) {
+            res.outcomes[i] = makeRunOutcome(*rec, &plan.points()[i]);
+            res.outcomes[i].replayed = true;
+            ++res.replayedPoints;
+        } else {
+            pending.push_back(i);
         }
-        pending.push_back(i);
     }
 
     // SIGINT/SIGTERM on a journaled sweep mean "drain and keep the
     // WAL resumable", not "die mid-append".
-    ScopedStopSignals stop_guard(journal_on);
-    std::atomic<std::size_t> journaled{journal.loadedCount()};
-
-    // Called for every freshly executed point, on whichever thread
-    // finished it (append is thread-safe). Verify failures are *not*
-    // journaled: they must re-execute (and re-fail) on resume.
-    auto record = [&](std::size_t i) {
-        const RunOutcome& o = res.outcomes[i];
-        if (!journal_on || fps[i].empty())
-            return;
-        if (!o.error.empty() && !o.failed)
-            return;
-        journal.append(makeOutcomeRecord(o, fps[i]));
-        ++journaled;
-    };
-
-    auto work = [&](std::size_t i) {
-        try {
-            res.outcomes[i] =
-                executeSweepPoint(plan.points()[i], *_cache, _options);
-            record(i);
-        } catch (...) {
-            failures[i] = std::current_exception();
-        }
-    };
+    ScopedStopSignals stop_guard(journal.isOpen());
 
     // ---- Worker isolation: the supervised worker path, with the
     // per-point timeout as a lease no heartbeat renews. Tracer-carrying
@@ -358,39 +359,30 @@ SweepRunner::run(const ExperimentPlan& plan)
         sopts.leaseMs = _options.workerTimeoutMs;
         superviseWorkers(plan, isolated, _options, *_cache, sopts,
                          [&](std::size_t i, OutcomeRecord&& rec) {
-                             if ((failures[i] = recordException(rec)))
-                                 return;
+                             journal.commit(i, rec);
+                             failures[i] = recordException(rec);
                              res.outcomes[i] =
                                  makeRunOutcome(rec, &plan.points()[i]);
-                             record(i);
                          });
     }
 
-    if (res.jobs <= 1 || pending.size() <= 1) {
-        // Inline: exactly the legacy serial loop, same thread.
-        for (std::size_t i : pending) {
-            if (sweepStopRequested())
-                break;
-            work(i);
+    // In-process points: on the calling thread at --jobs 1.
+    std::atomic<std::size_t> next{0};
+    runOnThreads(std::min<std::size_t>(res.jobs, pending.size()), [&] {
+        for (std::size_t n = next++;
+             n < pending.size() && !sweepStopRequested(); n = next++) {
+            const std::size_t i = pending[n];
+            try {
+                const RunOutcome& o = res.outcomes[i] =
+                    executeSweepPoint(plan.points()[i], *_cache, _options);
+                if (journal.isOpen())
+                    journal.commit(
+                        i, makeOutcomeRecord(o, journal.fingerprint(i)));
+            } catch (...) {
+                failures[i] = std::current_exception();
+            }
         }
-    } else {
-        std::atomic<std::size_t> next{0};
-        const int workers =
-            std::min<std::size_t>(res.jobs, pending.size());
-        std::vector<std::thread> pool;
-        pool.reserve(workers);
-        for (int w = 0; w < workers; ++w)
-            pool.emplace_back([&] {
-                for (std::size_t n = next.fetch_add(1);
-                     n < pending.size(); n = next.fetch_add(1)) {
-                    if (sweepStopRequested())
-                        break;
-                    work(pending[n]);
-                }
-            });
-        for (auto& t : pool)
-            t.join();
-    }
+    });
 
     // ---- Interrupted drain: every in-flight point has finished and
     // been journaled; flush-and-close the WAL so it resumes cleanly,
@@ -402,33 +394,13 @@ SweepRunner::run(const ExperimentPlan& plan)
                      "interrupted by %s: %zu of %zu points journaled "
                      "in %s; rerun to resume\n",
                      sig == SIGTERM ? "SIGTERM" : "SIGINT",
-                     journaled.load(), plan.size(),
+                     journal.loadedCount(), plan.size(),
                      _options.journalDir.c_str());
         std::exit(128 + sig);
     }
 
-    // Deterministic reduction: failures surface in plan order.
-    for (std::size_t i = 0; i < plan.size(); ++i)
-        if (failures[i])
-            std::rethrow_exception(failures[i]);
-
-    // Fail-safe-captured simulation failures (o.failed) are data, not
-    // verification failures — only wrong *results* are fatal here.
-    bool verify_failed = false;
-    for (const auto& o : res.outcomes)
-        if (!o.error.empty() && !o.failed) {
-            verify_failed = true;
-            if (_options.exitOnVerifyFailure)
-                std::fprintf(stderr, "FATAL: %s\n", o.error.c_str());
-        }
-    if (verify_failed && _options.exitOnVerifyFailure)
-        std::exit(1);
-
-    // Every journalable point has a record now (we only get here with
-    // no exceptions, and verify failures stay unjournaled on purpose):
-    // publish the finalized journal.
-    if (journal_on && !verify_failed)
-        journal.finalize();
+    finishPlanRun(failures, res.outcomes, _options.exitOnVerifyFailure);
+    journal.finalize();
 
     const auto cache_after = _cache->stats();
     res.cacheStats.hits = cache_after.hits - cache_before.hits;

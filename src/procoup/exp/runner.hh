@@ -23,14 +23,15 @@
  * Verification failures do not abort mid-sweep from a worker thread:
  * they are collected and reported on stderr in plan order after the
  * pool drains, and the process exits 1 (the same observable contract
- * the serial harnesses had).
+ * the serial harnesses had); finishPlanRun() ends a --connect run the
+ * same way.
  *
- * Durability (journalDir): each completed point is appended to a
+ * Durability (journalDir): each completed point is committed to a
  * write-ahead results journal (exp/journal.hh) before the sweep moves
  * on; re-running an interrupted sweep replays the recorded points
  * bit-identically — no recompile, no re-simulation — and executes
- * only the remainder. Verify-failed points are deliberately not
- * journaled: they re-execute on resume so the failure reproduces.
+ * only the remainder. The journal decides what replays and what it
+ * keeps, for the daemon too (verify-failed points re-execute).
  *
  * Isolation (isolateWorkers): pending points run under the worker
  * supervisor of exp/worker.hh — the sweep daemon's lease state machine,
@@ -42,6 +43,7 @@
 #include <exception>
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -226,6 +228,18 @@ OutcomeRecord executePointToRecord(const SweepPoint& point,
 /** The exception @p rec's threw class captured, recreated so plan-order
  *  rethrow semantics survive a process boundary; nullptr if none. */
 std::exception_ptr recordException(const OutcomeRecord& rec);
+
+/** The end of a plan run, local or on a daemon: rethrow the first of
+ *  @p failures in plan order; then, if @p exitOnVerifyFailure, print
+ *  each verification failure (error set, failed not) as FATAL and
+ *  exit 1. */
+void finishPlanRun(const std::vector<std::exception_ptr>& failures,
+                   const std::vector<RunOutcome>& outcomes,
+                   bool exitOnVerifyFailure);
+
+/** Run @p body on @p threads threads at once and join them all; with
+ *  one thread or none, run it once on the calling thread. */
+void runOnThreads(std::size_t threads, const std::function<void()>& body);
 
 /** Rehydrate an outcome for @p point from @p rec. Restores stats,
  *  memory, symbols, and schedule metadata — everything the render,

@@ -246,33 +246,22 @@ runPlanOverSocket(const ExperimentPlan& plan, const RunnerOptions& ropts,
                 std::chrono::milliseconds(200));
     }
 
-    // Worker exceptions keep their local semantics: rethrow the first
-    // one in plan order, exactly as SweepRunner's reduction does.
-    for (const OutcomeRecord& rec : records)
-        if (std::exception_ptr e = recordException(rec))
-            std::rethrow_exception(e);
-
+    // Worker exceptions and verification failures end the plan as
+    // they do locally: one reduction, shared with SweepRunner.
     SweepResult res;
     res.outcomes.resize(plan.size());
-    for (std::size_t i = 0; i < plan.size(); ++i)
+    std::vector<std::exception_ptr> failures(plan.size());
+    for (std::size_t i = 0; i < plan.size(); ++i) {
+        failures[i] = recordException(records[i]);
         res.outcomes[i] = makeRunOutcome(records[i], &plan.points()[i]);
+    }
+    finishPlanRun(failures, res.outcomes, copts.exitOnVerifyFailure);
     res.jobs = stats.jobs ? static_cast<int>(stats.jobs) : 1;
     res.daemon = stats;
     res.daemon.active = true;
     res.cacheStats.hits = stats.cacheHits;
     res.cacheStats.misses = stats.cacheMisses;
     res.cacheStats.compiles = stats.compiles;
-
-    bool verify_failed = false;
-    for (const auto& o : res.outcomes)
-        if (!o.error.empty() && !o.failed) {
-            verify_failed = true;
-            if (copts.exitOnVerifyFailure)
-                std::fprintf(stderr, "FATAL: %s\n", o.error.c_str());
-        }
-    if (verify_failed && copts.exitOnVerifyFailure)
-        std::exit(1);
-
     res.wallMs = msSince(start);
     return res;
 }

@@ -138,8 +138,8 @@ struct ClientOptions
      *  heartbeats about once a second while executing). */
     double frameTimeoutMs = 30000.0;
 
-    /** Mirror SweepRunner's contract: print FATAL and exit(1) on a
-     *  verification failure. */
+    /** As RunnerOptions::exitOnVerifyFailure: the shared end of a
+     *  plan (finishPlanRun) prints FATAL and exits 1. */
     bool exitOnVerifyFailure = true;
 };
 

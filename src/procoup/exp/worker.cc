@@ -623,12 +623,7 @@ runWorkerIfRequested(int argc, char** argv)
             for (;;)
                 std::this_thread::sleep_for(std::chrono::hours(1));
 
-        cache.setEnabled(ropts.cacheEnabled);
-        const std::string disk_dir =
-            ropts.cacheEnabled ? ropts.diskCacheDir : "";
-        if (cache.diskDir() != disk_dir)
-            cache.setDiskDir(disk_dir);
-
+        cache.configure(ropts.cacheEnabled, ropts.diskCacheDir);
         out.begin(heartbeat_ms);
         const OutcomeRecord rec = executePointToRecord(
             point, pointFingerprint(point), cache, ropts);
@@ -653,17 +648,7 @@ superviseWorkers(const ExperimentPlan& plan,
     const std::size_t workers = std::min<std::size_t>(
         std::max(opts.workers, 1), indices.size());
     Supervisor sup{plan, indices, ropts, cache, opts, commit, workers};
-    auto drive = [&] { WorkerQueue(sup).run(); };
-    if (workers <= 1) {
-        drive();
-    } else {
-        std::vector<std::thread> pool;
-        pool.reserve(workers);
-        for (std::size_t w = 0; w < workers; ++w)
-            pool.emplace_back(drive);
-        for (auto& t : pool)
-            t.join();
-    }
+    runOnThreads(workers, [&] { WorkerQueue(sup).run(); });
 
     DaemonStats stats;
     stats.leasesIssued = sup.leasesIssued.load();

@@ -4,15 +4,25 @@
  *  vs. local byte-identity) and whose bytes are pinned, rejection of
  *  bad labels, out-of-range ints and mutated bytes, result/stats
  *  bodies, and the worker-lost error-kind name the report schema
- *  depends on. */
+ *  depends on. Then the journal's rules end to end, on SweepRunner
+ *  and on a procoupd serving in-process on a thread of this binary:
+ *  which records the write-ahead log holds, when the journal is
+ *  published, what a resubmission replays, and which exception the
+ *  caller sees. */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "procoup/benchmarks/benchmarks.hh"
 #include "procoup/config/presets.hh"
+#include "procoup/exp/daemon.hh"
 #include "procoup/exp/journal.hh"
 #include "procoup/exp/plan.hh"
 #include "procoup/exp/runner.hh"
@@ -21,6 +31,7 @@
 #include "procoup/fault/fault.hh"
 #include "procoup/support/error.hh"
 #include "procoup/support/strings.hh"
+#include "scoped_temp_dir.hh"
 
 namespace procoup {
 namespace {
@@ -448,6 +459,271 @@ TEST(Service, WorkerLostKindNameMatchesReportSchema)
     // ERROR_KINDS taxonomy; the sweep report emits it verbatim.
     EXPECT_EQ(simErrorKindName(SimErrorKind::WorkerLost),
               "worker-lost");
+}
+
+// ---- The journal's rules end to end ------------------------------------
+
+const char* const kTiny = "(defvar out 0)(defun main () (set out 42))";
+
+/** procoupd on a thread of this process, serving points in-process,
+ *  its socket and state directory in a scoped temporary directory. */
+class InProcessDaemon
+{
+  public:
+    InProcessDaemon() : _dir("procoup_daemon")
+    {
+        exp::DaemonOptions o;
+        o.socketPath = _dir.path() + "/d.sock";
+        o.stateDir = _dir.path() + "/state";
+        o.jobs = 2;
+        o.inProcess = true;
+        _socket = o.socketPath;
+        _stateDir = o.stateDir;
+        _thread = std::thread([this, o] {
+            _exitCode = exp::SweepDaemon(o).serve();
+            _exited = true;
+        });
+    }
+
+    ~InProcessDaemon()
+    {
+        while (!_exited && !exp::requestDaemonShutdown(_socket))
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        _thread.join();
+        EXPECT_EQ(_exitCode, 0);
+    }
+
+    /** Submit @p plan as a --connect client whose verification
+     *  failures come back as data. */
+    exp::SweepResult submit(const exp::ExperimentPlan& plan) const
+    {
+        exp::ClientOptions co;
+        co.socketPath = _socket;
+        co.totalTimeoutMs = 60000.0;
+        co.exitOnVerifyFailure = false;
+        return exp::runPlanOverSocket(plan, exp::RunnerOptions{}, co);
+    }
+
+    bool alive() const { return !_exited; }
+    const std::string& stateDir() const { return _stateDir; }
+
+  private:
+    testutil::ScopedTempDir _dir;
+    std::string _socket;
+    std::string _stateDir;
+    std::atomic<bool> _exited{false};
+    int _exitCode = -1;
+    std::thread _thread;
+};
+
+/** SweepRunner journaling into @p dir, verification failures as data. */
+exp::SweepResult
+runLocal(const exp::ExperimentPlan& plan, const std::string& dir)
+{
+    exp::RunnerOptions o;
+    o.jobs = 2;
+    o.journalDir = dir;
+    o.exitOnVerifyFailure = false;
+    return exp::SweepRunner(o).run(plan);
+}
+
+/** The labels of the records in the journal file @p path (a write-ahead
+ *  log or a published journal), sorted; empty if it is absent. */
+std::vector<std::string>
+recordLabels(const std::string& path)
+{
+    std::vector<std::string> labels;
+    std::string bytes;
+    if (!exp::readWholeFile(path, &bytes))
+        return labels;
+    std::size_t offset = 0;
+    std::string payload;
+    while (exp::readFrame(bytes, offset, &payload)) {
+        exp::OutcomeRecord rec;
+        if (exp::decodeOutcomeRecord(payload, &rec))
+            labels.push_back(rec.label);
+    }
+    std::sort(labels.begin(), labels.end());
+    return labels;
+}
+
+/** What a journal directory holds for @p plan. */
+struct JournalFiles
+{
+    std::vector<std::string> wal;  ///< labels in <plan-fp>.wal
+    bool published = false;        ///< <plan-fp>.journal exists
+    std::vector<std::string> journal;
+};
+
+JournalFiles
+journalFiles(const std::string& dir, const exp::ExperimentPlan& plan)
+{
+    const std::string base = dir + "/" + exp::planFingerprint(plan);
+    JournalFiles f;
+    f.wal = recordLabels(base + ".wal");
+    f.published = std::filesystem::exists(base + ".journal");
+    f.journal = recordLabels(base + ".journal");
+    return f;
+}
+
+/** A plan of the clean point "clean" plus @p extra. */
+exp::ExperimentPlan
+rulePlan(const std::string& name, const std::string& extraLabel,
+         const std::string& extraSource, const std::string& verifyAs)
+{
+    exp::ExperimentPlan plan(name);
+    plan.addSource("clean", config::baseline(), kTiny,
+                   core::SimMode::Coupled);
+    plan.addSource(extraLabel, config::baseline(), extraSource,
+                   core::SimMode::Coupled)
+        .verifyBenchmark = verifyAs;
+    return plan;
+}
+
+TEST(JournalRules, CleanPlanIsPublishedAndReplaysWhole)
+{
+    exp::ExperimentPlan plan("rules-clean");
+    plan.addSource("clean", config::baseline(), kTiny,
+                   core::SimMode::Coupled);
+    plan.addSource("clean-sts", config::baseline(), kTiny,
+                   core::SimMode::Sts);
+    plan.addBenchmark(config::baseline(), benchmarks::byName("Matrix"),
+                      core::SimMode::Coupled);
+    const std::vector<std::string> all = {"Matrix/Coupled@baseline",
+                                          "clean", "clean-sts"};
+
+    const testutil::ScopedTempDir local("procoup_rules");
+    EXPECT_EQ(runLocal(plan, local.path()).replayedPoints, 0u);
+    JournalFiles f = journalFiles(local.path(), plan);
+    EXPECT_TRUE(f.wal.empty());
+    EXPECT_TRUE(f.published);
+    EXPECT_EQ(f.journal, all);
+    EXPECT_EQ(runLocal(plan, local.path()).replayedPoints, 3u);
+    f = journalFiles(local.path(), plan);
+    EXPECT_TRUE(f.wal.empty());
+    EXPECT_EQ(f.journal, all);
+
+    const InProcessDaemon d;
+    exp::SweepResult r = d.submit(plan);
+    EXPECT_EQ(r.daemon.replayed, 0u);
+    EXPECT_EQ(r.daemon.executed, 3u);
+    f = journalFiles(d.stateDir(), plan);
+    EXPECT_TRUE(f.wal.empty());
+    EXPECT_TRUE(f.published);
+    EXPECT_EQ(f.journal, all);
+    r = d.submit(plan);
+    EXPECT_EQ(r.daemon.replayed, 3u);
+    EXPECT_EQ(r.daemon.executed, 0u);
+    EXPECT_EQ(journalFiles(d.stateDir(), plan).journal, all);
+}
+
+TEST(JournalRules, VerificationFailureStaysOutOfTheJournal)
+{
+    // A Matrix result array left at zero: mc[0][0] = 0, expected 1.875.
+    const exp::ExperimentPlan plan = rulePlan(
+        "rules-verify-failure", "wrong-mc",
+        "(defarray mc (81))(defvar out 0)(defun main () (set out 1))",
+        "Matrix");
+    const std::vector<std::string> clean = {"clean"};
+
+    const testutil::ScopedTempDir local("procoup_rules");
+    exp::SweepResult r = runLocal(plan, local.path());
+    EXPECT_EQ(r.replayedPoints, 0u);
+    EXPECT_NE(r.at("wrong-mc").error.find("mc[0][0] = 0, expected 1.875"),
+              std::string::npos)
+        << r.at("wrong-mc").error;
+    JournalFiles f = journalFiles(local.path(), plan);
+    EXPECT_EQ(f.wal, clean);
+    EXPECT_FALSE(f.published);
+    r = runLocal(plan, local.path());
+    EXPECT_EQ(r.replayedPoints, 1u);
+    EXPECT_TRUE(r.at("clean").replayed);
+    EXPECT_FALSE(r.at("wrong-mc").error.empty());
+    f = journalFiles(local.path(), plan);
+    EXPECT_EQ(f.wal, clean);
+    EXPECT_FALSE(f.published);
+
+    const InProcessDaemon d;
+    r = d.submit(plan);
+    EXPECT_EQ(r.daemon.replayed, 0u);
+    EXPECT_EQ(r.daemon.executed, 2u);
+    EXPECT_FALSE(r.at("wrong-mc").error.empty());
+    f = journalFiles(d.stateDir(), plan);
+    EXPECT_EQ(f.wal, clean);
+    EXPECT_FALSE(f.published);
+    r = d.submit(plan);
+    EXPECT_EQ(r.daemon.replayed, 1u);
+    EXPECT_EQ(r.daemon.executed, 1u);
+    f = journalFiles(d.stateDir(), plan);
+    EXPECT_EQ(f.wal, clean);
+    EXPECT_FALSE(f.published);
+}
+
+TEST(JournalRules, PointThatThrowsStaysOutOfTheJournal)
+{
+    // Verified as Matrix, but the program has no mc: "unknown symbol".
+    const exp::ExperimentPlan plan =
+        rulePlan("rules-throw", "no-mc", kTiny, "Matrix");
+    const std::vector<std::string> clean = {"clean"};
+
+    const testutil::ScopedTempDir local("procoup_rules");
+    for (int run = 0; run < 2; ++run) {
+        EXPECT_THROW(runLocal(plan, local.path()), CompileError) << run;
+        const JournalFiles f = journalFiles(local.path(), plan);
+        EXPECT_EQ(f.wal, clean) << run;
+        EXPECT_FALSE(f.published) << run;
+    }
+
+    const InProcessDaemon d;
+    for (int run = 0; run < 2; ++run) {
+        EXPECT_THROW(d.submit(plan), CompileError) << run;
+        const JournalFiles f = journalFiles(d.stateDir(), plan);
+        EXPECT_EQ(f.wal, clean) << run;
+        EXPECT_FALSE(f.published) << run;
+    }
+    EXPECT_TRUE(d.alive());
+}
+
+/** A point verified as Sort whose sa holds one element, -8: the first
+ *  word matches the reference and the check then reads sa[1]. */
+exp::ExperimentPlan
+shortSortPlan()
+{
+    exp::ExperimentPlan plan("short-sa");
+    plan.addSource("short-sa", config::baseline(),
+                   "(defarray sa (1) :int :init (-8))"
+                   "(defvar out 0)(defun main () (set out 1))",
+                   core::SimMode::Coupled)
+        .verifyBenchmark = "Sort";
+    return plan;
+}
+
+TEST(Service, VerificationReadPastASymbolRaisesCompileError)
+{
+    // A plan-submit carries the verification name and the source as
+    // free fields, so the decoder accepts this point.
+    exp::PlanEnvelope env;
+    ASSERT_TRUE(exp::decodePlanSubmit(
+        exp::encodePlanSubmit(shortSortPlan(), exp::RunnerOptions{}),
+        &env));
+    try {
+        exp::SweepRunner(env.options).run(env.plan);
+        ADD_FAILURE() << "no CompileError";
+    } catch (const CompileError& e) {
+        EXPECT_STREQ(e.what(),
+                     "offset 1 out of range for symbol sa of size 1");
+    }
+}
+
+TEST(Service, DaemonSurvivesAVerificationReadPastASymbol)
+{
+    const InProcessDaemon d;
+    EXPECT_THROW(d.submit(shortSortPlan()), CompileError);
+    EXPECT_TRUE(d.alive());
+    exp::ExperimentPlan next("after-short-sa");
+    next.addSource("clean", config::baseline(), kTiny,
+                   core::SimMode::Coupled);
+    EXPECT_EQ(d.submit(next).daemon.executed, 1u);
 }
 
 } // namespace

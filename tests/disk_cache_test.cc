@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 
 #include "procoup/benchmarks/benchmarks.hh"
@@ -15,18 +14,10 @@
 #include "procoup/exp/plan.hh"
 #include "procoup/exp/runner.hh"
 #include "procoup/exp/serialize.hh"
+#include "scoped_temp_dir.hh"
 
 namespace procoup {
 namespace {
-
-std::string
-tempDir()
-{
-    char tmpl[] = "/tmp/procoup_diskcache_XXXXXX";
-    const char* d = ::mkdtemp(tmpl);
-    EXPECT_NE(d, nullptr);
-    return d;
-}
 
 struct Workload
 {
@@ -68,7 +59,8 @@ runThrough(const Workload& w, const std::string& dir,
 
 TEST(DiskCache, WarmStartCompilesNothingAndMatches)
 {
-    const std::string dir = tempDir();
+    const testutil::ScopedTempDir tmp("procoup_diskcache");
+    const std::string& dir = tmp.path();
     Workload w;
 
     exp::CompileCache::Stats cold;
@@ -90,7 +82,8 @@ TEST(DiskCache, WarmStartCompilesNothingAndMatches)
 
 TEST(DiskCache, TruncatedEntryIsSilentlyRecompiled)
 {
-    const std::string dir = tempDir();
+    const testutil::ScopedTempDir tmp("procoup_diskcache");
+    const std::string& dir = tmp.path();
     Workload w;
     const sim::RunStats a = runThrough(w, dir);
 
@@ -117,7 +110,8 @@ TEST(DiskCache, TruncatedEntryIsSilentlyRecompiled)
 
 TEST(DiskCache, BitFlippedEntryIsSilentlyRecompiled)
 {
-    const std::string dir = tempDir();
+    const testutil::ScopedTempDir tmp("procoup_diskcache");
+    const std::string& dir = tmp.path();
     Workload w;
     const sim::RunStats a = runThrough(w, dir);
 
@@ -138,7 +132,8 @@ TEST(DiskCache, BitFlippedEntryIsSilentlyRecompiled)
 
 TEST(DiskCache, KeyCollisionIsDetectedByEmbeddedKey)
 {
-    const std::string dir = tempDir();
+    const testutil::ScopedTempDir tmp("procoup_diskcache");
+    const std::string& dir = tmp.path();
     Workload w;
     runThrough(w, dir);
 
@@ -226,7 +221,8 @@ TEST(DiskCache, EntryBytesArePinned)
     // A .pcc entry is one frame around the full key string and the
     // compile result. Its digest pins the layout; serving it from a
     // fresh cache proves this is the layout the cache reads.
-    const std::string dir = tempDir();
+    const testutil::ScopedTempDir tmp("procoup_diskcache");
+    const std::string& dir = tmp.path();
     Workload w;
     w.source = "(defvar out 0)(defun main () (set out 1))";
     const std::string key =
@@ -252,7 +248,8 @@ TEST(DiskCache, EntryBytesArePinned)
 
 TEST(DiskCache, DisabledCacheBypassesDiskEntirely)
 {
-    const std::string dir = tempDir();
+    const testutil::ScopedTempDir tmp("procoup_diskcache");
+    const std::string& dir = tmp.path();
     Workload w;
 
     exp::CompileCache cache;
@@ -268,7 +265,8 @@ TEST(DiskCache, DisabledCacheBypassesDiskEntirely)
 
 TEST(DiskCache, RunnerWithoutDiskDirWritesNothing)
 {
-    const std::string dir = tempDir();
+    const testutil::ScopedTempDir tmp("procoup_diskcache");
+    const std::string& dir = tmp.path();
     Workload w;
     // diskCacheDir stays empty (no --disk-cache flag): no entry
     // may appear even though the directory exists.

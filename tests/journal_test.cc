@@ -1,13 +1,13 @@
 /** @file Crash-safe results journal: frame/record round-trips, torn
  *  and corrupted tails, fingerprint invalidation, bit-identical
- *  replay with zero recompiles, and the deterministic retry policy
- *  that backs --retry-faulted and worker respawns. */
+ *  replay with zero recompiles, the pinned fingerprints and sidecar
+ *  bytes that key journals on disk, and the deterministic retry
+ *  policy that backs --retry-faulted and worker respawns. */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 
 #include "procoup/benchmarks/benchmarks.hh"
@@ -18,18 +18,12 @@
 #include "procoup/exp/plan.hh"
 #include "procoup/exp/runner.hh"
 #include "procoup/exp/serialize.hh"
+#include "procoup/exp/suites.hh"
+#include "procoup/gen/soak.hh"
+#include "scoped_temp_dir.hh"
 
 namespace procoup {
 namespace {
-
-std::string
-tempDir()
-{
-    char tmpl[] = "/tmp/procoup_journal_XXXXXX";
-    const char* d = ::mkdtemp(tmpl);
-    EXPECT_NE(d, nullptr);
-    return d;
-}
 
 exp::ExperimentPlan
 smallPlan()
@@ -225,9 +219,43 @@ TEST(Serialize, OutcomeRecordBytesArePinned)
               "dac5be0032005847");
 }
 
+TEST(Journal, FingerprintsThatKeyJournalsArePinned)
+{
+    // Journals and daemon state directories on disk are found by
+    // these values: a change orphans every one written before it, so
+    // it needs a kFormatVersion bump, not a new constant.
+    const exp::ExperimentPlan t2 = exp::table2BaselinePlan();
+    EXPECT_EQ(exp::planFingerprint(t2), "d82c11d26169dfe2");
+    EXPECT_EQ(exp::pointFingerprint(t2.points().front()), "59b0722212ea7047");
+    EXPECT_EQ(exp::pointFingerprint(t2.points().back()), "cd162e8820de35aa");
+
+    gen::SoakOptions soak;
+    soak.programs = 2;
+    EXPECT_EQ(exp::planFingerprint(gen::buildSoakPlan(soak).plan),
+              "836bb50fbd0d6331");
+}
+
+TEST(Journal, OpenWritesPinnedFileNamesAndSidecar)
+{
+    const testutil::ScopedTempDir tmp("procoup_journal");
+    const std::string& dir = tmp.path();
+    const exp::ExperimentPlan plan = smallPlan();
+    exp::ResultsJournal j;
+    ASSERT_TRUE(j.open(dir, plan));
+    const std::string fp = "f048921c0080aaa8";
+    EXPECT_EQ(j.walPath(), dir + "/" + fp + ".wal");
+    EXPECT_EQ(j.journalPath(), dir + "/" + fp + ".journal");
+    std::string meta;
+    ASSERT_TRUE(exp::readWholeFile(dir + "/" + fp + ".meta.json", &meta));
+    EXPECT_EQ(meta, "{\"schema\": \"procoup-journal/1\", \"plan\": "
+                    "\"journal-test\", \"fingerprint\": "
+                    "\"f048921c0080aaa8\", \"points\": 3}\n");
+}
+
 TEST(Journal, ReplayIsBitIdenticalWithZeroCompiles)
 {
-    const std::string dir = tempDir();
+    const testutil::ScopedTempDir tmp("procoup_journal");
+    const std::string& dir = tmp.path();
     const auto plan = smallPlan();
 
     exp::RunnerOptions ropts;
@@ -263,7 +291,8 @@ TEST(Journal, ReplayIsBitIdenticalWithZeroCompiles)
 
 TEST(Journal, PartialJournalExecutesOnlyTheRemainder)
 {
-    const std::string dir = tempDir();
+    const testutil::ScopedTempDir tmp("procoup_journal");
+    const std::string& dir = tmp.path();
     const auto plan = smallPlan();
 
     // Record only the first point, as an interrupted sweep would.
@@ -292,7 +321,8 @@ TEST(Journal, PartialJournalExecutesOnlyTheRemainder)
 
 TEST(Journal, TornTailDiscardsOnlyTheTornRecord)
 {
-    const std::string dir = tempDir();
+    const testutil::ScopedTempDir tmp("procoup_journal");
+    const std::string& dir = tmp.path();
     const auto plan = smallPlan();
 
     exp::RunnerOptions ropts;
@@ -319,7 +349,8 @@ TEST(Journal, TornTailDiscardsOnlyTheTornRecord)
 
 TEST(Journal, AppendsAfterATornWalTailStayReachable)
 {
-    const std::string dir = tempDir();
+    const testutil::ScopedTempDir tmp("procoup_journal");
+    const std::string& dir = tmp.path();
     const auto plan = smallPlan();
 
     // An interrupted sweep: two points in the WAL, the second torn by
@@ -354,7 +385,8 @@ TEST(Journal, AppendsAfterATornWalTailStayReachable)
 
 TEST(Journal, FingerprintChangeInvalidatesOnlyThatPoint)
 {
-    const std::string dir = tempDir();
+    const testutil::ScopedTempDir tmp("procoup_journal");
+    const std::string& dir = tmp.path();
     auto plan = smallPlan();
 
     exp::RunnerOptions ropts;
@@ -377,7 +409,8 @@ TEST(Journal, FingerprintChangeInvalidatesOnlyThatPoint)
 
 TEST(Journal, TracerPointsAreNeverJournaled)
 {
-    const std::string dir = tempDir();
+    const testutil::ScopedTempDir tmp("procoup_journal");
+    const std::string& dir = tmp.path();
     const auto machine = config::baseline();
 
     int events = 0;
@@ -404,7 +437,8 @@ TEST(Journal, TracerPointsAreNeverJournaled)
 
 TEST(Journal, FailSafeErrorRecordsReplayToo)
 {
-    const std::string dir = tempDir();
+    const testutil::ScopedTempDir tmp("procoup_journal");
+    const std::string& dir = tmp.path();
     auto machine = config::baseline();
     machine.deadlockCycleLimit = 300;
 
@@ -454,7 +488,8 @@ TEST(RetryPolicy, DeterministicBoundedBackoff)
 
 TEST(Journal, FinalizePromotesDrainedWalWithoutAppends)
 {
-    const std::string dir = tempDir();
+    const testutil::ScopedTempDir tmp("procoup_journal");
+    const std::string& dir = tmp.path();
     const exp::ExperimentPlan plan = smallPlan();
 
     // First session: journal every point, then close() without

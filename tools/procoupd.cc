@@ -54,13 +54,14 @@ main(int argc, char** argv)
 
     DaemonOptions opts;
     bool stop = false;
+    int retries = opts.retryPolicy.maxRetries();
     for (Args a(argc, argv, usage); a.next();) {
         if (a.arg() == "--help" || a.arg() == "-h")
             usage(argv[0]);
         if (!(a.value("--socket", &opts.socketPath) ||
               a.value("--state", &opts.stateDir) ||
               a.number("--jobs", 0, INT_MAX, &opts.jobs) ||
-              a.number("--retries", 0, INT_MAX - 1, &opts.retries) ||
+              a.number("--retries", 0, INT_MAX - 1, &retries) ||
               a.number("--lease-ms", 0.0, DBL_MAX, &opts.leaseMs) ||
               a.number("--heartbeat-ms", 0.0, DBL_MAX, &opts.heartbeatMs) ||
               a.value("--disk-cache", &opts.diskCacheDir) ||
@@ -68,6 +69,7 @@ main(int argc, char** argv)
               a.set("--stop", &stop)))
             a.bad();
     }
+    opts.retryPolicy.maxAttempts = retries + 1;
 
     if (opts.socketPath.empty())
         usage(argv[0]);
