@@ -120,6 +120,39 @@ BM_CompileCacheKey(benchmark::State& state)
 }
 BENCHMARK(BM_CompileCacheKey)->Unit(benchmark::kMicrosecond);
 
+/** One soak point on a warm compile cache, as a daemon worker runs
+ *  it: cache hit, bind, cycle loop and the outcome. */
+void
+BM_ExecuteSweepPointWarm(benchmark::State& state)
+{
+    const exp::SweepPoint& point = soakPoint();
+    exp::CompileCache cache;
+    cache.compile(point.source, point.machine, point.options);  // warm
+    const exp::RunnerOptions opts;
+    for (auto _ : state) {
+        const exp::RunOutcome out =
+            exp::executeSweepPoint(point, cache, opts);
+        benchmark::DoNotOptimize(out.result.stats.cycles);
+    }
+}
+BENCHMARK(BM_ExecuteSweepPointWarm)->Unit(benchmark::kMicrosecond);
+
+/** Binding a cached soak program: construct and destroy a Simulator
+ *  (validation, per-point state, the entry thread). */
+void
+BM_SimulatorBind(benchmark::State& state)
+{
+    const exp::SweepPoint& point = soakPoint();
+    const auto compiled = compileCache().compile(
+        point.source, point.machine, point.options);
+    for (auto _ : state) {
+        sim::Simulator s(point.machine, compiled->program,
+                         point.simOptions);
+        benchmark::DoNotOptimize(s.activeThreads());
+    }
+}
+BENCHMARK(BM_SimulatorBind)->Unit(benchmark::kMicrosecond);
+
 /** One generated program, over 64 seeds in turn. */
 void
 BM_GenerateProgram(benchmark::State& state)

@@ -8,7 +8,9 @@ resumes — repeatedly, until a run survives to completion — and
 asserts the crash-safety contract. With --signal kill (the default)
 the process dies by SIGKILL, exercising torn-tail recovery; with
 --signal term it dies by SIGTERM, exercising the graceful drain that
-finishes in-flight points, flushes the WAL, and exits 143:
+finishes in-flight points, flushes the WAL, and exits 143. The SIGTERM
+is sent while the process is stopped (SIGSTOP) with a point still
+uncommitted, so it always lands while the drain handler is armed:
 
   * the final --stats-json bundle is byte-identical to the bundle of
     an uninterrupted, never-journaled run of the same sweep;
@@ -80,6 +82,19 @@ def journal_records(jdir):
                glob.glob(os.path.join(jdir, "*.journal")))
 
 
+def stopped_mid_sweep(child, jdir, points):
+    """SIGSTOP the child and wait until it has stopped. True if it
+    stopped with fewer than all of the plan's points committed: inside
+    the sweep's point loop, where its drain handler is armed. False if
+    it committed them all first, or exited (then it is reaped here)."""
+    child.send_signal(signal.SIGSTOP)
+    _, status = os.waitpid(child.pid, os.WUNTRACED)
+    if not os.WIFSTOPPED(status):
+        child.returncode = os.waitstatus_to_exitcode(status)
+        return False
+    return journal_records(jdir) < points
+
+
 def run_soak(soak, jobs, extra, out_path):
     cmd = soak + ["--jobs", str(jobs)] + extra
     with open(out_path, "w") as out:
@@ -146,8 +161,10 @@ def chaos(args, chaos_signal, work):
                  f"reference soak failed rc={proc.returncode}"):
         return finish()
 
-    # Chaos loop: journaled runs, SIGKILLed after a random number of
+    # Chaos loop: journaled runs, signaled after a random number of
     # newly committed points, until one survives to the finish line.
+    points = next(int(line.split(":")[1]) for line in open(ref_out)
+                  if line.startswith("points:"))
     journaled = soak + ["--journal", jdir]
     got_bundle = os.path.join(work, "got_bundle.json")
     got_out = os.path.join(work, "got.out")
@@ -166,29 +183,35 @@ def chaos(args, chaos_signal, work):
             deadline = time.monotonic() + 300.0
             while child.poll() is None:
                 if journal_records(jdir) >= threshold:
-                    child.send_signal(chaos_signal)
-                    signals_sent += 1
+                    if args.signal == "kill":
+                        child.send_signal(chaos_signal)
+                        signals_sent += 1
+                    elif stopped_mid_sweep(child, jdir, points):
+                        # Stopped inside the point loop: the SIGTERM
+                        # is handled on resume, before the sweep can
+                        # leave the loop and disarm its drain.
+                        child.send_signal(chaos_signal)
+                        signals_sent += 1
+                        child.send_signal(signal.SIGCONT)
+                    else:
+                        # Every point was committed before it
+                        # stopped: past the drain window. Let it run
+                        # to the finish line unsignaled.
+                        child.send_signal(signal.SIGCONT)
                     child.wait()
                     if (args.signal == "term" and
                             child.returncode == 0):
-                        # The SIGTERM landed after the drain's last
-                        # checkpoint: the sweep crossed the finish
-                        # line first. A completed run, not a kill.
+                        # The sweep crossed the finish line first.
+                        # A completed run, not a kill.
                         survived = True
                     else:
                         if args.signal == "term":
-                            # rc 143: the drain finished in-flight
-                            # points, flushed the WAL, and exited.
-                            # rc -SIGTERM: the signal raced past the
-                            # armed window (e.g. during report
-                            # writing, after the journal was safe) —
-                            # a plain kill the resume must absorb.
-                            check(child.returncode in
-                                  (128 + signal.SIGTERM,
-                                   -signal.SIGTERM),
-                                  f"SIGTERM exited "
-                                  f"rc={child.returncode}, "
-                                  f"want 143 or -15")
+                            # The drain finished in-flight points,
+                            # flushed the WAL, and exited 143.
+                            check(child.returncode ==
+                                  128 + signal.SIGTERM,
+                                  f"SIGTERM mid-sweep exited "
+                                  f"rc={child.returncode}, want 143")
                             if (child.returncode
                                     == 128 + signal.SIGTERM):
                                 drains += 1
@@ -199,7 +222,7 @@ def chaos(args, chaos_signal, work):
                     child.wait()
                     check(False, "soak run hung past its deadline")
                     return finish()
-                time.sleep(0.01)
+                time.sleep(0.001)
             else:
                 survived = child.returncode == 0
                 check(survived,

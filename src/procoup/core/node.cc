@@ -127,9 +127,9 @@ CoupledNode::run(const isa::Program& program,
                  const sim::TraceFn& tracer, bool trace_stalls) const
 {
     RunResult out;
-    // Keep the program (symbols in particular) with the result so
-    // value()/intValue() work even without a CompileResult.
-    out.compiled.program = program;
+    // Keep what value()/intValue() read, not the instruction stream.
+    out.compiled.program.symbols = program.symbols;
+    out.compiled.program.memorySize = program.memorySize;
     sim::Simulator simulator(_machine, program, options);
     if (tracer) {
         simulator.setTracer(tracer);

@@ -85,6 +85,12 @@ struct BenchmarkSource
 /** Everything one run produces. */
 struct RunResult
 {
+    /**
+     * The compilation that ran. runSource() and runBenchmark() store
+     * all of it. run() stores only what value() and intValue() read,
+     * the symbol table and the memory size, and so does a sweep
+     * outcome, which adds the schedule's funcInfo (exp/runner.hh).
+     */
     sched::CompileResult compiled;
     sim::RunStats stats;
 
@@ -112,7 +118,8 @@ class CoupledNode
     sched::CompileResult compile(const std::string& source,
                                  SimMode mode) const;
 
-    /** Execute a compiled program to completion. */
+    /** Execute a compiled program to completion. The result keeps
+     *  the program's symbols and memory size, not its code. */
     RunResult run(const isa::Program& program) const;
 
     /** Execute with a trace sink installed (nullptr = no tracing).

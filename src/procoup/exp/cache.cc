@@ -2,7 +2,9 @@
 
 #include <sys/stat.h>
 
+#include "procoup/config/validate.hh"
 #include "procoup/exp/serialize.hh"
+#include "procoup/support/error.hh"
 #include "procoup/support/strings.hh"
 
 namespace procoup {
@@ -44,7 +46,8 @@ CompileCache::configure(bool enabled, const std::string& diskDir)
 }
 
 std::shared_ptr<const sched::CompileResult>
-CompileCache::diskLoad(const std::string& k)
+CompileCache::diskLoad(const std::string& k,
+                       const config::MachineConfig& machine)
 {
     std::string dir;
     {
@@ -76,6 +79,13 @@ CompileCache::diskLoad(const std::string& k)
     auto result = std::make_shared<sched::CompileResult>();
     if (!readCompileResult(r, result.get()) || !r.atEnd())
         return corrupt();
+    try {
+        // Well framed is not runnable: a program the machine cannot
+        // execute would fail every point that reads this entry.
+        config::validateProgram(result->program, machine);
+    } catch (const CompileError&) {
+        return corrupt();
+    }
 
     std::lock_guard<std::mutex> lock(_mu);
     ++_stats.diskHits;
@@ -150,7 +160,7 @@ CompileCache::compile(const std::string& source,
         try {
             // Disk tier first: a prior process (or a sibling worker)
             // may already have published this compilation.
-            if (auto from_disk = diskLoad(k)) {
+            if (auto from_disk = diskLoad(k, machine)) {
                 if (was_hit)
                     *was_hit = true;
                 promise.set_value(std::move(from_disk));

@@ -26,7 +26,9 @@
  * writers race benignly (last rename wins, both wrote identical
  * bytes) and a crashed writer leaves no visible entry. A truncated,
  * bit-flipped, wrong-version, or hash-colliding entry fails its
- * checksum/key check and is silently recompiled (and re-published) —
+ * checksum/key check, and an entry that decodes to a program the
+ * requesting machine cannot run fails config::validateProgram; either
+ * is counted corrupt and silently recompiled (and re-published) —
  * corruption can cost time, never correctness. Compile *errors* are
  * memoized in memory only, never on disk.
  */
@@ -109,7 +111,8 @@ class CompileCache
         std::shared_future<std::shared_ptr<const sched::CompileResult>>;
 
     std::shared_ptr<const sched::CompileResult>
-    diskLoad(const std::string& key);
+    diskLoad(const std::string& key,
+             const config::MachineConfig& machine);
     void diskStore(const std::string& key,
                    const sched::CompileResult& result);
 

@@ -122,14 +122,15 @@ executeSweepPoint(const SweepPoint& point, CompileCache& cache,
     RunOutcome out;
     out.point = &point;
 
-    auto compiled = cache.compile(point.source, point.machine,
-                                  point.options, &out.compileCached);
+    out.compiled = cache.compile(point.source, point.machine,
+                                 point.options, &out.compileCached);
+    const sched::CompileResult& compiled = *out.compiled;
 
     core::CoupledNode node(point.machine);
     auto run_and_verify = [&](const sim::SimOptions& sim_opts) {
-        out.result = node.run(compiled->program, sim_opts,
-                              point.tracer, point.traceStalls);
-        out.result.compiled = *compiled;
+        out.result = node.run(compiled.program, sim_opts, point.tracer,
+                              point.traceStalls);
+        out.result.compiled.funcInfo = compiled.funcInfo;
         if (!point.verifyBenchmark.empty()) {
             std::string why;
             if (!benchmarks::verify(point.verifyBenchmark, out.result,

@@ -16,7 +16,8 @@
  * Determinism contract: outcomes are returned in plan order, each
  * point's simulation owns all of its mutable state (including its RNG
  * stream, see support/rng.hh), and the compile cache memoizes a pure
- * function. Stats, rendered tables, --stats-json bundles, and
+ * function whose immutable result every point of a key reads without
+ * copying it. Stats, rendered tables, --stats-json bundles, and
  * verification output are therefore byte-identical at any job count;
  * tests/sweep_determinism_test.cc enforces this.
  *
@@ -114,7 +115,17 @@ struct RunnerOptions
 struct RunOutcome
 {
     const SweepPoint* point = nullptr;  ///< owned by the caller's plan
+
+    /** result.compiled holds what an OutcomeRecord carries: symbols,
+     *  memory size and funcInfo, never the instruction stream. An
+     *  outcome has that one shape wherever it ran: in this process,
+     *  in a worker, on a daemon, or replayed from a journal. */
     core::RunResult result;
+
+    /** The compile-cache entry the point ran, shared with the cache
+     *  and every other point of its key and never copied; null when
+     *  the point ran elsewhere or was replayed. */
+    std::shared_ptr<const sched::CompileResult> compiled;
 
     /** Non-empty if verification failed (only seen by callers that
      *  set exitOnVerifyFailure = false), or — with failed below — the

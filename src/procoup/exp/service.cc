@@ -5,6 +5,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -217,6 +218,15 @@ runPlanOverSocket(const ExperimentPlan& plan, const RunnerOptions& ropts,
     bool done = plan.empty();
     bool connected_once = false;
 
+    // A daemon started just before this client accepts within a few
+    // milliseconds; one that is restarting may take longer.
+    double retry_ms = 2.0;
+    auto back_off = [&] {
+        std::this_thread::sleep_for(
+            std::chrono::duration<double, std::milli>(retry_ms));
+        retry_ms = std::min(retry_ms * 2.0, 200.0);
+    };
+
     while (!done) {
         if (msSince(start) > copts.totalTimeoutMs)
             throw std::runtime_error(strCat(
@@ -225,8 +235,7 @@ runPlanOverSocket(const ExperimentPlan& plan, const RunnerOptions& ropts,
                 " ms; giving up"));
         const int fd = connectUnixSocket(copts.socketPath);
         if (fd < 0) {
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(200));
+            back_off();
             continue;
         }
         if (connected_once)
@@ -242,8 +251,7 @@ runPlanOverSocket(const ExperimentPlan& plan, const RunnerOptions& ropts,
         }
         ::close(fd);
         if (!done)
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(200));
+            back_off();
     }
 
     // Worker exceptions and verification failures end the plan as

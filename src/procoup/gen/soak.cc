@@ -166,8 +166,13 @@ analyzeProgram(const SoakUnit& u,
         }
 
         // 4. External oracle (slow reference simulator in tier-1).
+        //    It replays the executed program, which an outcome of
+        //    this process shares with the compile cache.
         if (crossCheck) {
-            const std::string msg = crossCheck(*o.point, o.result);
+            core::RunResult executed = o.result;
+            if (o.compiled)
+                executed.compiled = *o.compiled;
+            const std::string msg = crossCheck(*o.point, executed);
             if (!msg.empty()) {
                 fail(o, "cross-check", msg);
                 return;

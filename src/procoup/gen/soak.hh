@@ -48,9 +48,10 @@ namespace gen {
 
 /**
  * Per-point cross-check hook. Receives the executed point and its
- * result; returns "" if satisfied, else a one-line diagnostic. The
- * hook may skip points it does not care about by returning "".
- * Called concurrently from analysis? No — called serially, in plan
+ * result, whose compiled field holds the whole compilation when the
+ * point ran in this process (RunOutcome::compiled); returns "" if
+ * satisfied, else a one-line diagnostic. The hook may skip points it
+ * does not care about by returning "". Called serially, in plan
  * order, after the sweep drains.
  */
 using CrossCheck = std::function<std::string(

@@ -34,7 +34,7 @@ Simulator::Simulator(const config::MachineConfig& machine,
               static_cast<int>(machine.clusters.size())),
       opCaches(machine.opCache, machine.numFus())
 {
-    config::validateProgram(this->program, machine);
+    config::validateProgram(program, machine);
 
     for (int fu = 0; fu < machine.numFus(); ++fu) {
         FuState f;
@@ -86,7 +86,7 @@ Simulator::Simulator(const config::MachineConfig& machine,
                  opts.limits.wallClockDeadlineMs > 0.0 ||
                  opts.sanitizeEveryCycles > 0 || nextOpcacheFlush > 0;
 
-    spawnThread(this->program.entry, {});
+    spawnThread(program.entry, {});
 }
 
 Simulator::~Simulator() = default;

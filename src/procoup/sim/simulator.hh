@@ -116,10 +116,18 @@ class Simulator
     /**
      * Bind a program to a machine. The program is validated against
      * the machine first; the entry thread is spawned at cycle 0.
+     * The program is borrowed, never copied or written: the caller
+     * keeps it alive for the simulator's lifetime, and any number of
+     * simulators, on any threads, may share it.
      */
     Simulator(const config::MachineConfig& machine,
               const isa::Program& program,
               const SimOptions& options = {});
+
+    /** A temporary program would dangle: name it instead. */
+    Simulator(const config::MachineConfig& machine,
+              isa::Program&& program,
+              const SimOptions& options = {}) = delete;
 
     ~Simulator();
 
@@ -306,8 +314,9 @@ class Simulator
 
     config::MachineConfig machine;
 
-    /** Owned copy: the simulator outlives any caller temporary. */
-    isa::Program program;
+    /** The borrowed program. All per-point mutable state lives in
+     *  the members below. */
+    const isa::Program& program;
 
     SimOptions opts;
 

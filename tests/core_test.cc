@@ -77,7 +77,7 @@ TEST(Core, CompileThenRunSeparately)
         "(defun main () (set out 11))",
         SimMode::Sts);
     const auto run = node.run(compiled.program);
-    // run() keeps a usable program copy in the result.
+    // run() keeps the program's symbols in the result.
     EXPECT_EQ(run.intValue("out"), 11);
     EXPECT_GT(run.stats.cycles, 0u);
 }

@@ -150,6 +150,40 @@ TEST(DiskCache, KeyCollisionIsDetectedByEmbeddedKey)
     EXPECT_GT(st.compiles, 0u);
 }
 
+TEST(DiskCache, EntryThatFailsValidationIsRecompiled)
+{
+    const testutil::ScopedTempDir tmp("procoup_diskcache");
+    const std::string& dir = tmp.path();
+    Workload w;
+    const sim::RunStats a = runThrough(w, dir);
+
+    // A well-framed entry under its true key whose program the
+    // machine cannot run: one slot moved to a unit it does not have.
+    sched::CompileResult bad = sched::compile(w.source, w.machine, w.opts);
+    bad.program.threads.at(bad.program.entry)
+        .instructions.at(0)
+        .slots.at(0)
+        .fu = 99;
+    exp::ByteWriter bw;
+    bw.str(exp::CompileCache::key(w.source, w.machine, w.opts));
+    exp::writeCompileResult(bw, bad);
+    ASSERT_TRUE(
+        exp::atomicWriteFile(w.entryPath(dir), exp::frame(bw.take())));
+
+    exp::CompileCache::Stats st;
+    const sim::RunStats b = runThrough(w, dir, &st);
+    EXPECT_EQ(st.diskCorrupt, 1u);
+    EXPECT_EQ(st.diskHits, 0u);
+    EXPECT_GT(st.compiles, 0u);   // recompiled...
+    EXPECT_GT(st.diskStores, 0u); // ...and re-published
+    EXPECT_TRUE(a == b);
+
+    exp::CompileCache::Stats healed;
+    runThrough(w, dir, &healed);
+    EXPECT_EQ(healed.compiles, 0u);
+    EXPECT_GT(healed.diskHits, 0u);
+}
+
 /** A hand-made compile result covering every Program, Operation and
  *  Operand form the .pcc layout carries. */
 sched::CompileResult
@@ -219,8 +253,12 @@ pinnedCompileResult()
 TEST(DiskCache, EntryBytesArePinned)
 {
     // A .pcc entry is one frame around the full key string and the
-    // compile result. Its digest pins the layout; serving it from a
-    // fresh cache proves this is the layout the cache reads.
+    // compile result. Its digest pins the layout, and decoding it the
+    // way CompileCache::diskLoad does re-encodes to the same bytes, so
+    // every form round-trips. The pinned program holds forms no
+    // machine runs, which the cache counts corrupt; serving a runnable
+    // program framed the same way from a fresh cache proves this is
+    // the layout the cache reads.
     const testutil::ScopedTempDir tmp("procoup_diskcache");
     const std::string& dir = tmp.path();
     Workload w;
@@ -234,7 +272,26 @@ TEST(DiskCache, EntryBytesArePinned)
     const std::string bytes = exp::frame(entry.take());
     EXPECT_EQ(exp::fnv1a64Hex(bytes), "4e8a071aac8a7e73");
 
-    ASSERT_TRUE(exp::atomicWriteFile(w.entryPath(dir), bytes));
+    std::size_t offset = 0;
+    std::string payload;
+    ASSERT_TRUE(exp::readFrame(bytes, offset, &payload));
+    EXPECT_EQ(offset, bytes.size());
+    exp::ByteReader r(payload);
+    EXPECT_EQ(r.str(), key);
+    sched::CompileResult decoded;
+    ASSERT_TRUE(exp::readCompileResult(r, &decoded));
+    EXPECT_TRUE(r.atEnd());
+    exp::ByteWriter decoded_entry;
+    decoded_entry.str(key);
+    exp::writeCompileResult(decoded_entry, decoded);
+    EXPECT_EQ(exp::frame(decoded_entry.take()), bytes);
+
+    exp::ByteWriter runnable;
+    runnable.str(key);
+    exp::writeCompileResult(runnable,
+                            sched::compile(w.source, w.machine, w.opts));
+    const std::string runnable_bytes = exp::frame(runnable.take());
+    ASSERT_TRUE(exp::atomicWriteFile(w.entryPath(dir), runnable_bytes));
     exp::CompileCache cache;
     cache.setDiskDir(dir);
     const auto served = cache.compile(w.source, w.machine, w.opts);
@@ -243,7 +300,7 @@ TEST(DiskCache, EntryBytesArePinned)
     exp::ByteWriter again;
     again.str(key);
     exp::writeCompileResult(again, *served);
-    EXPECT_EQ(exp::frame(again.take()), bytes);
+    EXPECT_EQ(exp::frame(again.take()), runnable_bytes);
 }
 
 TEST(DiskCache, DisabledCacheBypassesDiskEntirely)

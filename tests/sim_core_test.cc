@@ -35,7 +35,8 @@ TEST(SimCore, AluChainComputesAndStores)
     t.rowOp(fuMU(0), op::st(op::imm(a), op::imm(0), op::reg(rr(0, 1))));
     t.rowOp(fuBR0(), op::ethr());
 
-    Simulator sim(m, pb.finish(0));
+    const Program program = pb.finish(0);
+    Simulator sim(m, program);
     const auto stats = sim.run();
     EXPECT_EQ(sim.memory().peek(a).asInt(), 30);
     EXPECT_EQ(stats.totalOps, 4u);
@@ -59,7 +60,8 @@ TEST(SimCore, DependentChainIssuesOnePerCycle)
                                  op::reg(rr(0, 0)), op::imm(1)));
     t.rowOp(fuBR0(), op::ethr());
 
-    Simulator sim(m, pb.finish(0));
+    const Program program = pb.finish(0);
+    Simulator sim(m, program);
     const auto stats = sim.run();
     // Each dependent op issues the cycle after its producer wrote back.
     EXPECT_GE(stats.cycles, static_cast<std::uint64_t>(n + 1));
@@ -87,7 +89,8 @@ TEST(SimCore, IntraInstructionSlip)
     t.rowOp(fuMU(0), op::st(op::imm(a), op::imm(1), op::reg(rr(0, 2))));
     t.rowOp(fuBR0(), op::ethr());
 
-    Simulator sim(m, pb.finish(0));
+    const Program program = pb.finish(0);
+    Simulator sim(m, program);
     const auto stats = sim.run();
     EXPECT_DOUBLE_EQ(sim.memory().peek(a + 1).asFloat(), 3.0);
     // The load takes 4 cycles; the FPU op issues at ~5, the store at
@@ -124,7 +127,8 @@ TEST(SimCore, BranchLoopAccumulates)
                             op::reg(rr(0, 0))));
     t.rowOp(fuBR0(), op::ethr());
 
-    Simulator sim(m, pb.finish(0));
+    const Program program = pb.finish(0);
+    Simulator sim(m, program);
     sim.run();
     EXPECT_EQ(sim.memory().peek(out).asInt(), 45);
 }
@@ -149,7 +153,8 @@ TEST(SimCore, ForkPassesArgumentsAndRunsConcurrently)
     main.rowOp(fuBR0(), op::fork(0, {op::imm(1)}));
     main.rowOp(fuBR0(), op::ethr());
 
-    Simulator sim(m, pb.finish(1));
+    const Program program = pb.finish(1);
+    Simulator sim(m, program);
     const auto stats = sim.run();
     EXPECT_EQ(sim.memory().peek(out + 0).asInt(), 0);
     EXPECT_EQ(sim.memory().peek(out + 1).asInt(), 7);
@@ -186,7 +191,8 @@ TEST(SimCore, SyncThroughMemoryPresenceBits)
                                op::reg(rr(0, 1))));
     main.rowOp(fuBR0(), op::ethr());
 
-    Simulator sim(m, pb.finish(1));
+    const Program program = pb.finish(1);
+    Simulator sim(m, program);
     const auto stats = sim.run();
     EXPECT_EQ(sim.memory().peek(flag).asInt(), 31);
     EXPECT_GE(stats.memParked, 1u);
@@ -213,7 +219,8 @@ TEST(SimCore, StrictPriorityFavorsEarlierThread)
     main.rowOp(fuBR0(), op::fork(0, {op::imm(2)}));
     main.rowOp(fuBR0(), op::ethr());
 
-    Simulator sim(m, pb.finish(1));
+    const Program program = pb.finish(1);
+    Simulator sim(m, program);
     const auto stats = sim.run();
     // Thread ids: 0 = main, 1 = first child, 2 = second child.
     ASSERT_EQ(stats.threads.size(), 3u);
@@ -250,8 +257,10 @@ TEST(SimCore, TwoClustersRunTrulyConcurrently)
         return pb.finish(2);
     };
 
-    Simulator one(m, make(false));
-    Simulator two(m, make(true));
+    const Program one_program = make(false);
+    Simulator one(m, one_program);
+    const Program two_program = make(true);
+    Simulator two(m, two_program);
     const auto s1 = one.run();
     const auto s2 = two.run();
     EXPECT_LE(s2.cycles, s1.cycles + 5);
@@ -273,7 +282,8 @@ TEST(SimCore, RemoteWritesCrossClusters)
                             op::reg(rr(1, 1))));
     t.rowOp(fuBR0(), op::ethr());
 
-    Simulator sim(m, pb.finish(0));
+    const Program program = pb.finish(0);
+    Simulator sim(m, program);
     const auto stats = sim.run();
     EXPECT_EQ(sim.memory().peek(out).asInt(), 44);
     EXPECT_GE(stats.remoteWrites, 1u);
@@ -293,7 +303,8 @@ TEST(SimCore, MultiDestinationBroadcast)
     t.add(fuMU(1), op::st(op::imm(out), op::imm(1), op::reg(rr(1, 0))));
     t.rowOp(fuBR0(), op::ethr());
 
-    Simulator sim(m, pb.finish(0));
+    const Program program = pb.finish(0);
+    Simulator sim(m, program);
     sim.run();
     EXPECT_EQ(sim.memory().peek(out + 0).asInt(), 11);
     EXPECT_EQ(sim.memory().peek(out + 1).asInt(), 11);
@@ -318,7 +329,8 @@ TEST(SimCore, SameRowWarReadsOldValue)
     t.rowOp(fuMU(0), op::st(op::imm(out), op::imm(1), op::reg(rr(0, 0))));
     t.rowOp(fuBR0(), op::ethr());
 
-    Simulator sim(m, pb.finish(0));
+    const Program program = pb.finish(0);
+    Simulator sim(m, program);
     sim.run();
     EXPECT_EQ(sim.memory().peek(out + 0).asInt(), 5);
     EXPECT_DOUBLE_EQ(sim.memory().peek(out + 1).asFloat(), 9.0);
@@ -337,7 +349,8 @@ TEST(SimCore, DeadlockIsDetectedAndReported)
                             MemFlavor::waitLoad()));
     t.rowOp(fuBR0(), op::ethr());
 
-    Simulator sim(m, pb.finish(0));
+    const Program program = pb.finish(0);
+    Simulator sim(m, program);
     EXPECT_THROW(sim.run(), SimError);
 }
 
@@ -366,8 +379,10 @@ TEST(SimCore, SharedBusSlowerThanFullOnRemoteTraffic)
     const auto bus = config::withInterconnect(
         config::baseline(), config::InterconnectScheme::SharedBus);
 
-    Simulator sf(full, make(full));
-    Simulator sb(bus, make(bus));
+    const Program full_program = make(full);
+    Simulator sf(full, full_program);
+    const Program bus_program = make(bus);
+    Simulator sb(bus, bus_program);
     const auto cf = sf.run().cycles;
     const auto cb = sb.run().cycles;
     EXPECT_GT(cb, cf);
@@ -383,7 +398,8 @@ TEST(SimCore, MarksAreRecordedWithCycles)
     t.rowOp(fuIU(0), op::mark(7));
     t.rowOp(fuBR0(), op::ethr());
 
-    Simulator sim(m, pb.finish(0));
+    const Program program = pb.finish(0);
+    Simulator sim(m, program);
     const auto stats = sim.run();
     const auto cycles = stats.markCycles(0, 7);
     ASSERT_EQ(cycles.size(), 2u);
@@ -409,7 +425,8 @@ TEST(SimCore, MaxActiveThreadsQueuesSpawns)
         main.rowOp(fuBR0(), op::fork(0, {op::imm(i)}));
     main.rowOp(fuBR0(), op::ethr());
 
-    Simulator sim(m, pb.finish(1));
+    const Program program = pb.finish(1);
+    Simulator sim(m, program);
     const auto stats = sim.run();
     for (int i = 0; i < 4; ++i)
         EXPECT_EQ(sim.memory().peek(out + i).asInt(), 1) << i;
@@ -435,8 +452,10 @@ TEST(SimCore, RunsAreDeterministic)
         return pb.finish(0);
     };
 
-    Simulator s1(m, make());
-    Simulator s2(m, make());
+    const Program program1 = make();
+    Simulator s1(m, program1);
+    const Program program2 = make();
+    Simulator s2(m, program2);
     EXPECT_EQ(s1.run().cycles, s2.run().cycles);
 }
 
@@ -447,7 +466,8 @@ TEST(SimCore, StatsSummaryMentionsKeyFigures)
     auto t = pb.thread("main", {2});
     t.rowOp(fuIU(0), op::mov(rr(0, 0), op::imm(1)));
     t.rowOp(fuBR0(), op::ethr());
-    Simulator sim(m, pb.finish(0));
+    const Program program = pb.finish(0);
+    Simulator sim(m, program);
     const auto stats = sim.run();
     const auto s = stats.summary();
     EXPECT_NE(s.find("cycles"), std::string::npos);
