@@ -5,7 +5,8 @@
  * conflict modeling, interconnect schemes) and the experiment-plan
  * sweep engine itself (exp::SweepRunner at several worker counts,
  * exp::CompileCache hit and miss paths), and the per-point host work
- * around it (keys, fingerprints, generated programs, LUD's frontend).
+ * around it (keys, fingerprints, a daemon's plan decode, generated
+ * programs, LUD's frontend).
  * These are not paper figures; they characterize the reproduction
  * itself.
  */
@@ -18,6 +19,7 @@
 #include "procoup/exp/cache.hh"
 #include "procoup/exp/journal.hh"
 #include "procoup/exp/runner.hh"
+#include "procoup/exp/service.hh"
 #include "procoup/exp/suites.hh"
 #include "procoup/gen/soak.hh"
 #include "procoup/ir/frontend.hh"
@@ -119,6 +121,29 @@ BM_CompileCacheKey(benchmark::State& state)
             point.source, point.machine, point.options));
 }
 BENCHMARK(BM_CompileCacheKey)->Unit(benchmark::kMicrosecond);
+
+/** A daemon decoding perfbench's seed-1 service-soak submission: 320
+ *  generated programs, 3840 points, each with its machine checked and
+ *  its label checked against every other. */
+void
+BM_DecodePlanSubmitSoak(benchmark::State& state)
+{
+    static const std::string body = [] {
+        gen::SoakOptions opts;
+        opts.firstSeed = 100001;  // perfbench --seed 1
+        opts.programs = 320;
+        return exp::encodePlanSubmit(gen::buildSoakPlan(opts).plan,
+                                     exp::RunnerOptions{});
+    }();
+    std::size_t points = 0;
+    for (auto _ : state) {
+        exp::PlanEnvelope env;
+        benchmark::DoNotOptimize(exp::decodePlanSubmit(body, &env));
+        points = env.plan.size();
+    }
+    state.counters["points"] = static_cast<double>(points);
+}
+BENCHMARK(BM_DecodePlanSubmitSoak)->Unit(benchmark::kMillisecond);
 
 /** One soak point on a warm compile cache, as a daemon worker runs
  *  it: cache hit, bind, cycle loop and the outcome. */

@@ -38,7 +38,13 @@ Scenarios (--scenarios picks a comma-separated subset; default all):
               than its slowest points (--lease-ms 30 --heartbeat-ms 2):
               heartbeats renew the head's lease while the next lease
               waits behind it, so the bundle matches the local run,
-              no point is lost, and every reassignment is an expiry.
+              no point is lost, and every reassignment is an expiry;
+  pool        one procoupd serves plan A, then plan B on A's workers
+              (PROCOUP_TEST_WORKER_SPAWN_LOG: B spawns none); a worker
+              SIGKILLed between plans is replaced when plan C starts,
+              with exactly one spawn, no lease charged, and a bundle
+              identical to the local run; after procoupd --stop no
+              worker of the daemon is still running.
 
 The daemons' and harnesses' stderr, which the workers inherit, is
 logged in the scratch directory; a sanitizer report in any log fails
@@ -133,11 +139,16 @@ def still_running(pids, timeout_s=10.0):
         time.sleep(0.05)
 
 
-def spawn_count(path):
+def spawned_pids(path):
+    """The worker pids a PROCOUP_TEST_WORKER_SPAWN_LOG file recorded."""
     try:
-        return sum(1 for line in open(path) if line.strip())
+        return [int(line) for line in open(path) if line.strip()]
     except OSError:
-        return 0
+        return []
+
+
+def spawn_count(path):
+    return len(spawned_pids(path))
 
 
 def by_label(bundle_path):
@@ -580,6 +591,58 @@ def heartbeat(c):
           f"{block.get('leases_expired')} expired")
 
 
+def pool(c):
+    """The daemon's workers outlive a plan; a dead one is replaced."""
+    ref = c.ref("small")
+    if ref is None:
+        return
+    log = c.path("pool.spawns")
+    d = Daemon(c.procoupd, c.path("pool.sock"), c.path("pool.state"),
+               env=dict(c.env, PROCOUP_TEST_WORKER_SPAWN_LOG=log)).start()
+    bundle, report = c.path("pool_bundle.json"), c.path("pool_rep.json")
+    spawns = {}
+    try:
+        # Plans A and B are the soak's base- and bus-machine points; C
+        # is the whole soak. A is large enough that both of the
+        # daemon's supervising threads get a point and spawn a worker.
+        for plan, machine in (("A", "@base/"), ("B", "@bus/")):
+            rc = run_harness(c.soak, ["--filter", machine,
+                                      "--connect", d.sock], c.env)
+            check(rc == 0, f"pool: plan {plan} failed rc={rc}")
+            spawns[plan] = spawned_pids(log)
+        check(spawns["B"] == spawns["A"],
+              f"pool: plan B spawned "
+              f"{len(spawns['B']) - len(spawns['A'])} workers (want 0)")
+        # Kill one idle worker; it is dead, not yet reaped, when C starts.
+        if check(spawns["A"], "pool: plan A spawned no worker"):
+            victim = spawns["A"][0]
+            try:
+                os.kill(victim, signal.SIGKILL)
+            except OSError:
+                check(False, f"pool: worker {victim} did not outlive plan A")
+            check(not still_running([victim]),
+                  f"pool: worker {victim} survived SIGKILL")
+        rc = run_client(c.soak, d.sock, c.env, bundle, report)
+        spawns["C"] = spawned_pids(log)
+    finally:
+        d.stop()
+    live = still_running(spawned_pids(log), timeout_s=0.0)
+    check(not live, f"pool: workers {live} still run after procoupd --stop")
+    if not check(rc == 0, f"pool: plan C failed rc={rc}"):
+        return
+    check(len(spawns["C"]) == len(spawns["B"]) + 1,
+          f"pool: plan C spawned {len(spawns['C']) - len(spawns['B'])} "
+          "workers (want 1, the dead one's replacement)")
+    check(open(bundle, "rb").read() == ref[0],
+          "pool: plan C's bundle differs from the local bundle")
+    block = json.load(open(report)).get("daemon", {})
+    check(block.get("leases_reassigned") == 0 and
+          block.get("worker_lost") == 0,
+          f"pool: plan C charged the replacement "
+          f"({block.get('leases_reassigned')} leases reassigned, "
+          f"{block.get('worker_lost')} points lost)")
+
+
 def check_logs(c):
     """No sanitizer report in any daemon, harness or worker stderr."""
     for log in glob.glob(os.path.join(c.work, "*.log")):
@@ -617,6 +680,7 @@ SCENARIOS = {
     "isolate-journal": isolate_journal,
     "poisoned": poisoned,
     "heartbeat": heartbeat,
+    "pool": pool,
 }
 
 

@@ -126,11 +126,19 @@ CoupledNode::run(const isa::Program& program,
                  const sim::SimOptions& options,
                  const sim::TraceFn& tracer, bool trace_stalls) const
 {
+    return runProgram(_machine, program, options, tracer, trace_stalls);
+}
+
+RunResult
+runProgram(const config::MachineConfig& machine,
+           const isa::Program& program, const sim::SimOptions& options,
+           const sim::TraceFn& tracer, bool trace_stalls)
+{
     RunResult out;
     // Keep what value()/intValue() read, not the instruction stream.
     out.compiled.program.symbols = program.symbols;
     out.compiled.program.memorySize = program.memorySize;
-    sim::Simulator simulator(_machine, program, options);
+    sim::Simulator simulator(machine, program, options);
     if (tracer) {
         simulator.setTracer(tracer);
         simulator.setTraceStalls(trace_stalls);

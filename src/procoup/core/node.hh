@@ -106,6 +106,14 @@ struct RunResult
                           std::uint32_t offset = 0) const;
 };
 
+/** Execute a compiled program to completion on a borrowed @p machine,
+ *  as CoupledNode::run does on its own (tracer optional as there). */
+RunResult runProgram(const config::MachineConfig& machine,
+                     const isa::Program& program,
+                     const sim::SimOptions& options,
+                     const sim::TraceFn& tracer = nullptr,
+                     bool trace_stalls = false);
+
 /** One processor-coupled node: compile and execute programs on it. */
 class CoupledNode
 {

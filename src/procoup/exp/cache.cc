@@ -148,7 +148,11 @@ CompileCache::compile(const std::string& source,
             owner = true;
             ++_stats.misses;
             entry = promise.get_future().share();
-            _entries.emplace(k, entry);
+            _age.push_back(_entries.emplace(k, entry).first);
+            if (_age.size() > kMaxEntries) {
+                _entries.erase(_age.front());
+                _age.pop_front();
+            }
         } else {
             ++_stats.hits;
             if (was_hit)
@@ -181,6 +185,13 @@ CompileCache::stats() const
 {
     std::lock_guard<std::mutex> lock(_mu);
     return _stats;
+}
+
+std::size_t
+CompileCache::entries() const
+{
+    std::lock_guard<std::mutex> lock(_mu);
+    return _entries.size();
 }
 
 } // namespace exp

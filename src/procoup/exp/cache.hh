@@ -31,9 +31,15 @@
  * is counted corrupt and silently recompiled (and re-published) —
  * corruption can cost time, never correctness. Compile *errors* are
  * memoized in memory only, never on disk.
+ *
+ * The memory tier keeps at most kMaxEntries keys and drops the oldest
+ * past that, so a cache that lives as long as a daemon's worker stays
+ * bounded. A dropped key reloads from the disk tier, or compiles
+ * again without one; a result handed out stays valid.
  */
 
 #include <cstdint>
+#include <deque>
 #include <future>
 #include <map>
 #include <memory>
@@ -71,6 +77,11 @@ class CompileCache
         }
     };
 
+    /** Keys the memory tier holds at most: more than perfbench's soak
+     *  plan compiles (640), so a warm worker serves such a plan from
+     *  memory. */
+    static constexpr std::size_t kMaxEntries = 1024;
+
     /** Compile (or fetch the memoized compilation of) @p source.
      *  @param[out] was_hit optionally set to whether this call was
      *  served without compiling (memory or disk tier).
@@ -97,6 +108,9 @@ class CompileCache
 
     Stats stats() const;
 
+    /** Keys the memory tier holds now (at most kMaxEntries). */
+    std::size_t entries() const;
+
     /** The cache key; exposed for tests. */
     static std::string key(const std::string& source,
                            const config::MachineConfig& machine,
@@ -120,6 +134,7 @@ class CompileCache
     std::string _diskDir;
     mutable std::mutex _mu;
     std::map<std::string, Entry> _entries;
+    std::deque<std::map<std::string, Entry>::iterator> _age;  ///< oldest first
     Stats _stats;
 };
 

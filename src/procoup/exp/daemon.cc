@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstring>
 #include <mutex>
+#include <optional>
 #include <thread>
 
 #include "procoup/exp/journal.hh"
@@ -73,19 +74,20 @@ struct SweepDaemon::PlanSession
     std::atomic<std::uint64_t> cacheHits{0};
     std::atomic<std::uint64_t> cacheMisses{0};
 
-    /** Count and stream one completed record, replayed or @p fresh. */
-    void stream(std::size_t index, const OutcomeRecord& rec, bool fresh)
+    /** Count and stream one completed record, given as its encoding
+     *  @p bytes: replayed, or freshly executed as @p fresh. */
+    void stream(std::size_t index, std::string_view bytes,
+                const OutcomeRecord* fresh)
     {
         if (!fresh) {
             ++replayed;
         } else {
             ++executed;
-            if (rec.threw == 0)
-                ++(rec.compileCached ? cacheHits : cacheMisses);
+            if (fresh->threw == 0)
+                ++(fresh->compileCached ? cacheHits : cacheMisses);
         }
-        conn.send(kindFrame(
-            FrameKind::PointResult,
-            encodePointResult(index, encodeOutcomeRecord(rec))));
+        conn.send(kindFrame(FrameKind::PointResult,
+                            encodePointResult(index, bytes)));
         ++doneCount;
     }
 };
@@ -98,7 +100,7 @@ SweepDaemon::SweepDaemon(DaemonOptions options)
 }
 
 void
-SweepDaemon::servePlan(int fd, PlanEnvelope&& env)
+SweepDaemon::servePlan(int fd, PlanEnvelope&& env, WorkerPool& pool)
 {
     const auto start = std::chrono::steady_clock::now();
     const ExperimentPlan& plan = env.plan;
@@ -119,8 +121,8 @@ SweepDaemon::servePlan(int fd, PlanEnvelope&& env)
     // re-executed, never recompiled.
     std::vector<std::size_t> pending;
     for (std::size_t i = 0; i < plan.size(); ++i) {
-        if (const OutcomeRecord* rec = journal.replay(i))
-            s.stream(i, *rec, /*fresh=*/false);
+        if (const std::string_view rec = journal.replay(i); !rec.empty())
+            s.stream(i, rec, /*fresh=*/nullptr);
         else
             pending.push_back(i);
     }
@@ -158,10 +160,12 @@ SweepDaemon::servePlan(int fd, PlanEnvelope&& env)
         sopts.inProcess = _options.inProcess;
         sopts.reportLost = true;
         stats = superviseWorkers(
-            plan, pending, ropts, cache, sopts,
-            [&](std::size_t i, OutcomeRecord&& rec) {
-                journal.commit(i, rec);  // write-ahead: before streaming
-                s.stream(i, rec, /*fresh=*/true);
+            pool, plan, pending, journal.fingerprints(), ropts, cache,
+            sopts,
+            [&](std::size_t i, OutcomeRecord&& rec, std::string_view bytes) {
+                // Write-ahead: journaled before it is streamed.
+                journal.commit(i, rec, bytes);
+                s.stream(i, bytes, &rec);
             });
     }
     journal.finalize();
@@ -220,6 +224,11 @@ SweepDaemon::serve()
                  _options.socketPath.c_str(),
                  _options.stateDir.c_str());
 
+    // The daemon's workers, spawned when a plan first needs them and
+    // reaped before the shutdown connection closes, so that `procoupd
+    // --stop` returns with none left.
+    std::optional<WorkerPool> pool(std::in_place);
+    int stop_fd = -1;
     while (g_daemonSignal.load() == 0) {
         struct pollfd pfd = {listen_fd, POLLIN, 0};
         const int pr = ::poll(&pfd, 1, 250);
@@ -243,7 +252,7 @@ SweepDaemon::serve()
             continue;
         }
         if (kind == FrameKind::Shutdown) {
-            ::close(fd);
+            stop_fd = fd;
             break;
         }
         if (kind != FrameKind::PlanSubmit) {
@@ -264,10 +273,13 @@ SweepDaemon::serve()
             ::close(fd);
             continue;
         }
-        servePlan(fd, std::move(env));
+        servePlan(fd, std::move(env), *pool);
         ::close(fd);
     }
 
+    pool.reset();
+    if (stop_fd >= 0)
+        ::close(stop_fd);
     ::close(listen_fd);
     ::unlink(_options.socketPath.c_str());
     std::fprintf(stderr, "procoupd: shut down\n");

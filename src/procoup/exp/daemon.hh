@@ -21,6 +21,11 @@
  * reassignment budget the point becomes a structured
  * SimErrorKind::WorkerLost record instead of wedging the plan.
  *
+ * The daemon owns one WorkerPool while it serves: a worker spawned for
+ * one plan serves every later plan with its compile cache warm. Every
+ * worker is reaped before serve() returns, on a shutdown frame,
+ * SIGTERM or SIGINT; the workers of a SIGKILLed daemon exit on EOF.
+ *
  * Durability: completed points are committed write-ahead to the
  * results journal (exp/journal.hh, whose rules SweepRunner --journal
  * shares) in the daemon's state directory before they are streamed,
@@ -29,7 +34,9 @@
  * every completed point (at-least-once delivery; clients dedup by
  * fingerprint). A client that disconnects mid-plan does not stop
  * execution: the plan finishes and journals, and the reconnected
- * client replays to the same bytes.
+ * client replays to the same bytes. A fresh record reaches the
+ * journal and the client as the bytes its worker encoded, and a
+ * replay streams the journaled bytes.
  *
  * Degradation: if a worker process cannot be spawned at all (fork or
  * pipe exhaustion), the affected supervisor threads execute their
@@ -44,6 +51,8 @@
 
 namespace procoup {
 namespace exp {
+
+class WorkerPool;
 
 struct DaemonOptions
 {
@@ -82,14 +91,14 @@ class SweepDaemon
   public:
     explicit SweepDaemon(DaemonOptions options);
 
-    /** Accept-and-serve until a shutdown frame or SIGTERM/SIGINT.
-     *  @return exit code. */
+    /** Accept-and-serve until a shutdown frame or SIGTERM/SIGINT,
+     *  then reap every worker. @return exit code. */
     int serve();
 
   private:
     struct PlanSession;
 
-    void servePlan(int fd, PlanEnvelope&& env);
+    void servePlan(int fd, PlanEnvelope&& env, WorkerPool& pool);
 
     DaemonOptions _options;
 };

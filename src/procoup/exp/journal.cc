@@ -56,14 +56,16 @@ ResultsJournal::loadFrom(const std::string& path, bool cut_torn_tail)
         return;
     std::size_t offset = 0;
     std::string payload;
+    OutcomeRecord rec;  // validates; only its fingerprint is kept
     // Stop at the first bad frame: everything after a torn or corrupt
     // record is unreachable (frames are self-delimiting), and a
-    // discarded point simply re-executes.
-    while (readFrame(bytes, offset, &payload)) {
-        OutcomeRecord rec;
+    // discarded point simply re-executes. So does a well-framed record
+    // that does not decode.
+    for (std::size_t start = 0; readFrame(bytes, offset, &payload);
+         start = offset)
         if (decodeOutcomeRecord(payload, &rec))
-            _records[rec.pointFingerprint] = std::move(rec);
-    }
+            _records[rec.pointFingerprint] =
+                bytes.substr(start, offset - start);
     // A file about to be appended to loses its torn tail first: records
     // appended after it would be unreachable on the next load.
     if (cut_torn_tail && offset < bytes.size())
@@ -109,14 +111,18 @@ ResultsJournal::open(const std::string& dir, const ExperimentPlan& plan)
     return true;
 }
 
-const OutcomeRecord*
+std::string_view
 ResultsJournal::replay(std::size_t i) const
 {
-    return _wal && !_fps[i].empty() ? find(_fps[i]) : nullptr;
+    const std::string* framed =
+        _wal && !_fps[i].empty() ? find(_fps[i]) : nullptr;
+    return framed ? std::string_view(*framed).substr(kFrameHeaderSize)
+                  : std::string_view();
 }
 
 void
-ResultsJournal::commit(std::size_t i, const OutcomeRecord& rec)
+ResultsJournal::commit(std::size_t i, const OutcomeRecord& rec,
+                       std::string_view bytes)
 {
     if (!_wal || _fps[i].empty())
         return;
@@ -124,10 +130,13 @@ ResultsJournal::commit(std::size_t i, const OutcomeRecord& rec)
     // re-fail) on resume; a fail-safe error record (failed) is data.
     if (rec.threw != 0 || (!rec.error.empty() && !rec.failed))
         return;
-    append(rec);
+    if (bytes.empty())
+        append(rec);
+    else
+        appendFramed(rec.pointFingerprint, frame(bytes));
 }
 
-const OutcomeRecord*
+const std::string*
 ResultsJournal::find(const std::string& fingerprint) const
 {
     const auto it = _records.find(fingerprint);
@@ -137,16 +146,30 @@ ResultsJournal::find(const std::string& fingerprint) const
 void
 ResultsJournal::append(const OutcomeRecord& rec)
 {
-    if (!_wal)
-        return;
-    const std::string framed = frame(encodeOutcomeRecord(rec));
+    if (_wal)
+        appendFramed(rec.pointFingerprint, frame(encodeOutcomeRecord(rec)));
+}
+
+void
+ResultsJournal::appendFramed(const std::string& fp, std::string framed)
+{
     std::lock_guard<std::mutex> lock(_mu);
     // A single fwrite keeps the frame contiguous; the flush makes the
     // record durable against SIGKILL before the next point completes.
     std::fwrite(framed.data(), 1, framed.size(), _wal);
     std::fflush(_wal);
-    _records[rec.pointFingerprint] = rec;
+    _records[fp] = std::move(framed);
     _appended = true;
+}
+
+void
+ResultsJournal::publishMerged()
+{
+    std::string merged;
+    for (const auto& [fp, framed] : _records)
+        merged += framed;
+    if (atomicWriteFile(_journalPath, merged))
+        std::remove(_walPath.c_str());
 }
 
 void
@@ -169,11 +192,7 @@ ResultsJournal::finalize()
             // drain journaled the whole plan and exited before
             // finalizing. Publish the union before dropping the WAL:
             // removing it here would delete the only copy.
-            std::string merged;
-            for (const auto& [fp, rec] : _records)
-                merged += frame(encodeOutcomeRecord(rec));
-            if (atomicWriteFile(_journalPath, merged))
-                std::remove(_walPath.c_str());
+            publishMerged();
         } else {
             // Fully replayed from a finalized journal: nothing new to
             // publish; just drop the empty WAL opened for appending.
@@ -186,11 +205,7 @@ ResultsJournal::finalize()
         // the merged record set, then drop the WAL. Crash windows are
         // safe — both files survive until the rename lands, and the
         // loader unions them.
-        std::string merged;
-        for (const auto& [fp, rec] : _records)
-            merged += frame(encodeOutcomeRecord(rec));
-        if (atomicWriteFile(_journalPath, merged))
-            std::remove(_walPath.c_str());
+        publishMerged();
     } else {
         std::rename(_walPath.c_str(), _journalPath.c_str());
     }

@@ -31,12 +31,19 @@
  * A point with a trace sink is never journaled or replayed (a replay
  * cannot reproduce tracing); one that threw or failed verification
  * re-executes on resume.
+ *
+ * It keeps each record as the bytes of its frame, never a decoded
+ * copy: open() decodes a loaded record only to validate it, commit()
+ * writes the encoding its caller already holds (a worker's, as the
+ * worker sent it), a replay hands out the kept bytes for a daemon to
+ * stream as they are, and publishing a merge concatenates them.
  */
 
 #include <cstdio>
 #include <map>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "procoup/exp/plan.hh"
@@ -76,22 +83,26 @@ class ResultsJournal
 
     bool isOpen() const { return _wal != nullptr; }
 
-    /** The record point @p i of the opened plan replays, or nullptr:
-     *  nothing is recorded for it, the journal is not open, or the
-     *  point has a trace sink. */
-    const OutcomeRecord* replay(std::size_t i) const;
+    /** The encoded record (decodeOutcomeRecord reads it) point @p i of
+     *  the opened plan replays, or "": nothing is recorded for it, the
+     *  journal is not open, or the point has a trace sink. */
+    std::string_view replay(std::size_t i) const;
 
     /** Journal point @p i's fresh record (thread-safe) unless it holds
      *  a captured exception (threw != 0) or a verification failure
      *  (error set, failed not), or the point has a trace sink. Returns
-     *  at once when the journal is not open. */
-    void commit(std::size_t i, const OutcomeRecord& rec);
+     *  at once when the journal is not open. @p bytes is the record's
+     *  encoding (encodeOutcomeRecord), written as it is, or "" to have
+     *  it encoded here. */
+    void commit(std::size_t i, const OutcomeRecord& rec,
+                std::string_view bytes = {});
 
-    /** Point @p i's fingerprint from open(); "" if it has a trace sink. */
-    const std::string& fingerprint(std::size_t i) const { return _fps[i]; }
+    /** Every point's fingerprint from open(), in plan order ("" for a
+     *  point with a trace sink); empty before open(). */
+    const std::vector<std::string>& fingerprints() const { return _fps; }
 
-    /** The record held for @p fingerprint, or nullptr. */
-    const OutcomeRecord* find(const std::string& fingerprint) const;
+    /** The framed record held for @p fingerprint, or nullptr. */
+    const std::string* find(const std::string& fingerprint) const;
 
     /** Records held: those loaded at open() and those appended since. */
     std::size_t loadedCount() const { return _records.size(); }
@@ -118,7 +129,14 @@ class ResultsJournal
   private:
     void loadFrom(const std::string& path, bool cut_torn_tail);
 
-    std::map<std::string, OutcomeRecord> _records;
+    /** Write @p framed (the frame of the record for @p fp) to the WAL,
+     *  flush it, and keep it. */
+    void appendFramed(const std::string& fp, std::string framed);
+
+    /** Publish every kept record as the journal, then drop the WAL. */
+    void publishMerged();
+
+    std::map<std::string, std::string> _records;  ///< fingerprint -> frame
     std::vector<std::string> _fps;  ///< per point; "" if it has a tracer
     std::string _walPath;
     std::string _journalPath;

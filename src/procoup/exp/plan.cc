@@ -10,12 +10,20 @@ SweepPoint&
 ExperimentPlan::add(SweepPoint point)
 {
     PROCOUP_ASSERT(!point.label.empty(), "sweep point needs a label");
-    for (const auto& p : _points)
-        PROCOUP_ASSERT(p.label != point.label,
-                       strCat("duplicate sweep-point label in plan ",
-                              _name, ": ", point.label));
+    if (!_labels.insert(point.label).second)
+        PROCOUP_PANIC(strCat("duplicate sweep-point label in plan ", _name,
+                             ": ", point.label));
     _points.push_back(std::move(point));
     return _points.back();
+}
+
+bool
+ExperimentPlan::tryAdd(SweepPoint&& point)
+{
+    if (point.label.empty() || !_labels.insert(point.label).second)
+        return false;
+    _points.push_back(std::move(point));
+    return true;
 }
 
 std::string
@@ -63,7 +71,7 @@ ExperimentPlan::filtered(const std::string& substring) const
     ExperimentPlan out(_name);
     for (const auto& p : _points)
         if (p.label.find(substring) != std::string::npos)
-            out._points.push_back(p);
+            out.add(p);
     return out;
 }
 

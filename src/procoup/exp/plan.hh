@@ -20,6 +20,7 @@
  */
 
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "procoup/config/machine.hh"
@@ -76,13 +77,17 @@ class ExperimentPlan
 
     /** Mutable access for post-construction tuning (e.g. a harness
      *  applying --sanitize or --faults to every point). Labels must
-     *  stay unique; add() is still the only way to append. */
+     *  stay as added; add() is still the only way to append. */
     std::vector<SweepPoint>& mutablePoints() { return _points; }
     bool empty() const { return _points.empty(); }
     std::size_t size() const { return _points.size(); }
 
     /** Append a fully specified point. @throws on duplicate label */
     SweepPoint& add(SweepPoint point);
+
+    /** add() for untrusted points: false, and nothing appended, on an
+     *  empty label or one the plan already holds. */
+    bool tryAdd(SweepPoint&& point);
 
     /**
      * Append a registry benchmark run: verification on, label
@@ -110,6 +115,7 @@ class ExperimentPlan
   private:
     std::string _name;
     std::vector<SweepPoint> _points;
+    std::unordered_set<std::string> _labels;  ///< as added: one lookup
 };
 
 } // namespace exp

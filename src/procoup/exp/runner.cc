@@ -126,10 +126,10 @@ executeSweepPoint(const SweepPoint& point, CompileCache& cache,
                                  point.options, &out.compileCached);
     const sched::CompileResult& compiled = *out.compiled;
 
-    core::CoupledNode node(point.machine);
     auto run_and_verify = [&](const sim::SimOptions& sim_opts) {
-        out.result = node.run(compiled.program, sim_opts, point.tracer,
-                              point.traceStalls);
+        out.result = core::runProgram(point.machine, compiled.program,
+                                      sim_opts, point.tracer,
+                                      point.traceStalls);
         out.result.compiled.funcInfo = compiled.funcInfo;
         if (!point.verifyBenchmark.empty()) {
             std::string why;
@@ -333,8 +333,10 @@ SweepRunner::run(const ExperimentPlan& plan)
     std::vector<std::size_t> pending;
     pending.reserve(plan.size());
     for (std::size_t i = 0; i < plan.size(); ++i) {
-        if (const OutcomeRecord* rec = journal.replay(i)) {
-            res.outcomes[i] = makeRunOutcome(*rec, &plan.points()[i]);
+        const std::string_view kept = journal.replay(i);
+        OutcomeRecord rec;
+        if (!kept.empty() && decodeOutcomeRecord(kept, &rec)) {
+            res.outcomes[i] = makeRunOutcome(rec, &plan.points()[i]);
             res.outcomes[i].replayed = true;
             ++res.replayedPoints;
         } else {
@@ -358,9 +360,12 @@ SweepRunner::run(const ExperimentPlan& plan)
         sopts.workers = res.jobs;
         sopts.retryPolicy = _options.retryPolicy;
         sopts.leaseMs = _options.workerTimeoutMs;
-        superviseWorkers(plan, isolated, _options, *_cache, sopts,
-                         [&](std::size_t i, OutcomeRecord&& rec) {
-                             journal.commit(i, rec);
+        WorkerPool pool;  // this run's workers, reaped at the block's end
+        superviseWorkers(pool, plan, isolated, journal.fingerprints(),
+                         _options, *_cache, sopts,
+                         [&](std::size_t i, OutcomeRecord&& rec,
+                             std::string_view bytes) {
+                             journal.commit(i, rec, bytes);
                              failures[i] = recordException(rec);
                              res.outcomes[i] =
                                  makeRunOutcome(rec, &plan.points()[i]);
@@ -378,7 +383,7 @@ SweepRunner::run(const ExperimentPlan& plan)
                     executeSweepPoint(plan.points()[i], *_cache, _options);
                 if (journal.isOpen())
                     journal.commit(
-                        i, makeOutcomeRecord(o, journal.fingerprint(i)));
+                        i, makeOutcomeRecord(o, journal.fingerprints()[i]));
             } catch (...) {
                 failures[i] = std::current_exception();
             }

@@ -6,8 +6,6 @@
 #include <cstring>
 #include <fcntl.h>
 #include <fstream>
-#include <set>
-#include <string_view>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -54,19 +52,19 @@ ByteReader::str()
         _failed = true;
         return {};
     }
-    std::string s(_bytes, _pos, n);
+    std::string s(_bytes.substr(_pos, n));
     _pos += n;
     return s;
 }
 
 std::string
-frame(const std::string& payload)
+frame(std::string_view payload)
 {
     ByteWriter w;
     w.u32(kFrameMagic);
     w.u32(kFormatVersion);
     w.u64(payload.size());
-    w.u64(fnv1a64(payload));
+    w.u64(fnv1a64(payload.data(), payload.size()));
     std::string out = w.take();
     out += payload;
     return out;
@@ -446,13 +444,11 @@ fields(Io& io, T& p)
     io.u64(p.simOptions.sanitizeEveryCycles);
 }
 
-/** plan-submit body: the plan's name, the knobs that change results,
- *  then its points. */
-template <class Io, class Name, class Options, class Points>
+/** The RunnerOptions that change a point's result. */
+template <class Io, class Options>
 void
-submitFields(Io& io, Name& name, Options& options, Points& points)
+knobFields(Io& io, Options& options)
 {
-    io.str(name);
     io.b(options.cacheEnabled);
     io.b(options.failSafe);
     io.b(options.retryFaulted);
@@ -460,20 +456,33 @@ submitFields(Io& io, Name& name, Options& options, Points& points)
     io.i64(retries, 1 << 20);
     if constexpr (Io::reading)
         options.retryPolicy.maxAttempts = retries + 1;
+}
+
+/** plan-submit body: the plan's name, the knobs that change results,
+ *  then its points. */
+template <class Io, class Name, class Options, class Points>
+void
+submitFields(Io& io, Name& name, Options& options, Points& points)
+{
+    io.str(name);
+    knobFields(io, options);
     io.size64(points, 1u << 20);
     for (auto& p : points)
         fields(io, p);
 }
 
 /** point-lease body: the worker's heartbeat cadence, the disk cache it
- *  compiles through, and a one-point plan-submit body. */
-template <class Io, class Ms, class Dir, class Submit>
+ *  compiles through, the knobs, the point's fingerprint, the point. */
+template <class Io, class Ms, class Options, class Fp, class Point>
 void
-leaseFields(Io& io, Ms& heartbeatMs, Dir& diskCacheDir, Submit& submit)
+leaseFields(Io& io, Ms& heartbeatMs, Options& options, Fp& fingerprint,
+            Point& point)
 {
     io.f64(heartbeatMs);
-    io.str(diskCacheDir);
-    io.str(submit);
+    io.str(options.diskCacheDir);
+    knobFields(io, options);
+    io.str(fingerprint);
+    fields(io, point);
 }
 
 /** point-result body: the plan index, then the record payload. */
@@ -543,7 +552,7 @@ encodeOutcomeRecord(const OutcomeRecord& rec)
 }
 
 bool
-decodeOutcomeRecord(const std::string& payload, OutcomeRecord* rec)
+decodeOutcomeRecord(std::string_view payload, OutcomeRecord* rec)
 {
     ByteReader r(payload);
     fields(r, *rec);
@@ -564,65 +573,75 @@ encodePlanSubmit(const ExperimentPlan& plan, const RunnerOptions& options)
     return w.take();
 }
 
+namespace {
+
+/** Binding a machine the simulator cannot run aborts the point, so a
+ *  decoder treats such a machine as malformed bytes. */
+bool
+runnable(const config::MachineConfig& machine)
+{
+    try {
+        config::validateMachine(machine);
+        return true;
+    } catch (const CompileError&) {
+        return false;
+    }
+}
+
+/** What a decoded body's RunnerOptions start from: every option the
+ *  body does not carry at its default, verification failures left to
+ *  the submitting side. */
+RunnerOptions
+decodedOptions()
+{
+    RunnerOptions options;
+    options.exitOnVerifyFailure = false;
+    return options;
+}
+
+} // namespace
+
 bool
 decodePlanSubmit(const std::string& body, PlanEnvelope* env)
 {
     std::string name;
     std::vector<SweepPoint> points;
-    env->options = RunnerOptions{};
-    env->options.exitOnVerifyFailure = false;
+    env->options = decodedOptions();
     ByteReader r(body);
     submitFields(r, name, env->options, points);
     if (r.failed() || !r.atEnd())
         return false;
-    // ExperimentPlan::add aborts on an empty or repeated label, and
-    // binding a machine the simulator cannot run aborts the point, so
-    // such a plan is malformed bytes here.
-    std::set<std::string_view> labels;
-    for (const SweepPoint& p : points) {
-        if (p.label.empty() || !labels.insert(p.label).second)
-            return false;
-        try {
-            config::validateMachine(p.machine);
-        } catch (const CompileError&) {
-            return false;
-        }
-    }
-    env->plan = ExperimentPlan(name);
+    // ExperimentPlan::add aborts on an empty or repeated label; tryAdd
+    // refuses it instead.
+    env->plan = ExperimentPlan(std::move(name));
     for (SweepPoint& p : points)
-        env->plan.add(std::move(p));
+        if (!runnable(p.machine) || !env->plan.tryAdd(std::move(p)))
+            return false;
     return true;
 }
 
 std::string
-encodePointLease(const ExperimentPlan& plan, std::size_t index,
+encodePointLease(const SweepPoint& point, const std::string& fingerprint,
                  const RunnerOptions& options, double heartbeatMs)
 {
-    ExperimentPlan one(plan.name());
-    one.add(plan.points()[index]);
-    const std::string submit = encodePlanSubmit(one, options);
     ByteWriter w;
-    leaseFields(w, heartbeatMs, options.diskCacheDir, submit);
+    leaseFields(w, heartbeatMs, options, fingerprint, point);
     return w.take();
 }
 
 bool
-decodePointLease(const std::string& body, double* heartbeatMs,
-                 PlanEnvelope* env)
+decodePointLease(const std::string& body, LeasedPoint* lease)
 {
-    std::string disk_dir, submit;
+    lease->options = decodedOptions();
     ByteReader r(body);
-    leaseFields(r, *heartbeatMs, disk_dir, submit);
-    if (r.failed() || !r.atEnd() || !decodePlanSubmit(submit, env) ||
-        env->plan.size() != 1)
-        return false;
-    env->options.diskCacheDir = disk_dir;
-    return true;
+    leaseFields(r, lease->heartbeatMs, lease->options, lease->fingerprint,
+                lease->point);
+    return !r.failed() && r.atEnd() && !lease->point.label.empty() &&
+           runnable(lease->point.machine);
 }
 
 std::string
-encodePointResult(std::uint64_t planIndex,
-                  const std::string& recordPayload)
+encodePointResult(std::uint64_t planIndex, std::string_view recordPayload)
 {
     ByteWriter w;
     resultFields(w, planIndex, recordPayload);

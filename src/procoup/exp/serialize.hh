@@ -37,6 +37,7 @@
 #include <cstring>
 #include <map>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -85,7 +86,7 @@ class ByteWriter
     void u64(std::uint64_t v) { put(&v, 8); }
     void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
     void f64(double v) { put(&v, 8); }
-    void str(const std::string& s)
+    void str(std::string_view s)
     {
         u64(s.size());
         _bytes.append(s);
@@ -145,7 +146,7 @@ class ByteReader
   public:
     static constexpr bool reading = true;
 
-    explicit ByteReader(const std::string& bytes) : _bytes(bytes) {}
+    explicit ByteReader(std::string_view bytes) : _bytes(bytes) {}
 
     std::uint8_t u8() { return get<std::uint8_t>(); }
     bool b() { return u8() != 0; }
@@ -242,13 +243,13 @@ class ByteReader
         return 0;
     }
 
-    const std::string& _bytes;
+    std::string_view _bytes;
     std::size_t _pos = 0;
     bool _failed = false;
 };
 
 /** Wrap @p payload in a checksummed frame (see file header). */
-std::string frame(const std::string& payload);
+std::string frame(std::string_view payload);
 
 /** Parse one frame starting at @p offset of @p bytes. On success,
  *  returns true, sets @p payload and advances @p offset past the
@@ -302,7 +303,7 @@ struct OutcomeRecord
 };
 
 std::string encodeOutcomeRecord(const OutcomeRecord& rec);
-bool decodeOutcomeRecord(const std::string& payload, OutcomeRecord* rec);
+bool decodeOutcomeRecord(std::string_view payload, OutcomeRecord* rec);
 
 /** Write @p bytes to @p path via same-directory temp file + rename;
  *  returns false (and cleans up) on any I/O error. */

@@ -131,17 +131,24 @@ msSince(std::chrono::steady_clock::time_point start)
 }
 
 /** One connected session: submit the plan, consume frames until
- *  plan-done or a dead/garbled connection. Returns true on plan-done. */
+ *  plan-done or a dead/garbled connection. Returns true on plan-done.
+ *  The first session fills @p fps, which check every result, while the
+ *  daemon decodes the submission. */
 bool
 runClientSession(int fd, const std::string& submitFrame,
                  const ExperimentPlan& plan,
-                 const std::vector<std::string>& fps,
+                 std::vector<std::string>& fps,
                  std::vector<bool>& have,
                  std::vector<OutcomeRecord>& records,
                  DaemonStats* stats, double frameTimeoutMs)
 {
     if (!writeAllFd(fd, submitFrame.data(), submitFrame.size()))
         return false;
+    if (fps.empty()) {
+        fps.reserve(plan.size());
+        for (const SweepPoint& p : plan.points())
+            fps.push_back(pointFingerprint(p));
+    }
     for (;;) {
         std::string payload;
         if (readFrameFromFd(fd, frameTimeoutMs, &payload) !=
@@ -208,10 +215,7 @@ runPlanOverSocket(const ExperimentPlan& plan, const RunnerOptions& ropts,
     const std::string submit =
         kindFrame(FrameKind::PlanSubmit, encodePlanSubmit(plan, ropts));
 
-    std::vector<std::string> fps(plan.size());
-    for (std::size_t i = 0; i < plan.size(); ++i)
-        fps[i] = pointFingerprint(plan.points()[i]);
-
+    std::vector<std::string> fps;
     std::vector<bool> have(plan.size(), false);
     std::vector<OutcomeRecord> records(plan.size());
     DaemonStats stats;

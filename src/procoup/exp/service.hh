@@ -25,6 +25,13 @@
  * streamed results are byte-identical. Points carrying a trace sink
  * cannot be serialized and are rejected at encode time.
  *
+ * A point-lease carries one point, not a plan: the point, the
+ * fingerprint its journal computed, and the knobs (the plan-submit's
+ * result knobs, the disk cache, the heartbeat cadence). A worker's
+ * point-result record reaches the client in the daemon's point-result
+ * frame as the same bytes, and a journal replay sends the journaled
+ * bytes.
+ *
  * Delivery is at-least-once: after a reconnect the daemon re-streams
  * every completed point (journal replay), and the client deduplicates
  * by point fingerprint, so interrupted sessions converge to the same
@@ -93,21 +100,32 @@ bool decodePlanSubmit(const std::string& body, PlanEnvelope* env);
 
 // ---- Frame bodies ------------------------------------------------------
 
-/** point-lease body for point @p index of @p plan: the worker's
- *  heartbeat cadence, @p options.diskCacheDir, and the point as a
- *  one-point plan-submit body. */
-std::string encodePointLease(const ExperimentPlan& plan, std::size_t index,
+/** A decoded point-lease: one point, the fingerprint its record must
+ *  carry, and the knobs it runs under (a PlanEnvelope's, plus the
+ *  disk cache it compiles through and the heartbeat cadence). */
+struct LeasedPoint
+{
+    SweepPoint point;
+    std::string fingerprint;
+    RunnerOptions options;
+    double heartbeatMs = 0.0;
+};
+
+/** point-lease body: @p point, its @p fingerprint, the result knobs
+ *  and diskCacheDir of @p options, and the worker's heartbeat cadence
+ *  (0: none). */
+std::string encodePointLease(const SweepPoint& point,
+                             const std::string& fingerprint,
                              const RunnerOptions& options,
                              double heartbeatMs);
 
-/** Decode a point-lease; false on malformed bytes or a plan that does
- *  not hold exactly one point. */
-bool decodePointLease(const std::string& body, double* heartbeatMs,
-                      PlanEnvelope* env);
+/** Decode a point-lease; false on malformed bytes, an empty label, or
+ *  a machine config::validateMachine rejects. */
+bool decodePointLease(const std::string& body, LeasedPoint* lease);
 
 /** point-result body: plan index + the embedded OutcomeRecord. */
 std::string encodePointResult(std::uint64_t planIndex,
-                              const std::string& recordPayload);
+                              std::string_view recordPayload);
 bool decodePointResult(const std::string& body, std::uint64_t* planIndex,
                        std::string* recordPayload);
 

@@ -222,6 +222,8 @@ installFd(int fd, int target)
     ::dup2(fd, target);
 }
 
+} // namespace
+
 /** One spawned worker child and the parent's ends of its pipes; the
  *  child is killed and reaped at the latest on destruction. */
 struct WorkerProcess
@@ -278,6 +280,17 @@ struct WorkerProcess
             pid = -1;
         }
         closeFds();
+    }
+
+    /** Reap the child if it has died: a pooled worker killed while
+     *  its pool was idle. Its slot then respawns on next need. */
+    void reapIfDead()
+    {
+        int status = 0;
+        if (alive() && ::waitpid(pid, &status, WNOHANG) == pid) {
+            pid = -1;
+            closeFds();
+        }
     }
 
     /** Reap a child that closed its pipe; returns the exit status
@@ -356,6 +369,20 @@ struct WorkerProcess
     }
 };
 
+WorkerPool::WorkerPool() = default;
+WorkerPool::~WorkerPool() = default;
+
+void
+WorkerPool::prepare(std::size_t slots)
+{
+    for (const auto& w : _slots)
+        w->reapIfDead();
+    while (_slots.size() < slots)
+        _slots.push_back(std::make_unique<WorkerProcess>());
+}
+
+namespace {
+
 /** A claimed point in one worker's queue. */
 struct Lease
 {
@@ -370,10 +397,11 @@ struct Supervisor
 {
     const ExperimentPlan& plan;
     const std::vector<std::size_t>& indices;
+    const std::vector<std::string>& fps;  ///< per plan index, or empty
     const RunnerOptions& ropts;
     CompileCache& cache;
     const SupervisorOptions& opts;
-    const std::function<void(std::size_t, OutcomeRecord&&)>& commit;
+    const RecordSink& commit;
     const std::size_t workers;  ///< supervising threads
 
     std::atomic<std::size_t> next{0};
@@ -385,16 +413,16 @@ struct Supervisor
     std::atomic<bool> warnedSpawn{false};
 };
 
-/** One supervising thread: a worker process and the leases written to
- *  it, head first. The worker runs them in order, so a lost worker was
- *  executing the head: only the head is charged an attempt, and the
- *  leases queued behind it go to the next worker uncharged. */
+/** One supervising thread: a pooled worker process and the leases
+ *  written to it, head first. The worker runs them in order, so a lost
+ *  worker was executing the head: only the head is charged an attempt,
+ *  and the leases queued behind it go to the next worker uncharged. */
 struct WorkerQueue
 {
-    explicit WorkerQueue(Supervisor& s) : sup(s) {}
+    WorkerQueue(Supervisor& s, WorkerProcess& w) : sup(s), child(w) {}
 
     Supervisor& sup;
-    WorkerProcess child;
+    WorkerProcess& child;
     std::deque<Lease> leases;
     double deadlineMs = 0.0;  ///< when the head's lease expires
 
@@ -422,7 +450,9 @@ struct WorkerQueue
                 return;
             Lease& l = leases.emplace_back();
             l.index = sup.indices[n];
-            l.fp = pointFingerprint(sup.plan.points()[l.index]);
+            l.fp = sup.fps.empty()
+                       ? pointFingerprint(sup.plan.points()[l.index])
+                       : sup.fps[l.index];
         }
     }
 
@@ -437,18 +467,20 @@ struct WorkerQueue
                 renew();
             child.outbox += kindFrame(
                 FrameKind::PointLease,
-                encodePointLease(sup.plan, l.index, sup.ropts,
-                                 sup.opts.heartbeatMs));
+                encodePointLease(sup.plan.points()[l.index], l.fp,
+                                 sup.ropts, sup.opts.heartbeatMs));
             l.issued = true;
             ++sup.leasesIssued;
         }
         child.flush();
     }
 
-    /** Wait for the head's result into @p rec, renewing its lease on
-     *  each heartbeat. If the worker is lost, set @p kind and @p desc,
-     *  kill or reap it, and return false. */
-    bool await(OutcomeRecord* rec, SimErrorKind* kind, std::string* desc)
+    /** Wait for the head's result into @p rec, and its encoding into
+     *  @p bytes, renewing its lease on each heartbeat. If the worker is
+     *  lost, set @p kind and @p desc, kill or reap it, and return
+     *  false. */
+    bool await(OutcomeRecord* rec, std::string* bytes, SimErrorKind* kind,
+               std::string* desc)
     {
         for (;;) {
             if (!child.outbox.empty()) {
@@ -482,8 +514,7 @@ struct WorkerQueue
                 return false;
             }
             FrameKind fk{};
-            std::string body;
-            const bool tagged = splitKindPayload(payload, &fk, &body);
+            const bool tagged = splitKindPayload(payload, &fk, bytes);
             if (tagged && fk == FrameKind::Heartbeat) {
                 if (child.ready)  // the first one reports ready
                     ++sup.heartbeats;
@@ -492,7 +523,7 @@ struct WorkerQueue
                 continue;
             }
             if (tagged && fk == FrameKind::PointResult &&
-                decodeOutcomeRecord(body, rec) &&
+                decodeOutcomeRecord(*bytes, rec) &&
                 rec->pointFingerprint == leases.front().fp)
                 return true;
             *desc = "sent a garbled or unexpected frame";
@@ -503,17 +534,24 @@ struct WorkerQueue
 
     /** Pop the head, write the next lease, then commit the head's
      *  record: the worker runs the next point during the commit. The
-     *  new head's clock starts now, with its predecessor's result. */
-    void complete(OutcomeRecord&& rec)
+     *  new head's clock starts now, with its predecessor's result.
+     *  @p bytes is the worker's encoding of @p rec, or "" for a record
+     *  built here; the record is encoded here when it has none or when
+     *  the head's charged attempts change its retries. */
+    void complete(OutcomeRecord&& rec, std::string&& bytes)
     {
-        const std::size_t index = leases.front().index;
-        rec.retries += static_cast<std::uint32_t>(leases.front().attempt);
+        const Lease& head = leases.front();
+        const std::size_t index = head.index;
+        if (bytes.empty() || head.attempt > 0) {
+            rec.retries += static_cast<std::uint32_t>(head.attempt);
+            bytes = encodeOutcomeRecord(rec);
+        }
         leases.pop_front();
         renew();
         claim();
         if (child.alive())
             issue();
-        sup.commit(index, std::move(rec));
+        sup.commit(index, std::move(rec), bytes);
     }
 
     /** Drive every claimed point through the lease state machine. */
@@ -532,15 +570,17 @@ struct WorkerQueue
             if (!child.alive()) {
                 ++sup.leasesIssued;
                 complete(executePointToRecord(point, head.fp, sup.cache,
-                                              sup.ropts));
+                                              sup.ropts),
+                         {});
                 continue;
             }
             issue();
             OutcomeRecord rec;
+            std::string bytes;
             SimErrorKind kind{};
             std::string desc;
-            if (await(&rec, &kind, &desc)) {
-                complete(std::move(rec));
+            if (await(&rec, &bytes, &kind, &desc)) {
+                complete(std::move(rec), std::move(bytes));
                 continue;
             }
             for (Lease& l : leases)
@@ -567,7 +607,7 @@ struct WorkerQueue
                 sup.opts.reportLost ? SimErrorKind::WorkerLost : kind);
             rec.error = strCat("worker executing '", point.label, "' ",
                                desc, " (", budget + 1, " attempts)");
-            complete(std::move(rec));
+            complete(std::move(rec), {});
         }
     }
 };
@@ -599,7 +639,7 @@ runWorkerIfRequested(int argc, char** argv)
     // so start-up is not charged to that point.
     sendHeartbeat(0);
 
-    CompileCache cache;
+    CompileCache cache;  // warm for the worker's life, plan after plan
     WorkerOutput out;
     for (;;) {
         std::string payload;
@@ -608,14 +648,13 @@ runWorkerIfRequested(int argc, char** argv)
             _exit(0);  // the supervisor hung up
         FrameKind kind{};
         std::string body;
-        double heartbeat_ms = 0.0;
-        PlanEnvelope env;
+        LeasedPoint lease;
         if (!splitKindPayload(payload, &kind, &body) ||
             kind != FrameKind::PointLease ||
-            !decodePointLease(body, &heartbeat_ms, &env))
+            !decodePointLease(body, &lease))
             _exit(125);  // protocol violation
-        const SweepPoint& point = env.plan.points().front();
-        const RunnerOptions& ropts = env.options;
+        const SweepPoint& point = lease.point;
+        const RunnerOptions& ropts = lease.options;
 
         if (crash_label && point.label == crash_label)
             _exit(42);
@@ -624,9 +663,9 @@ runWorkerIfRequested(int argc, char** argv)
                 std::this_thread::sleep_for(std::chrono::hours(1));
 
         cache.configure(ropts.cacheEnabled, ropts.diskCacheDir);
-        out.begin(heartbeat_ms);
-        const OutcomeRecord rec = executePointToRecord(
-            point, pointFingerprint(point), cache, ropts);
+        out.begin(lease.heartbeatMs);
+        const OutcomeRecord rec =
+            executePointToRecord(point, lease.fingerprint, cache, ropts);
         if (!out.end(kindFrame(FrameKind::PointResult,
                                encodeOutcomeRecord(rec))))
             _exit(125);  // the supervisor is gone
@@ -634,12 +673,11 @@ runWorkerIfRequested(int argc, char** argv)
 }
 
 DaemonStats
-superviseWorkers(const ExperimentPlan& plan,
+superviseWorkers(WorkerPool& pool, const ExperimentPlan& plan,
                  const std::vector<std::size_t>& indices,
+                 const std::vector<std::string>& fps,
                  const RunnerOptions& ropts, CompileCache& cache,
-                 const SupervisorOptions& opts,
-                 const std::function<void(std::size_t, OutcomeRecord&&)>&
-                     commit)
+                 const SupervisorOptions& opts, const RecordSink& commit)
 {
     // A worker death must surface as a lost lease, not kill the
     // supervisor with SIGPIPE on the next lease write.
@@ -647,8 +685,13 @@ superviseWorkers(const ExperimentPlan& plan,
 
     const std::size_t workers = std::min<std::size_t>(
         std::max(opts.workers, 1), indices.size());
-    Supervisor sup{plan, indices, ropts, cache, opts, commit, workers};
-    runOnThreads(workers, [&] { WorkerQueue(sup).run(); });
+    if (workers == 0)
+        return {};
+    pool.prepare(workers);
+    Supervisor sup{plan, indices, fps, ropts, cache, opts, commit, workers};
+    std::atomic<std::size_t> slot{0};
+    runOnThreads(workers,
+                 [&] { WorkerQueue(sup, pool.slot(slot++)).run(); });
 
     DaemonStats stats;
     stats.leasesIssued = sup.leasesIssued.load();

@@ -8,12 +8,13 @@
  * (exp/daemon.hh).
  *
  * A worker is the running binary re-executed as `<binary> --worker`.
- * It is stateless: it holds no plan, only a compile cache, and serves
- * leases over two inherited pipes with kind-tagged frames
- * (exp/service.hh) —
+ * It holds no plan, only a compile cache (bounded, exp/cache.hh) that
+ * lives as long as the worker, and serves leases over two inherited
+ * pipes with kind-tagged frames (exp/service.hh) —
  *
- *     fd 3 (supervisor -> worker): point-lease — one serialized point
- *                                  plus the knobs that change its result
+ *     fd 3 (supervisor -> worker): point-lease — one serialized point,
+ *                                  its fingerprint, and the knobs that
+ *                                  change its result
  *     fd 4 (worker -> supervisor): one ready heartbeat at start; per
  *                                  lease, heartbeat frames while the
  *                                  point executes, then one
@@ -27,6 +28,14 @@
  * started by the first lease that asks for heartbeats, beats every
  * cadence while a point executes; a mutex keeps its frames out of the
  * result frames.
+ *
+ * Workers live in a WorkerPool that outlives a superviseWorkers()
+ * call: procoupd keeps one for its lifetime, so a worker and its warm
+ * cache serve plan after plan; --isolate-workers makes one per run. A
+ * slot spawns its worker on first need. A worker that died while its
+ * pool was idle is reaped when the next call starts and replaced
+ * without charging any point; one lost during a call is charged as
+ * below.
  *
  * Each supervising thread keeps two leases written to its worker, the
  * head and one queued behind it, while more points wait unclaimed
@@ -59,12 +68,19 @@
  * instead. If a worker cannot be spawned, the head runs in-process
  * against the supervisor's compile cache, with identical results.
  *
+ * A lease carries its point's fingerprint, which the caller's journal
+ * computed, and the supervisor checks it on the result. The worker's
+ * record bytes reach the caller unchanged; the supervisor encodes
+ * only a record it builds or changes.
+ *
  * Every binary that supervises workers must call runWorkerIfRequested
  * first thing in main() (harnessMain, pcsim and procoupd do).
  */
 
 #include <functional>
+#include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "procoup/exp/backoff.hh"
@@ -117,24 +133,54 @@ struct SupervisorOptions
     bool reportLost = false;
 };
 
+/** One worker process and its pipes (exp/worker.cc). */
+struct WorkerProcess;
+
+/** The workers of superviseWorkers() calls, one call at a time: slot i
+ *  serves supervising thread i. Destruction kills and reaps them. */
+class WorkerPool
+{
+  public:
+    WorkerPool();
+    ~WorkerPool();
+
+    WorkerPool(const WorkerPool&) = delete;
+    WorkerPool& operator=(const WorkerPool&) = delete;
+
+    /** Reap every worker that died since the last call, so that its
+     *  slot respawns uncharged, and hold at least @p slots slots. */
+    void prepare(std::size_t slots);
+
+    WorkerProcess& slot(std::size_t i) { return *_slots[i]; }
+
+  private:
+    std::vector<std::unique_ptr<WorkerProcess>> _slots;
+};
+
+/** Receives a finished point: its plan index, its record, and the
+ *  record's encoding (encodeOutcomeRecord). */
+using RecordSink =
+    std::function<void(std::size_t, OutcomeRecord&&, std::string_view)>;
+
 /**
  * Execute the points @p indices of @p plan under @p opts.workers
- * supervised workers. @p commit runs once per index (from supervising
- * threads, distinct indices) with the finished record; records whose
- * threw class is set carry an exception for the caller to rethrow.
- * Claimed points (up to two per worker) finish; points not yet
- * claimed when sweepStopRequested() turns true are skipped. @p ropts
- * carries the knobs shipped with every lease; @p cache serves
- * in-process execution. @return the lease accounting (the lease,
- * heartbeat and workerLost counters of DaemonStats).
+ * supervised workers of @p pool. @p fps holds every point's journal
+ * fingerprint in plan order; if it is empty, each claimed point's is
+ * computed. @p commit runs once per index (from supervising threads,
+ * distinct indices) with the finished record; records whose threw
+ * class is set carry an exception for the caller to rethrow. Claimed
+ * points (up to two per worker) finish; points not yet claimed when
+ * sweepStopRequested() turns true are skipped. @p ropts carries the
+ * knobs shipped with every lease; @p cache serves in-process
+ * execution. @return the lease accounting (the lease, heartbeat and
+ * workerLost counters of DaemonStats).
  */
 DaemonStats
-superviseWorkers(const ExperimentPlan& plan,
+superviseWorkers(WorkerPool& pool, const ExperimentPlan& plan,
                  const std::vector<std::size_t>& indices,
+                 const std::vector<std::string>& fps,
                  const RunnerOptions& ropts, CompileCache& cache,
-                 const SupervisorOptions& opts,
-                 const std::function<void(std::size_t, OutcomeRecord&&)>&
-                     commit);
+                 const SupervisorOptions& opts, const RecordSink& commit);
 
 } // namespace exp
 } // namespace procoup

@@ -29,7 +29,11 @@ constexpr std::uint64_t wallCheckIntervalCycles = 4096;
 Simulator::Simulator(const config::MachineConfig& machine,
                      const isa::Program& program,
                      const SimOptions& options)
-    : machine(machine), program(program), opts(options),
+    : arbitration(machine.arbitration),
+      maxActiveThreads(machine.maxActiveThreads),
+      swapOutIdleCycles(machine.swapOutIdleCycles),
+      deadlockCycleLimit(machine.deadlockCycleLimit), program(program),
+      opts(options),
       network(machine.interconnect,
               static_cast<int>(machine.clusters.size())),
       opCaches(machine.opCache, machine.numFus())
@@ -401,7 +405,7 @@ Simulator::selectAndIssue()
     // front. The instruction pointers cannot move during the issue
     // phase, and selection reads a frozen view of the presence bits.
     const bool round_robin =
-        machine.arbitration == config::ArbitrationPolicy::RoundRobin;
+        arbitration == config::ArbitrationPolicy::RoundRobin;
     for (int lap = 0; lap < (round_robin ? 2 : 1); ++lap) {
         for (const int ti : activeList) {
             ThreadContext& t = *threads[ti];
@@ -545,8 +549,8 @@ Simulator::step()
                 if (keep != i)
                     pendingSpawns[keep] = std::move(ps);
                 ++keep;
-            } else if (machine.maxActiveThreads > 0 &&
-                       activeThreads() >= machine.maxActiveThreads) {
+            } else if (maxActiveThreads > 0 &&
+                       activeThreads() >= maxActiveThreads) {
                 waitingForSlot.push_back(std::move(ps));
             } else {
                 spawnThread(ps.forkTarget, ps.args);
@@ -613,7 +617,7 @@ Simulator::fastForwardQuiescentSpan()
     // through lastProgressCycle + limit.
     const std::uint64_t horizon =
         lastProgressCycle +
-        static_cast<std::uint64_t>(machine.deadlockCycleLimit);
+        static_cast<std::uint64_t>(deadlockCycleLimit);
     bool deadlocked = false;
     if (next > horizon) {
         next = horizon + 1;
@@ -642,8 +646,7 @@ Simulator::manageActiveSet()
     // Fill free slots: suspended threads resume first (they hold
     // partial state), then queued spawns, in FIFO order.
     auto has_slot = [&] {
-        return machine.maxActiveThreads == 0 ||
-               activeThreads() < machine.maxActiveThreads;
+        return maxActiveThreads == 0 || activeThreads() < maxActiveThreads;
     };
     bool resumed = false;
     while (has_slot() && !suspended.empty()) {
@@ -669,8 +672,7 @@ Simulator::manageActiveSet()
 
     // Idle swap-out: a resident thread that has issued nothing for
     // the configured window gives up its slot when others wait.
-    if (machine.swapOutIdleCycles <= 0 ||
-            machine.maxActiveThreads <= 0)
+    if (swapOutIdleCycles <= 0 || maxActiveThreads <= 0)
         return;
     const bool someone_waits =
         !waitingForSlot.empty() || !suspended.empty();
@@ -680,7 +682,7 @@ Simulator::manageActiveSet()
         ThreadContext& t = *threads[*it];
         const bool idle =
             _cycle - t.lastIssueCycle() >
-            static_cast<std::uint64_t>(machine.swapOutIdleCycles);
+            static_cast<std::uint64_t>(swapOutIdleCycles);
         if (idle) {
             trace(TraceEvent::Kind::Retire, *it, -1, [&] {
                 return strCat(t.code().name, " (swapped out)");
@@ -882,7 +884,7 @@ Simulator::checkDeadlock()
     if (finished() || progressThisCycle)
         return;
     if (_cycle - lastProgressCycle >
-            static_cast<std::uint64_t>(machine.deadlockCycleLimit))
+            static_cast<std::uint64_t>(deadlockCycleLimit))
         reportDeadlock();
 }
 

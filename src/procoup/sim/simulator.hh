@@ -118,7 +118,8 @@ class Simulator
      * the machine first; the entry thread is spawned at cycle 0.
      * The program is borrowed, never copied or written: the caller
      * keeps it alive for the simulator's lifetime, and any number of
-     * simulators, on any threads, may share it.
+     * simulators, on any threads, may share it. The machine is read
+     * here and not kept.
      */
     Simulator(const config::MachineConfig& machine,
               const isa::Program& program,
@@ -312,7 +313,12 @@ class Simulator
     /** --sanitize re-validation; throws SimError(InvariantViolation). */
     void sanitizeCheck() const;
 
-    config::MachineConfig machine;
+    /** What the cycle loop reads of the machine; the constructor reads
+     *  the rest and keeps no copy. */
+    config::ArbitrationPolicy arbitration;
+    int maxActiveThreads;
+    int swapOutIdleCycles;
+    int deadlockCycleLimit;
 
     /** The borrowed program. All per-point mutable state lives in
      *  the members below. */

@@ -684,6 +684,53 @@ TEST(JournalRules, PointThatThrowsStaysOutOfTheJournal)
     EXPECT_TRUE(d.alive());
 }
 
+TEST(Journal, UndecodableRecordIsDroppedAtOpen)
+{
+    exp::ExperimentPlan plan("undecodable");
+    plan.addSource("clean", config::baseline(), kTiny,
+                   core::SimMode::Coupled);
+    plan.addSource("broken", config::baseline(), kTiny,
+                   core::SimMode::Sts);
+    const std::string base = exp::planFingerprint(plan);
+
+    // The records a clean local run journals, as a write-ahead log in
+    // which "broken"'s frame holds but its record, one byte longer,
+    // does not decode.
+    const testutil::ScopedTempDir ref("procoup_rules");
+    runLocal(plan, ref.path());
+    std::string bytes, wal, payload;
+    ASSERT_TRUE(
+        exp::readWholeFile(ref.path() + "/" + base + ".journal", &bytes));
+    for (std::size_t offset = 0; exp::readFrame(bytes, offset, &payload);) {
+        exp::OutcomeRecord rec;
+        ASSERT_TRUE(exp::decodeOutcomeRecord(payload, &rec));
+        if (rec.label == "broken")
+            payload += '\0';
+        wal += exp::frame(payload);
+    }
+    auto seed = [&](const std::string& dir) {
+        std::filesystem::create_directories(dir);
+        ASSERT_TRUE(exp::atomicWriteFile(dir + "/" + base + ".wal", wal));
+    };
+
+    const testutil::ScopedTempDir local("procoup_rules");
+    seed(local.path());
+    const exp::SweepResult r = runLocal(plan, local.path());
+    EXPECT_EQ(r.replayedPoints, 1u);
+    EXPECT_TRUE(r.at("clean").replayed);
+    EXPECT_FALSE(r.at("broken").replayed);
+    EXPECT_FALSE(r.at("broken").failed);
+
+    // A daemon never streams it: a client that cannot decode a record
+    // drops the connection, and would reconnect.
+    const InProcessDaemon d;
+    seed(d.stateDir());
+    const exp::SweepResult served = d.submit(plan);
+    EXPECT_EQ(served.daemon.replayed, 1u);
+    EXPECT_EQ(served.daemon.executed, 1u);
+    EXPECT_EQ(served.daemon.reconnects, 0u);
+}
+
 /** A point verified as Sort whose sa holds one element, -8: the first
  *  word matches the reference and the check then reads sa[1]. */
 exp::ExperimentPlan

@@ -339,5 +339,36 @@ TEST(DiskCache, RunnerWithoutDiskDirWritesNothing)
     EXPECT_FALSE(entry.good());
 }
 
+TEST(DiskCache, MemoryTierIsBoundedAndDroppedKeysReloadFromDisk)
+{
+    const testutil::ScopedTempDir tmp("procoup_diskcache");
+    const auto machine = config::baseline();
+    const auto opts = core::optionsFor(core::SimMode::Coupled);
+    auto source = [](std::size_t n) {
+        return "(defvar out 0)(defun main () (set out " +
+               std::to_string(n) + "))";
+    };
+
+    exp::CompileCache cache;
+    cache.setDiskDir(tmp.path());
+    const std::size_t keys = exp::CompileCache::kMaxEntries + 8;
+    for (std::size_t n = 0; n < keys; ++n)
+        cache.compile(source(n), machine, opts);
+    EXPECT_EQ(cache.entries(), exp::CompileCache::kMaxEntries);
+    EXPECT_EQ(cache.stats().compiles, keys);
+
+    // The oldest keys were dropped from memory; the disk tier serves
+    // them without a compile, and the memory tier stays bounded.
+    for (std::size_t n = 0; n < 8; ++n) {
+        bool hit = false;
+        cache.compile(source(n), machine, opts, &hit);
+        EXPECT_TRUE(hit) << n;
+    }
+    const auto st = cache.stats();
+    EXPECT_EQ(st.compiles, keys);
+    EXPECT_EQ(st.diskHits, 8u);
+    EXPECT_EQ(cache.entries(), exp::CompileCache::kMaxEntries);
+}
+
 } // namespace
 } // namespace procoup

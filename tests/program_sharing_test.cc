@@ -1,7 +1,8 @@
 /** @file A compiled program exists once per compile key: a Simulator
  *  borrows the program it runs instead of copying it, and a sweep
- *  point that hits the compile cache shares the cache's entry. An
- *  operator new hook counts this binary's heap allocations. */
+ *  point that hits the compile cache shares the cache's entry. Neither
+ *  a bind nor a sweep point copies the machine. An operator new hook
+ *  counts this binary's heap allocations. */
 
 #include <gtest/gtest.h>
 
@@ -96,6 +97,36 @@ TEST(ProgramSharing, SimulatorBindDoesNotGrowWithTheProgram)
     EXPECT_EQ(simulator.memory().peek(long_program.symbol("sum").base)
                   .asInt(),
               1000);
+}
+
+TEST(ProgramSharing, BindDoesNotCopyTheMachine)
+{
+    // A name past 15 characters lives on the heap: a copy of the
+    // machine would allocate it once more.
+    auto named_m = config::baseline();
+    named_m.name = "m";
+    auto named_long = named_m;
+    named_long.name = std::string(100, 'n');
+    const Program program = straightLine(named_m, 10);
+    EXPECT_EQ(bindAllocations(named_long, program),
+              bindAllocations(named_m, program));
+
+    // A warm sweep point runs on its own machine, uncopied, too. The
+    // name is not compiled, so both points share one cache entry.
+    exp::ExperimentPlan plan("machine-sharing");
+    const std::string source = "(defvar out 0)(defun main () (set out 42))";
+    plan.addSource("m", named_m, source, core::SimMode::Coupled);
+    plan.addSource("l", named_long, source, core::SimMode::Coupled);
+    exp::CompileCache cache;
+    const exp::RunnerOptions ropts;
+    auto pointAllocations = [&](const exp::SweepPoint& point) {
+        const std::size_t before = g_allocations.load();
+        exp::executeSweepPoint(point, cache, ropts);
+        return g_allocations.load() - before;
+    };
+    pointAllocations(plan.points()[0]);  // compiles
+    EXPECT_EQ(pointAllocations(plan.points()[1]),
+              pointAllocations(plan.points()[0]));
 }
 
 TEST(ProgramSharing, WarmPointSharesTheCacheEntry)

@@ -2,11 +2,17 @@
  *  lost worker charges only the head it was executing, a hung head
  *  expires even when the lease queued behind it overflows the pipe,
  *  and a plan of no more points than workers gives each worker one.
- *  The binary is its own worker: main() serves `--worker` first. */
+ *  A worker pool outlives a plan, and a pooled worker that died
+ *  between plans is replaced without a charge. The binary is its own
+ *  worker: main() serves `--worker` first. */
 
 #include <gtest/gtest.h>
 
+#include <signal.h>
+#include <sys/wait.h>
+
 #include <cstdlib>
+#include <fstream>
 #include <map>
 #include <mutex>
 #include <numeric>
@@ -14,6 +20,7 @@
 #include "procoup/config/presets.hh"
 #include "procoup/exp/worker.hh"
 #include "procoup/support/error.hh"
+#include "scoped_temp_dir.hh"
 
 namespace procoup {
 namespace {
@@ -28,12 +35,12 @@ struct Supervised
 };
 
 /** Supervise @p labels' points (source kSource plus the padding in
- *  @p pad) under @p workers workers and the given lease and retry
- *  budget. */
+ *  @p pad) on @p pool's workers, @p workers of them, under the given
+ *  lease and retry budget. */
 Supervised
-supervise(const std::vector<std::string>& labels,
+supervise(exp::WorkerPool& pool, const std::vector<std::string>& labels,
           const std::map<std::string, std::string>& pad, double leaseMs,
-          int retries, int workers = 1)
+          int retries, int workers)
 {
     exp::ExperimentPlan plan("queue");
     for (const std::string& label : labels) {
@@ -53,13 +60,34 @@ supervise(const std::vector<std::string>& labels,
     Supervised s;
     std::mutex mu;  // commit runs on every supervising thread
     s.stats = exp::superviseWorkers(
-        plan, indices, ropts, cache, sopts,
-        [&](std::size_t i, exp::OutcomeRecord&& rec) {
+        pool, plan, indices, {}, ropts, cache, sopts,
+        [&](std::size_t i, exp::OutcomeRecord&& rec, std::string_view) {
             std::lock_guard<std::mutex> lock(mu);
             s.committed.push_back(plan.points()[i].label);
             s.records[s.committed.back()] = std::move(rec);
         });
     return s;
+}
+
+/** supervise() on a pool of its own, as --isolate-workers runs. */
+Supervised
+supervise(const std::vector<std::string>& labels,
+          const std::map<std::string, std::string>& pad, double leaseMs,
+          int retries, int workers = 1)
+{
+    exp::WorkerPool pool;
+    return supervise(pool, labels, pad, leaseMs, retries, workers);
+}
+
+/** The worker pids PROCOUP_TEST_WORKER_SPAWN_LOG recorded at @p path. */
+std::vector<pid_t>
+spawned(const std::string& path)
+{
+    std::vector<pid_t> pids;
+    std::ifstream in(path);
+    for (pid_t pid; in >> pid;)
+        pids.push_back(pid);
+    return pids;
 }
 
 void
@@ -144,6 +172,56 @@ TEST(WorkerQueue, FewPointsSpreadOverEveryWorker)
         EXPECT_EQ(s.stats.leasesExpired, 1u) << pos;
         EXPECT_EQ(s.stats.leasesReassigned, 0u) << pos;
     }
+}
+
+TEST(WorkerQueue, PoolOutlivesAPlan)
+{
+    // One worker, so that which thread claims a point cannot decide
+    // whether a slot spawns: the second plan runs on the first's worker.
+    const testutil::ScopedTempDir tmp("procoup_pool");
+    const std::string log = tmp.path() + "/spawns";
+    ::setenv("PROCOUP_TEST_WORKER_SPAWN_LOG", log.c_str(), 1);
+    exp::WorkerPool pool;
+    const Supervised first = supervise(pool, {"a", "b"}, {}, 30000.0, 0, 1);
+    const std::vector<pid_t> workers = spawned(log);
+    const Supervised second = supervise(pool, {"c", "d"}, {}, 30000.0, 0, 1);
+    ::unsetenv("PROCOUP_TEST_WORKER_SPAWN_LOG");
+
+    EXPECT_EQ(workers.size(), 1u);
+    EXPECT_EQ(spawned(log), workers);
+    expectHealthy(first, "a");
+    expectHealthy(first, "b");
+    expectHealthy(second, "c");
+    expectHealthy(second, "d");
+    EXPECT_EQ(second.stats.leasesIssued, 2u);
+}
+
+TEST(WorkerQueue, DeadPooledWorkerIsReplacedUncharged)
+{
+    // A worker killed while its pool is idle is replaced when the next
+    // plan starts: no point of that plan is charged for it.
+    const testutil::ScopedTempDir tmp("procoup_pool");
+    const std::string log = tmp.path() + "/spawns";
+    ::setenv("PROCOUP_TEST_WORKER_SPAWN_LOG", log.c_str(), 1);
+    exp::WorkerPool pool;
+    supervise(pool, {"a", "b"}, {}, 30000.0, 1, 1);
+    const std::vector<pid_t> workers = spawned(log);
+    ASSERT_EQ(workers.size(), 1u);
+    // Dead, and not yet reaped: the pool finds out when a plan starts.
+    ASSERT_EQ(::kill(workers[0], SIGKILL), 0);
+    siginfo_t info{};
+    ASSERT_EQ(::waitid(P_PID, static_cast<id_t>(workers[0]), &info,
+                       WEXITED | WNOWAIT),
+              0);
+    const Supervised s = supervise(pool, {"c", "d"}, {}, 30000.0, 1, 1);
+    ::unsetenv("PROCOUP_TEST_WORKER_SPAWN_LOG");
+
+    EXPECT_EQ(spawned(log).size(), 2u);  // one replacement
+    expectHealthy(s, "c");
+    expectHealthy(s, "d");
+    EXPECT_EQ(s.stats.leasesIssued, 2u);
+    EXPECT_EQ(s.stats.leasesReassigned, 0u);
+    EXPECT_EQ(s.stats.workerLost, 0u);
 }
 
 } // namespace
