@@ -35,7 +35,8 @@ Scenarios (--scenarios picks a comma-separated subset; default all):
               each with its attempt count, while every other point
               stays identical to the local run;
   heartbeat   procoupd serves Table 2 (--table2) with a lease shorter
-              than its slowest points (--lease-ms 30 --heartbeat-ms 2):
+              than its slowest points (--lease-ms 30: LUD's slowest
+              take about twice that, its workers beat every 7.5 ms):
               heartbeats renew the head's lease while the next lease
               waits behind it, so the bundle matches the local run,
               no point is lost, and every reassignment is an expiry;
@@ -61,15 +62,12 @@ import json
 import os
 import shutil
 import signal
-import struct
 import subprocess
 import sys
 import tempfile
 import time
 
-FRAME_MAGIC = 0x52464350  # "PCFR"
-FORMAT_VERSION = 1
-FRAME_HEADER = 4 + 4 + 8 + 8
+from check_stats_schema import journal_records
 
 FIRST_SEED = 7000
 
@@ -85,30 +83,6 @@ def check(cond, message):
     if not cond:
         FAILURES.append(message)
     return cond
-
-
-def count_frames(path):
-    """Lower bound on committed records (stop at any damage)."""
-    try:
-        blob = open(path, "rb").read()
-    except OSError:
-        return 0
-    n, off = 0, 0
-    while off + FRAME_HEADER <= len(blob):
-        magic, version, length = struct.unpack_from("<IIQ", blob, off)
-        if magic != FRAME_MAGIC or version != FORMAT_VERSION:
-            break
-        if off + FRAME_HEADER + length > len(blob):
-            break
-        n += 1
-        off += FRAME_HEADER + length
-    return n
-
-
-def wal_records(state):
-    return sum(count_frames(p)
-               for p in glob.glob(os.path.join(state, "*.wal")) +
-               glob.glob(os.path.join(state, "*.journal")))
 
 
 def child_pids(pid):
@@ -358,7 +332,7 @@ def kill_worker(c):
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
             env=c.env)
         deadline = time.monotonic() + 300.0
-        while (wal_records(state) < 1 and client.poll() is None and
+        while (journal_records(state) < 1 and client.poll() is None and
                time.monotonic() < deadline):
             time.sleep(0.005)
         workers = child_pids(d.proc.pid) if client.poll() is None else []
@@ -399,7 +373,7 @@ def kill_daemon(c):
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
             env=c.env)
         deadline = time.monotonic() + 300.0
-        while (wal_records(state) < 1 and client.poll() is None and
+        while (journal_records(state) < 1 and client.poll() is None and
                time.monotonic() < deadline):
             time.sleep(0.005)
         orphans = []
@@ -443,7 +417,7 @@ def kill_client(c):
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
             env=c.env)
         deadline = time.monotonic() + 300.0
-        while (wal_records(state) < 1 and client.poll() is None and
+        while (journal_records(state) < 1 and client.poll() is None and
                time.monotonic() < deadline):
             time.sleep(0.005)
         if client.poll() is None:
@@ -573,7 +547,7 @@ def heartbeat(c):
     if not check(rc == 0, f"heartbeat: local Table 2 failed rc={rc}"):
         return
     d = Daemon(c.procoupd, c.path("hb.sock"), c.path("hb.state"),
-               extra=["--lease-ms", "30", "--heartbeat-ms", "2"]).start()
+               extra=["--lease-ms", "30"]).start()
     bundle, report = c.path("hb_bundle.json"), c.path("hb_rep.json")
     rc = run_client([c.table2], d.sock, c.env, bundle, report)
     d.stop()

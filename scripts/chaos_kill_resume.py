@@ -31,21 +31,17 @@ Exit status 0 on success; 1 with a FAIL line per violation otherwise.
 """
 
 import argparse
-import glob
 import json
 import os
 import random
 import shutil
 import signal
-import struct
 import subprocess
 import sys
 import tempfile
 import time
 
-FRAME_MAGIC = 0x52464350  # "PCFR"
-FORMAT_VERSION = 1
-FRAME_HEADER = 4 + 4 + 8 + 8
+from check_stats_schema import journal_records
 
 FAILURES = []
 
@@ -54,32 +50,6 @@ def check(cond, message):
     if not cond:
         FAILURES.append(message)
     return cond
-
-
-def count_frames(path):
-    """Lower bound on committed records: stop at any damage (a live
-    writer may be mid-append; torn tails are the journal's problem,
-    not ours)."""
-    try:
-        blob = open(path, "rb").read()
-    except OSError:
-        return 0
-    n, off = 0, 0
-    while off + FRAME_HEADER <= len(blob):
-        magic, version, length = struct.unpack_from("<IIQ", blob, off)
-        if magic != FRAME_MAGIC or version != FORMAT_VERSION:
-            break
-        if off + FRAME_HEADER + length > len(blob):
-            break
-        n += 1
-        off += FRAME_HEADER + length
-    return n
-
-
-def journal_records(jdir):
-    return sum(count_frames(p)
-               for p in glob.glob(os.path.join(jdir, "*.wal")) +
-               glob.glob(os.path.join(jdir, "*.journal")))
 
 
 def stopped_mid_sweep(child, jdir, points):

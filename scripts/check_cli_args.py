@@ -68,6 +68,8 @@ BAD_FUZZ_SOAK = [
 BAD_PROCOUPD = [
     ["--jobs=abc"],
     ["--retries=-1"],
+    ["--lease-ms=0"],
+    ["--heartbeat-ms=250"],  # gone: the cadence is a quarter lease
 ]
 
 

@@ -33,19 +33,28 @@ the head of each record. A procoupd state directory is a journal
 directory.
 
 With --sweep-report FILE, validates a harness --sweep-report document
-("procoup-sweep/1" or "/2"): required keys, the compile_cache block,
-the optional journal/disk_cache blocks, the failures array (whose
-kinds must come from the error-kind taxonomy, including the daemon's
-"worker-lost"), and — for daemon-mode runs — the "daemon" block: all
-eleven counters present, non-negative, with replayed + executed equal
-to the point count.
+("procoup-sweep/1" or "/2"): required keys, jobs >= 1, a hit_rate
+that agrees with hits and misses, the optional journal/disk_cache
+blocks, the failures array (whose kinds must come from the error-kind
+taxonomy, including the daemon's "worker-lost"), and — for
+daemon-mode runs — the "daemon" block: all eleven counters present,
+non-negative, with replayed + executed equal to the point count.
+With --fuzz FILE, validates a collect_fuzz.py document.
+
+This module is also the one reader of these formats for the other
+scripts: collect_sweep.py and collect_fuzz.py validate through
+validate_sweep_report and validate_fuzz (via require), and the chaos
+scripts poll journals through frames and journal_records.
 
 Registered as a ctest (stats_schema_check) so `ctest -j` covers it.
 Documented in docs/INTERNALS.md ("Observability").
 """
 
 import argparse
+import glob
 import json
+import os
+import struct
 import subprocess
 import sys
 import tempfile
@@ -314,10 +323,8 @@ def run_pcsim(pcsim, label, flags):
 def validate_bundle(path):
     """A harness --stats-json bundle: stats and/or error records."""
     n = 0
-    try:
-        doc = json.load(open(path))
-    except (OSError, json.JSONDecodeError) as e:
-        check(False, path, f"unreadable bundle: {e}")
+    doc = load(path, "bundle")
+    if doc is None:
         return 0
     check(doc.get("schema") in ("procoup-stats-bundle/1",
                                 "procoup-stats-bundle/2"),
@@ -338,13 +345,29 @@ def validate_bundle(path):
     return n
 
 
-def validate_fuzz(path):
-    """A collect_fuzz.py "procoup-fuzz/1" document."""
+def load(path, what):
+    """The JSON document at path, or None after flagging it."""
     try:
-        doc = json.load(open(path))
+        return json.load(open(path))
     except (OSError, json.JSONDecodeError) as e:
-        check(False, path, f"unreadable fuzz document: {e}")
-        return 0
+        check(False, path, f"unreadable {what}: {e}")
+        return None
+
+
+def require(validator, doc, label):
+    """For another script: validator(doc, label), unless load() already
+    flagged doc as None; exit 1 with each failure on stderr unless the
+    document holds."""
+    if doc is not None:
+        validator(doc, label)
+    if FAILURES:
+        for f in FAILURES:
+            print(f"error: {f}", file=sys.stderr)
+        sys.exit(1)
+
+
+def validate_fuzz(doc, path):
+    """A collect_fuzz.py "procoup-fuzz/1" document."""
     check(doc.get("schema") == "procoup-fuzz/1", path,
           f"bad fuzz schema '{doc.get('schema')}'")
     expect_keys(path, doc,
@@ -361,19 +384,21 @@ def validate_fuzz(path):
               path, f"mismatch counts do not add up: {mm}")
         check(mm["total"] == 0, path,
               f"fuzz soak reported {mm['total']} mismatch(es)")
+    programs, points = doc.get("programs"), doc.get("points")
+    if isinstance(programs, int) and isinstance(points, int):
+        check(programs > 0 and points > 0, path,
+              f"empty soak ({programs} programs)")
+        check(programs <= 0 or points % programs == 0, path,
+              f"{points} points is not a multiple of {programs} programs")
     corpus = doc.get("corpus", {})
     expect_keys(path + ".corpus", corpus,
                 {"pass": int, "xfail": int, "total": int})
-    return 1
+    if isinstance(corpus.get("total"), int):
+        check(corpus["total"] >= 1, path, "regression corpus is empty")
 
 
-def validate_sweep_report(path):
+def validate_sweep_report(doc, path):
     """A harness --sweep-report document, local or daemon-mode."""
-    try:
-        doc = json.load(open(path))
-    except (OSError, json.JSONDecodeError) as e:
-        check(False, path, f"unreadable sweep report: {e}")
-        return 0
     check(doc.get("schema") in ("procoup-sweep/1", "procoup-sweep/2"),
           path, f"bad sweep-report schema '{doc.get('schema')}'")
     expect_keys(path, doc,
@@ -381,9 +406,22 @@ def validate_sweep_report(path):
                  "wall_ms": (int, float),
                  "point_wall_ms_total": (int, float),
                  "compile_cache": dict})
-    expect_keys(path + ".compile_cache", doc.get("compile_cache", {}),
+    jobs, points = doc.get("jobs"), doc.get("points")
+    if isinstance(jobs, int) and isinstance(points, int):
+        check(jobs >= 1 and points >= 0, path,
+              f"jobs {jobs} or points {points} out of range")
+    cc = doc.get("compile_cache", {})
+    expect_keys(path + ".compile_cache", cc,
                 {"enabled": bool, "hits": int, "misses": int,
                  "hit_rate": (int, float)})
+    if all(isinstance(cc.get(k), (int, float))
+           for k in ("hits", "misses", "hit_rate")) and \
+       cc["hits"] + cc["misses"] > 0:
+        # The report rounds the rate to four decimal places.
+        rate = cc["hits"] / (cc["hits"] + cc["misses"])
+        check(abs(rate - cc["hit_rate"]) <= 5e-5, path,
+              f"hit_rate {cc['hit_rate']} inconsistent with "
+              f"{cc['hits']} hits and {cc['misses']} misses")
 
     if "journal" in doc:
         expect_keys(path + ".journal", doc["journal"],
@@ -440,7 +478,6 @@ def validate_sweep_report(path):
     else:
         check(doc.get("schema") == "procoup-sweep/1", path,
               "clean sweep report must stay procoup-sweep/1")
-    return 1
 
 
 def fnv1a64(data):
@@ -450,33 +487,48 @@ def fnv1a64(data):
     return h
 
 
-def iter_frames(label, blob):
-    """Yield frame payloads; flag checksum/magic/version damage."""
-    import struct
-
+def frames(blob):
+    """Yield (offset, checksum, payload) for each whole PCFR frame at the
+    head of blob. A torn tail, which a live or killed writer leaves,
+    ends the walk; a header with the wrong magic or version raises
+    ValueError. Checksums are the caller's to check."""
     off = 0
     while off + FRAME_HEADER <= len(blob):
-        magic, version, length = struct.unpack_from("<IIQ", blob, off)
-        (checksum,) = struct.unpack_from("<Q", blob, off + 16)
-        check(magic == FRAME_MAGIC, label,
-              f"bad frame magic {magic:#x} at offset {off}")
-        check(version == FORMAT_VERSION, label,
-              f"bad format version {version} at offset {off}")
-        if magic != FRAME_MAGIC or version != FORMAT_VERSION:
+        magic, version, length, checksum = struct.unpack_from(
+            "<IIQQ", blob, off)
+        if magic != FRAME_MAGIC:
+            raise ValueError(f"bad frame magic {magic:#x} at offset {off}")
+        if version != FORMAT_VERSION:
+            raise ValueError(f"bad format version {version} at offset "
+                             f"{off}")
+        end = off + FRAME_HEADER + length
+        if end > len(blob):
             return
-        payload = blob[off + FRAME_HEADER:off + FRAME_HEADER + length]
-        if len(payload) < length:
-            return  # torn tail: legal in a .wal, simply ends the file
-        check(fnv1a64(payload) == checksum, label,
-              f"frame checksum mismatch at offset {off}")
-        yield payload
-        off += FRAME_HEADER + length
+        yield off, checksum, blob[off + FRAME_HEADER:end]
+        off = end
+
+
+def record_files(jdir):
+    """The framed record files of a journal directory."""
+    return sorted(glob.glob(os.path.join(jdir, "*.journal")) +
+                  glob.glob(os.path.join(jdir, "*.wal")))
+
+
+def journal_records(jdir):
+    """A cheap lower bound on the records a live writer has committed
+    to jdir: the whole frames before any damage, checksums unread."""
+    n = 0
+    for path in record_files(jdir):
+        try:
+            for _ in frames(open(path, "rb").read()):
+                n += 1
+        except (OSError, ValueError):
+            pass
+    return n
 
 
 def validate_journal_record(label, payload):
     """The JSON meta-header leading every binary outcome record."""
-    import struct
-
     if len(payload) < 8:
         check(False, label, "record too short for its header")
         return
@@ -512,9 +564,6 @@ def validate_journal_record(label, payload):
 
 def validate_journal_dir(path):
     """A --journal directory: meta sidecars + framed record files."""
-    import glob
-    import os
-
     n = 0
     metas = sorted(glob.glob(os.path.join(path, "*.meta.json")))
     check(len(metas) > 0, path, "no .meta.json sidecar in journal dir")
@@ -529,16 +578,18 @@ def validate_journal_dir(path):
         expect_keys(meta_path, meta,
                     {"plan": str, "fingerprint": str, "points": int})
 
-    record_files = sorted(
-        glob.glob(os.path.join(path, "*.journal")) +
-        glob.glob(os.path.join(path, "*.wal")))
-    check(len(record_files) > 0, path,
-          "no .journal or .wal file in journal dir")
-    for rec_path in record_files:
+    files = record_files(path)
+    check(len(files) > 0, path, "no .journal or .wal file in journal dir")
+    for rec_path in files:
         blob = open(rec_path, "rb").read()
-        for k, payload in enumerate(iter_frames(rec_path, blob)):
-            validate_journal_record(f"{rec_path}[{k}]", payload)
-            n += 1
+        try:
+            for k, (off, checksum, payload) in enumerate(frames(blob)):
+                check(fnv1a64(payload) == checksum, rec_path,
+                      f"frame checksum mismatch at offset {off}")
+                validate_journal_record(f"{rec_path}[{k}]", payload)
+                n += 1
+        except ValueError as e:
+            check(False, rec_path, str(e))
     check(n > 0, path, "journal contains no records")
     return n
 
@@ -611,12 +662,16 @@ def main():
 
     for path in args.bundle:
         n += validate_bundle(path)
-    for path in args.fuzz:
-        n += validate_fuzz(path)
     for path in args.journal_dir:
         n += validate_journal_dir(path)
-    for path in args.sweep_report:
-        n += validate_sweep_report(path)
+    for validator, paths, what in (
+            (validate_fuzz, args.fuzz, "fuzz document"),
+            (validate_sweep_report, args.sweep_report, "sweep report")):
+        for path in paths:
+            doc = load(path, what)
+            if doc is not None:
+                validator(doc, path)
+                n += 1
 
     if FAILURES:
         for f in FAILURES:

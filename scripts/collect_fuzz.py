@@ -20,7 +20,8 @@ Usage:
   collect_fuzz.py --check BENCH_fuzz.json    validate an existing doc
 
 Exits non-zero on any mismatch, a harness failure, or a malformed
-document, so scripts/run_all.sh (and CI) notice a fuzz regression.
+document (the validator check_stats_schema.py --fuzz runs), so
+scripts/run_all.sh (and CI) notice a fuzz regression.
 """
 
 import argparse
@@ -29,6 +30,8 @@ import os
 import re
 import subprocess
 import sys
+
+import check_stats_schema as schema
 
 SUMMARY_KEYS = {
     "programs": int,
@@ -102,32 +105,6 @@ def run_harness(args):
     return doc
 
 
-def validate(doc, path):
-    if doc.get("schema") != "procoup-fuzz/1":
-        fail(f"{path}: schema '{doc.get('schema')}' is not "
-             "procoup-fuzz/1")
-    for key in ("programs", "points", "wall_ms", "programs_per_sec",
-                "mismatches", "corpus"):
-        if key not in doc:
-            fail(f"{path}: missing '{key}'")
-    mm = doc["mismatches"]
-    for key in ("mode", "fault", "sim_error", "total"):
-        if not isinstance(mm.get(key), int):
-            fail(f"{path}: mismatches.{key} missing or not an int")
-    if mm["total"] != mm["mode"] + mm["fault"] + mm["sim_error"]:
-        fail(f"{path}: mismatch counts do not add up: {mm}")
-    if mm["total"] != 0:
-        fail(f"{path}: fuzz soak found {mm['total']} mismatch(es)")
-    if doc["programs"] <= 0 or doc["points"] <= 0:
-        fail(f"{path}: empty soak ({doc['programs']} programs)")
-    if doc["points"] % doc["programs"] != 0:
-        fail(f"{path}: {doc['points']} points is not a multiple of "
-             f"{doc['programs']} programs")
-    corpus = doc["corpus"]
-    if corpus.get("total", 0) < 1:
-        fail(f"{path}: regression corpus is empty")
-
-
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--harness", help="path to bench/fuzz_soak")
@@ -144,12 +121,8 @@ def main():
     args = ap.parse_args()
 
     if args.check:
-        try:
-            with open(args.check) as f:
-                doc = json.load(f)
-        except (OSError, json.JSONDecodeError) as e:
-            fail(f"{args.check}: {e}")
-        validate(doc, args.check)
+        doc = schema.load(args.check, "fuzz document")
+        schema.require(schema.validate_fuzz, doc, args.check)
         print(f"ok: {args.check} validated "
               f"({doc['programs']} programs, {doc['points']} points, "
               f"0 mismatches)")
@@ -158,7 +131,7 @@ def main():
     if not args.harness or not args.out:
         ap.error("--harness and --out required (or --check FILE)")
     doc = run_harness(args)
-    validate(doc, args.harness)
+    schema.require(schema.validate_fuzz, doc, args.harness)
     with open(args.out, "w") as f:
         json.dump(doc, f, indent=2)
         f.write("\n")

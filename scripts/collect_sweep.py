@@ -13,76 +13,21 @@ Usage:
       Merge reports. Each report's configuration is inferred from its
       "jobs" and "compile_cache.enabled" fields.
   collect_sweep.py --check REPORT.json...
-      Validate reports against the procoup-sweep/1 schema (or /2,
-      which adds the fail-safe "failures" records) and exit non-zero
+      Validate reports with check_stats_schema.py's sweep-report
+      validator, the one that --sweep-report runs, and exit non-zero
       on any violation (used by ctest's sweep_collect_smoke).
 """
 
 import argparse
 import json
-import sys
 
-SCHEMA = "procoup-sweep/1"
-SCHEMA_FAILSAFE = "procoup-sweep/2"  # adds failed_points + failures
-
-
-def fail(msg):
-    print(f"error: {msg}", file=sys.stderr)
-    sys.exit(1)
+import check_stats_schema as schema
 
 
 def load(path):
-    try:
-        with open(path) as f:
-            doc = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
-        fail(f"{path}: {e}")
-    check(doc, path)
+    doc = schema.load(path, "sweep report")
+    schema.require(schema.validate_sweep_report, doc, path)
     return doc
-
-
-def check(doc, path):
-    def need(key, types):
-        if key not in doc:
-            fail(f"{path}: missing key '{key}'")
-        if not isinstance(doc[key], types):
-            fail(f"{path}: '{key}' has type {type(doc[key]).__name__}")
-
-    need("schema", str)
-    if doc["schema"] not in (SCHEMA, SCHEMA_FAILSAFE):
-        fail(f"{path}: schema '{doc['schema']}' != '{SCHEMA}' "
-             f"or '{SCHEMA_FAILSAFE}'")
-    if doc["schema"] == SCHEMA_FAILSAFE:
-        need("failed_points", int)
-        need("failures", list)
-        if doc["failed_points"] != len(doc["failures"]):
-            fail(f"{path}: failed_points != len(failures)")
-        for rec in doc["failures"]:
-            for key in ("label", "kind", "cycle", "retries"):
-                if key not in rec:
-                    fail(f"{path}: failure record missing '{key}'")
-    need("harness", str)
-    need("jobs", int)
-    need("points", int)
-    need("wall_ms", (int, float))
-    need("point_wall_ms_total", (int, float))
-    need("compile_cache", dict)
-    cc = doc["compile_cache"]
-    for key, types in (("enabled", bool), ("hits", int), ("misses", int),
-                       ("hit_rate", (int, float))):
-        if key not in cc:
-            fail(f"{path}: missing key 'compile_cache.{key}'")
-        if not isinstance(cc[key], types):
-            fail(f"{path}: 'compile_cache.{key}' has type "
-                 f"{type(cc[key]).__name__}")
-    if doc["jobs"] < 1 or doc["points"] < 0:
-        fail(f"{path}: jobs/points out of range")
-    if cc["hits"] + cc["misses"] > 0:
-        rate = cc["hits"] / (cc["hits"] + cc["misses"])
-        # the report rounds to four decimal places
-        if abs(rate - cc["hit_rate"]) > 5e-5:
-            fail(f"{path}: hit_rate {cc['hit_rate']} inconsistent "
-                 f"with hits/misses")
 
 
 def config_name(doc):
@@ -130,8 +75,7 @@ def main():
 
     reports = [load(p) for p in args.reports]
     if args.check:
-        print(f"ok: {len(reports)} sweep reports validated "
-              f"against {SCHEMA}")
+        print(f"ok: {len(reports)} sweep reports validated")
         return
     if not args.out:
         ap.error("--out or --check required")

@@ -40,12 +40,28 @@ msSince(std::chrono::steady_clock::time_point start)
         .count();
 }
 
-/** The streaming side of one client connection: frame sends from the
- *  plan's supervising threads, serialized. A client that hung up shows
- *  as EPIPE on the next send; later sends are dropped. */
-struct ClientConn
+/** A lease asks its worker for this many heartbeats: a healthy point
+ *  renews its lease long before the deadline, whatever --lease-ms. */
+constexpr double kHeartbeatsPerLease = 4.0;
+
+/** One submitted plan's client connection and counts. The plan's
+ *  supervising threads stream through it, serialized; a client that
+ *  hung up shows as EPIPE on the next send, and later sends are
+ *  dropped. */
+struct PlanSession
 {
-    explicit ClientConn(int fd) : fd(fd) {}
+    explicit PlanSession(int fd) : fd(fd) {}
+
+    const int fd;
+    std::mutex mu;
+    std::atomic<bool> dead{false};
+    std::atomic<std::uint64_t> replayed{0};
+    std::atomic<std::uint64_t> executed{0};
+    std::atomic<std::uint64_t> cacheHits{0};
+    std::atomic<std::uint64_t> cacheMisses{0};
+
+    /** Points streamed so far. */
+    std::uint64_t done() const { return replayed.load() + executed.load(); }
 
     void send(const std::string& framed)
     {
@@ -56,29 +72,13 @@ struct ClientConn
             dead.store(true);
     }
 
-    const int fd;
-    std::mutex mu;
-    std::atomic<bool> dead{false};
-};
-
-} // namespace
-
-/** Mutable state of one submitted plan's execution. */
-struct SweepDaemon::PlanSession
-{
-    ClientConn& conn;
-
-    std::atomic<std::uint64_t> doneCount{0};
-    std::atomic<std::uint64_t> replayed{0};
-    std::atomic<std::uint64_t> executed{0};
-    std::atomic<std::uint64_t> cacheHits{0};
-    std::atomic<std::uint64_t> cacheMisses{0};
-
-    /** Count and stream one completed record, given as its encoding
+    /** Stream and count one completed record, given as its encoding
      *  @p bytes: replayed, or freshly executed as @p fresh. */
     void stream(std::size_t index, std::string_view bytes,
                 const OutcomeRecord* fresh)
     {
+        send(kindFrame(FrameKind::PointResult,
+                       encodePointResult(index, bytes)));
         if (!fresh) {
             ++replayed;
         } else {
@@ -86,11 +86,10 @@ struct SweepDaemon::PlanSession
             if (fresh->threw == 0)
                 ++(fresh->compileCached ? cacheHits : cacheMisses);
         }
-        conn.send(kindFrame(FrameKind::PointResult,
-                            encodePointResult(index, bytes)));
-        ++doneCount;
     }
 };
+
+} // namespace
 
 SweepDaemon::SweepDaemon(DaemonOptions options)
     : _options(std::move(options))
@@ -100,7 +99,8 @@ SweepDaemon::SweepDaemon(DaemonOptions options)
 }
 
 void
-SweepDaemon::servePlan(int fd, PlanEnvelope&& env, WorkerPool& pool)
+SweepDaemon::servePlan(int fd, PlanEnvelope&& env, WorkerPool& pool,
+                       CompileCache& cache, const SupervisorOptions& sopts)
 {
     const auto start = std::chrono::steady_clock::now();
     const ExperimentPlan& plan = env.plan;
@@ -114,8 +114,7 @@ SweepDaemon::servePlan(int fd, PlanEnvelope&& env, WorkerPool& pool)
                      "serving without durability\n",
                      _options.stateDir.c_str());
 
-    ClientConn conn(fd);
-    PlanSession s{conn};
+    PlanSession s(fd);
 
     // Replay journaled points first: streamed immediately, never
     // re-executed, never recompiled.
@@ -141,24 +140,14 @@ SweepDaemon::servePlan(int fd, PlanEnvelope&& env, WorkerPool& pool)
                                   [] { return false; }) &&
                    !stop.stop_requested()) {
                 ByteWriter w;
-                w.u64(s.doneCount.load());
+                w.u64(s.done());
                 w.u64(plan.size());
-                conn.send(kindFrame(FrameKind::Heartbeat, w.take()));
+                s.send(kindFrame(FrameKind::Heartbeat, w.take()));
             }
         });
 
-        // Serves points in-process when workers are off or cannot be
-        // spawned.
-        CompileCache cache;
+        // The plan's knobs, as a worker takes them from each lease.
         cache.configure(ropts.cacheEnabled, ropts.diskCacheDir);
-
-        SupervisorOptions sopts;
-        sopts.workers = SweepRunner::resolveJobs(_options.jobs);
-        sopts.retryPolicy = _options.retryPolicy;
-        sopts.leaseMs = _options.leaseMs;
-        sopts.heartbeatMs = _options.heartbeatMs;
-        sopts.inProcess = _options.inProcess;
-        sopts.reportLost = true;
         stats = superviseWorkers(
             pool, plan, pending, journal.fingerprints(), ropts, cache,
             sopts,
@@ -171,9 +160,8 @@ SweepDaemon::servePlan(int fd, PlanEnvelope&& env, WorkerPool& pool)
     journal.finalize();
 
     stats.active = true;
-    stats.jobs = static_cast<std::uint32_t>(
-        SweepRunner::resolveJobs(_options.jobs));
-    stats.resultsStreamed = s.doneCount.load();
+    stats.jobs = static_cast<std::uint32_t>(sopts.workers);
+    stats.resultsStreamed = s.done();
     stats.replayed = s.replayed.load();
     stats.executed = s.executed.load();
     // compileCached=false on a freshly executed record means "this
@@ -184,7 +172,7 @@ SweepDaemon::servePlan(int fd, PlanEnvelope&& env, WorkerPool& pool)
     stats.cacheMisses = s.cacheMisses.load();
     stats.compiles = s.cacheMisses.load();
 
-    conn.send(kindFrame(FrameKind::PlanDone, encodeDaemonStats(stats)));
+    s.send(kindFrame(FrameKind::PlanDone, encodeDaemonStats(stats)));
     std::fprintf(
         stderr,
         "procoupd: plan '%s' done: %llu replayed, %llu executed, "
@@ -224,9 +212,19 @@ SweepDaemon::serve()
                  _options.socketPath.c_str(),
                  _options.stateDir.c_str());
 
-    // The daemon's workers, spawned when a plan first needs them and
-    // reaped before the shutdown connection closes, so that `procoupd
-    // --stop` returns with none left.
+    // Built once for every plan: the supervisor options, the compile
+    // cache of the points served in-process (--no-workers, or no
+    // worker could be spawned), and the workers, spawned when a plan
+    // first needs them and reaped before the shutdown connection
+    // closes, so that `procoupd --stop` returns with none left.
+    const SupervisorOptions sopts{
+        .workers = SweepRunner::resolveJobs(_options.jobs),
+        .retryPolicy = _options.retryPolicy,
+        .leaseMs = _options.leaseMs,
+        .heartbeatMs = _options.leaseMs / kHeartbeatsPerLease,
+        .inProcess = _options.inProcess,
+        .reportLost = true};
+    CompileCache cache;
     std::optional<WorkerPool> pool(std::in_place);
     int stop_fd = -1;
     while (g_daemonSignal.load() == 0) {
@@ -273,7 +271,7 @@ SweepDaemon::serve()
             ::close(fd);
             continue;
         }
-        servePlan(fd, std::move(env), *pool);
+        servePlan(fd, std::move(env), *pool, cache, sopts);
         ::close(fd);
     }
 

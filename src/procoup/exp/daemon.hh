@@ -14,17 +14,18 @@
  * Execution runs on the lease-based worker supervisor of exp/worker.hh
  * (the same one --isolate-workers uses): each pending point is leased
  * to a worker process, two leases in flight per worker, with a
- * deadline (--lease-ms) that the worker's heartbeats (--heartbeat-ms)
- * renew. A lease that expires — hung
+ * deadline (--lease-ms) that the worker's heartbeats, one every
+ * quarter of the lease, renew. A lease that expires — hung
  * worker, missed heartbeats — or breaks — dead worker — is reassigned
  * under the exp/backoff.hh RetryPolicy (--retries); after the bounded
  * reassignment budget the point becomes a structured
  * SimErrorKind::WorkerLost record instead of wedging the plan.
  *
- * The daemon owns one WorkerPool while it serves: a worker spawned for
- * one plan serves every later plan with its compile cache warm. Every
- * worker is reaped before serve() returns, on a shutdown frame,
- * SIGTERM or SIGINT; the workers of a SIGKILLed daemon exit on EOF.
+ * The daemon builds its supervisor options, one WorkerPool and one
+ * in-process CompileCache once: a worker spawned for one plan, and the
+ * daemon's own cache, serve every later plan warm. Every worker is
+ * reaped before serve() returns, on a shutdown frame, SIGTERM or
+ * SIGINT; the workers of a SIGKILLed daemon exit on EOF.
  *
  * Durability: completed points are committed write-ahead to the
  * results journal (exp/journal.hh, whose rules SweepRunner --journal
@@ -40,7 +41,7 @@
  *
  * Degradation: if a worker process cannot be spawned at all (fork or
  * pipe exhaustion), the affected supervisor threads execute their
- * points in-process against the daemon's compile cache.
+ * points in-process, as --no-workers does, against the daemon's cache.
  */
 
 #include <string>
@@ -53,6 +54,7 @@ namespace procoup {
 namespace exp {
 
 class WorkerPool;
+struct SupervisorOptions;
 
 struct DaemonOptions
 {
@@ -75,11 +77,8 @@ struct DaemonOptions
     RetryPolicy retryPolicy;
 
     /** Lease TTL: a point whose worker sends no frame for this long
-     *  is reassigned. */
+     *  is reassigned; workers heartbeat every quarter of it. */
     double leaseMs = 30000.0;
-
-    /** Heartbeat cadence workers are spawned with. */
-    double heartbeatMs = 250.0;
 
     /** Execute in-process instead of spawning workers (also the
      *  automatic degradation path when spawning fails). */
@@ -96,9 +95,8 @@ class SweepDaemon
     int serve();
 
   private:
-    struct PlanSession;
-
-    void servePlan(int fd, PlanEnvelope&& env, WorkerPool& pool);
+    void servePlan(int fd, PlanEnvelope&& env, WorkerPool& pool,
+                   CompileCache& cache, const SupervisorOptions& sopts);
 
     DaemonOptions _options;
 };

@@ -285,13 +285,14 @@ requestDaemonShutdown(const std::string& socketPath)
     if (fd < 0)
         return false;
     const std::string f = kindFrame(FrameKind::Shutdown, "");
-    const bool sent = writeAllFd(fd, f.data(), f.size());
-    // Wait for the daemon to close the connection (it exits after).
-    std::string ignored;
-    if (sent)
-        readFrameFromFd(fd, 5000.0, &ignored);
+    // The daemon acknowledges by closing the connection once its
+    // workers are reaped; one busy in a plan reads the frame after it.
+    std::string reply;
+    const bool acked = writeAllFd(fd, f.data(), f.size()) &&
+                       readFrameFromFd(fd, 5000.0, &reply) ==
+                           FrameRead::Closed;
     ::close(fd);
-    return sent;
+    return acked;
 }
 
 } // namespace exp

@@ -176,8 +176,8 @@ SweepResult runPlanOverSocket(const ExperimentPlan& plan,
                               const RunnerOptions& ropts,
                               const ClientOptions& copts);
 
-/** Send a shutdown frame to the daemon at @p socketPath; true if the
- *  daemon acknowledged by closing the connection. */
+/** Send a shutdown frame to the daemon at @p socketPath; true only if
+ *  the daemon acknowledged within 5 s by closing the connection. */
 bool requestDaemonShutdown(const std::string& socketPath);
 
 } // namespace exp

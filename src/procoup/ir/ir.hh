@@ -93,6 +93,20 @@ struct IrInstr
     bool isTerminator() const;
     bool isMemory() const { return isa::opcodeIsMemory(op); }
 
+    /** A memory reference with synchronization semantics: one that
+     *  waits on its presence bit, a load that changes the bit, or a
+     *  store that leaves it other than full. */
+    bool isSyncMemory() const
+    {
+        if (!isMemory())
+            return false;
+        if (flavor.pre != isa::MemPre::None)
+            return true;
+        if (op == isa::Opcode::LD)
+            return flavor.post != isa::MemPost::Leave;
+        return flavor.post != isa::MemPost::SetFull;
+    }
+
     std::string toString() const;
 };
 

@@ -61,19 +61,6 @@ isPlainLoad(const IrInstr& i)
            i.flavor.post == isa::MemPost::Leave;
 }
 
-/** A memory reference with synchronization semantics. */
-bool
-isSyncMemory(const IrInstr& i)
-{
-    if (!i.isMemory())
-        return false;
-    if (i.flavor.pre != isa::MemPre::None)
-        return true;
-    if (i.op == Opcode::LD)
-        return i.flavor.post != isa::MemPost::Leave;
-    return i.flavor.post != isa::MemPost::SetFull;
-}
-
 /** Try to evaluate a pure op whose sources are all constants. */
 std::optional<Value>
 foldInstr(const IrInstr& i)
@@ -361,13 +348,13 @@ commonSubexpressionElimination(ThreadFunc& func)
             // Invalidation rules: an unknown-symbol or synchronizing
             // store, a synchronizing load and FORK kill every load; a
             // plain store kills the loads of its symbol.
-            if (i.op == Opcode::ST && !isSyncMemory(i) &&
+            if (i.op == Opcode::ST && !i.isSyncMemory() &&
                     !i.memSym.empty()) {
                 const auto it = sym_ids.find(i.memSym);
                 if (it != sym_ids.end())
                     kill(sym_loads[it->second]);
             } else if (i.op == Opcode::ST ||
-                       (i.op == Opcode::LD && isSyncMemory(i)) ||
+                       (i.op == Opcode::LD && i.isSyncMemory()) ||
                        i.op == Opcode::FORK) {
                 kill(loads);
             }

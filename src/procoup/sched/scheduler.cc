@@ -367,16 +367,6 @@ BlockScheduler::buildNodes(const ir::BasicBlock& block)
 
     int last_fence = -1;
 
-    auto is_sync = [](const IrInstr& i) {
-        if (!i.isMemory())
-            return false;
-        if (i.flavor.pre != isa::MemPre::None)
-            return true;
-        if (i.op == Opcode::LD)
-            return i.flavor.post != isa::MemPost::Leave;
-        return i.flavor.post != isa::MemPost::SetFull;
-    };
-
     // Two plain references may alias unless they touch different
     // symbols or provably different constant offsets of one symbol.
     auto may_alias = [](const IrInstr& a, const IrInstr& b) {
@@ -424,7 +414,7 @@ BlockScheduler::buildNodes(const ir::BasicBlock& block)
         // Conservative memory / fence ordering (strict row order so
         // same-address accesses issue in program order).
         const bool is_mem = i.isMemory();
-        const bool fence = is_sync(i) || i.op == Opcode::FORK ||
+        const bool fence = i.isSyncMemory() || i.op == Opcode::FORK ||
                            i.op == Opcode::MARK;
         if (is_mem || i.op == Opcode::FORK || i.op == Opcode::MARK) {
             if (fence) {

@@ -8,9 +8,14 @@
  *  and on a procoupd serving in-process on a thread of this binary:
  *  which records the write-ahead log holds, when the journal is
  *  published, what a resubmission replays, and which exception the
- *  caller sees. */
+ *  caller sees; that the daemon's in-process compile cache outlives a
+ *  plan, and that a shutdown counts only when the daemon closes the
+ *  connection. */
 
 #include <gtest/gtest.h>
+
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
@@ -28,6 +33,7 @@
 #include "procoup/exp/runner.hh"
 #include "procoup/exp/serialize.hh"
 #include "procoup/exp/service.hh"
+#include "procoup/exp/worker.hh"
 #include "procoup/fault/fault.hh"
 #include "procoup/support/error.hh"
 #include "procoup/support/strings.hh"
@@ -504,6 +510,9 @@ class InProcessDaemon
         return exp::runPlanOverSocket(plan, exp::RunnerOptions{}, co);
     }
 
+    /** One shutdown request; true if the daemon acknowledged it. */
+    bool stop() const { return exp::requestDaemonShutdown(_socket); }
+
     bool alive() const { return !_exited; }
     const std::string& stateDir() const { return _stateDir; }
 
@@ -771,6 +780,59 @@ TEST(Service, DaemonSurvivesAVerificationReadPastASymbol)
     next.addSource("clean", config::baseline(), kTiny,
                    core::SimMode::Coupled);
     EXPECT_EQ(d.submit(next).daemon.executed, 1u);
+}
+
+TEST(Service, InProcessCacheOutlivesAPlan)
+{
+    // Matrix/Coupled compiles in the first plan and is a hit in the
+    // second, which compiles only Matrix/STS; a daemon that built a
+    // cache per plan compiled both again.
+    const auto machine = config::baseline();
+    exp::ExperimentPlan first("cache-first");
+    first.addBenchmark(machine, benchmarks::byName("Matrix"),
+                       core::SimMode::Coupled);
+    exp::ExperimentPlan second("cache-second");
+    second.addBenchmark(machine, benchmarks::byName("Matrix"),
+                        core::SimMode::Coupled);
+    second.addBenchmark(machine, benchmarks::byName("Matrix"),
+                        core::SimMode::Sts);
+
+    const InProcessDaemon d;
+    EXPECT_EQ(d.submit(first).daemon.compiles, 1u);
+    const exp::DaemonStats stats = d.submit(second).daemon;
+    EXPECT_EQ(stats.executed, 2u);
+    EXPECT_EQ(stats.compiles, 1u);
+    EXPECT_EQ(stats.cacheHits, 1u);
+}
+
+TEST(Service, ShutdownNeedsTheDaemonToCloseTheConnection)
+{
+    // A listener that answers the shutdown frame with a frame of its
+    // own has not acknowledged it.
+    const testutil::ScopedTempDir dir("procoup_shutdown");
+    const std::string sock = dir.path() + "/d.sock";
+    const int listen_fd = exp::listenUnixSocket(sock, 1);
+    ASSERT_GE(listen_fd, 0);
+    std::thread answer([listen_fd] {
+        const int fd = ::accept(listen_fd, nullptr, nullptr);
+        std::string payload;
+        exp::readFrameFromFd(fd, 5000.0, &payload);
+        const std::string reply =
+            exp::kindFrame(exp::FrameKind::ServiceError, "busy");
+        exp::writeAllFd(fd, reply.data(), reply.size());
+        ::close(fd);
+    });
+    EXPECT_FALSE(exp::requestDaemonShutdown(sock));
+    answer.join();
+    ::close(listen_fd);
+
+    // A daemon closes it once its workers are reaped.
+    const InProcessDaemon d;
+    exp::ExperimentPlan plan("before-stop");
+    plan.addSource("clean", config::baseline(), kTiny,
+                   core::SimMode::Coupled);
+    EXPECT_EQ(d.submit(plan).daemon.executed, 1u);
+    EXPECT_TRUE(d.stop());
 }
 
 } // namespace

@@ -4,15 +4,18 @@
  *
  * Usage (a valued flag also as --flag=X):
  *   procoupd --socket PATH [--state DIR] [--jobs N] [--retries N]
- *            [--lease-ms N] [--heartbeat-ms N] [--disk-cache DIR]
- *            [--no-workers]
+ *            [--lease-ms N] [--disk-cache DIR] [--no-workers]
  *   procoupd --socket PATH --stop        ask a running daemon to exit
  *
  * Clients submit plans with `<harness> --connect PATH` (any runner
  * harness or pcsim). Results stream back per point and are journaled
  * write-ahead in the state directory, so killing the daemon mid-sweep
  * and restarting it resumes resubmitted plans without recompiling or
- * re-running completed points.
+ * re-running completed points. --lease-ms (positive) is how long a
+ * worker may stay silent before its point is reassigned; workers
+ * heartbeat every quarter of it. --stop reports "stopped" only when
+ * the daemon acknowledges within 5 s; one busy in a plan stops after
+ * the plan.
  *
  * (Hidden: `procoupd --worker` is how the daemon spawns its worker
  * processes; see exp/worker.hh. It is never typed.)
@@ -36,8 +39,7 @@ usage(const char* argv0)
     std::fprintf(
         stderr,
         "usage: %s --socket PATH [--state DIR] [--jobs N] [--retries N]\n"
-        "          [--lease-ms N] [--heartbeat-ms N] [--disk-cache DIR]\n"
-        "          [--no-workers]\n"
+        "          [--lease-ms N] [--disk-cache DIR] [--no-workers]\n"
         "       %s --socket PATH --stop\n",
         argv0, argv0);
     std::exit(2);
@@ -62,8 +64,7 @@ main(int argc, char** argv)
               a.value("--state", &opts.stateDir) ||
               a.number("--jobs", 0, INT_MAX, &opts.jobs) ||
               a.number("--retries", 0, INT_MAX - 1, &retries) ||
-              a.number("--lease-ms", 0.0, DBL_MAX, &opts.leaseMs) ||
-              a.number("--heartbeat-ms", 0.0, DBL_MAX, &opts.heartbeatMs) ||
+              a.number("--lease-ms", DBL_TRUE_MIN, DBL_MAX, &opts.leaseMs) ||
               a.value("--disk-cache", &opts.diskCacheDir) ||
               a.set("--no-workers", &opts.inProcess) ||
               a.set("--stop", &stop)))
@@ -80,7 +81,8 @@ main(int argc, char** argv)
                          opts.socketPath.c_str());
             return 0;
         }
-        std::fprintf(stderr, "procoupd: no daemon answered on %s\n",
+        std::fprintf(stderr,
+                     "procoupd: no daemon on %s acknowledged the stop\n",
                      opts.socketPath.c_str());
         return 1;
     }
